@@ -45,7 +45,7 @@ def main() -> int:
                                                     pipeline.SPLIT_PAIRED_TEST,
                                                     config.pair_policy)
     map_obj = pipeline.fit_mapping(config, models, x_train, z_train)
-    predictions = pipeline.predict(models, map_obj, x_test)
+    predictions = pipeline.predict(config, models, map_obj, x_test)
     report = pipeline.evaluate_rmse(predictions, z_test, sample_ids=pair_ids)
     print(f"average test rmse: {report.average_rmse:.5f}")
 

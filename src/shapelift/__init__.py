@@ -1,9 +1,10 @@
 """shapelift: semi-supervised single-image 3D shape reconstruction, desk scale.
 
 Subspace models for images and shapes are fitted by SVD on unlabeled pools;
-a mapping component (closed-form linear, direct least squares, or a small
-MLP) is fitted on paired data; everything is evaluated by per-sample RMSE
-and per-point error heat maps on procedurally generated solids.
+a mapping network (closed-form linear, direct least squares, or a small
+MLP, each an ``MlpMap``) is fitted on paired data; everything is evaluated
+by per-sample RMSE and per-point error heat maps on procedurally generated
+solids.
 """
 
 from .config import DatasetManifest, ExperimentConfig
@@ -15,11 +16,8 @@ from .errors import (
 )
 from .linalg import SvdResult, least_squares, pseudo_inverse, svd
 from .mapping import (
-    DirectMap,
-    LinearMap,
     MlpMap,
     TrainSchedule,
-    apply_linear_pipeline,
     fit_direct_map,
     fit_linear_map,
     mlp_forward,
@@ -36,9 +34,8 @@ from .pipeline import (
     heatmap,
     predict,
     pretrain,
-    reconstruct,
 )
-from .render import Pose, render_depth, render_poses, render_views, rotate_z
+from .render import Pose, render_depth, rotate_z
 from .shapes import (
     PointCloud,
     ShapeSpec,
@@ -55,14 +52,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DatasetManifest",
-    "DirectMap",
     "EvaluationReport",
     "ExperimentConfig",
     "FileFormatError",
     "HeatMap",
     "InvalidInputError",
     "InvalidSpecError",
-    "LinearMap",
     "MlpMap",
     "NumericalFailureError",
     "PointCloud",
@@ -72,7 +67,6 @@ __all__ = [
     "SvdResult",
     "TrainSchedule",
     "VoxelGrid",
-    "apply_linear_pipeline",
     "cloud_from_voxels",
     "compare_methods",
     "evaluate_rmse",
@@ -91,10 +85,7 @@ __all__ = [
     "predict",
     "pretrain",
     "pseudo_inverse",
-    "reconstruct",
     "render_depth",
-    "render_poses",
-    "render_views",
     "rotate_z",
     "svd",
     "train_linear_autoencoder",

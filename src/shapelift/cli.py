@@ -48,14 +48,6 @@ def _map_path(out_dir: Path, method: str) -> Path:
     return out_dir / f"mapping_{method}.map"
 
 
-def _specialize_map(method: str, m: mp.MlpMap):
-    if method == "lowdim":
-        return mp.LinearMap(m.weights[0])
-    if method == "direct":
-        return mp.DirectMap(m.weights[0])
-    return m
-
-
 def _cmd_gen(args) -> int:
     manifest = with_seed(load_manifest(resolve_config_path(args.config)), args.seed)
     pipeline.generate_dataset(manifest, args.out, threads=args.threads)
@@ -84,13 +76,7 @@ def _cmd_fit(args) -> int:
     x, z, _ = pipeline.load_paired(args.data, manifest, pipeline.SPLIT_PAIRED_TRAIN,
                                    config.pair_policy)
     map_obj = pipeline.fit_mapping(config, models, x, z)
-    if isinstance(map_obj, mp.LinearMap):
-        stored = mp.linear_map_as_mlp(map_obj)
-    elif isinstance(map_obj, mp.DirectMap):
-        stored = mp.direct_map_as_mlp(map_obj)
-    else:
-        stored = map_obj
-    mp.save_map(stored, _map_path(out_dir, config.mapping))
+    mp.save_map(map_obj, _map_path(out_dir, config.mapping))
     _note(f"{config.mapping} mapping written to {_map_path(out_dir, config.mapping)}")
     return 0
 
@@ -103,11 +89,11 @@ def _cmd_eval(args) -> int:
     map_file = _map_path(out_dir, config.mapping)
     if not map_file.exists():
         raise InvalidInputError(f"no mapping file {map_file}; run fit first")
-    map_obj = _specialize_map(config.mapping, mp.load_map(map_file))
+    map_obj = mp.load_map(map_file)
     x, z, pair_ids = pipeline.load_paired(args.data, manifest,
                                           pipeline.SPLIT_PAIRED_TEST,
                                           config.pair_policy)
-    predictions = pipeline.predict(models, map_obj, x)
+    predictions = pipeline.predict(config, models, map_obj, x)
     report = pipeline.evaluate_rmse(
         predictions, z, sample_ids=pair_ids,
         config_echo={"mapping": config.mapping, "k_2d": models[0].k,
@@ -142,12 +128,10 @@ def _load_any_shape(path: str):
 
 def _cmd_render(args) -> int:
     shape = _load_any_shape(args.shape)
+    yaws = args.yaw if args.yaw else render.view_yaws(args.views)
+    poses = [render.Pose(y) for y in yaws]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.yaw:
-        poses = [render.Pose(y) for y in args.yaw]
-    else:
-        poses = [render.Pose(y) for y in render.view_yaws(args.views)]
     for pose in poses:
         image = render.render_depth(shape, pose, args.width, args.height)
         name = f"render_{pose.yaw_deg:g}deg.pgm"

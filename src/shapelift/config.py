@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 from .mapping import TrainSchedule
+from .render import view_yaws
 from .shapes import ALL_KINDS, MAX_RESOLUTION, MIN_RESOLUTION
 
 ENV_CONFIG_DIR = "SHAPELIFT_CONFIG_DIR"
@@ -93,7 +94,7 @@ class DatasetManifest:
         """Effective yaw list: explicit poses, else 180*i/view_count."""
         if self.poses:
             return self.poses
-        return tuple(180.0 * i / self.view_count for i in range(self.view_count))
+        return tuple(view_yaws(self.view_count))
 
     @property
     def shape_dim(self) -> int:

@@ -1,29 +1,30 @@
 """Maps between representations: closed-form least squares and a small MLP.
 
-Three interchangeable mapping components:
+Every mapping is an ``MlpMap``: a stack of affine layers with tanh between
+hidden layers and an affine output.
 
-* ``LinearMap`` — least-squares map between code spaces.
-* ``DirectMap`` — least-squares map straight from image pixels to shape
-  coordinates, bypassing the code spaces.
-* ``MlpMap`` — feedforward network with tanh hidden layers and an affine
-  output, trained by mini-batch SGD on mean squared error (same minimizers
-  as the reported root-mean-square metric, but with a well-conditioned
-  gradient near zero error).
+* ``fit_linear_map`` — least-squares map between code spaces.
+* ``fit_direct_map`` — least-squares map straight from image pixels to
+  shape coordinates, bypassing the code spaces.
+* ``mlp_train`` — feedforward network with tanh hidden layers, trained by
+  mini-batch SGD on mean squared error (same minimizers as the reported
+  root-mean-square metric, but with a well-conditioned gradient near zero
+  error).
+
+The two closed-form fits return a single-layer network with zero bias and
+activation ``linear``, which is also the form they are stored in.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix, least_squares
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .subspace import SubspaceModel
 
 MAP_FORMAT_VERSION = 1
 
@@ -55,26 +56,6 @@ class TrainSchedule:
 # Stated reference schedule: 0.001 for 1000 epochs, then 1e-5 for another
 # 1000, mini-batches of 40.
 REFERENCE_SCHEDULE = TrainSchedule(((1e-3, 1000), (1e-5, 1000)), batch_size=40, seed=7)
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Code-space map t (k' x k); prediction is t @ y."""
-
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _as_matrix(self.t, "t"))
-
-
-@dataclass(frozen=True)
-class DirectMap:
-    """Pixel-to-coordinate map b_hat (p x D); prediction is b_hat @ x."""
-
-    b_hat: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b_hat", _as_matrix(self.b_hat, "b_hat"))
 
 
 @dataclass
@@ -127,29 +108,20 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def fit_linear_map(y, b) -> LinearMap:
+def _single_layer(w: np.ndarray) -> MlpMap:
+    # Wraps w without copying it; a direct map's w can be 27000 x 1024.
+    out_d, in_d = w.shape
+    return MlpMap((in_d, out_d), [w], [np.zeros(out_d)], activation="linear")
+
+
+def fit_linear_map(y, b) -> MlpMap:
     """Least-squares map from code matrix y (k x n) to code matrix b (k' x n)."""
-    return LinearMap(least_squares(y, b))
+    return _single_layer(least_squares(y, b))
 
 
-def fit_direct_map(x, z) -> DirectMap:
+def fit_direct_map(x, z) -> MlpMap:
     """Least-squares map from raw image matrix x (D x n) to shapes z (p x n)."""
-    return DirectMap(least_squares(x, z))
-
-
-def apply_linear_pipeline(img_model: "SubspaceModel", shape_model: "SubspaceModel",
-                          linear_map: LinearMap, x) -> np.ndarray:
-    """Full low-dimensional route: encode image, map codes, decode shape."""
-    t = linear_map.t
-    if t.shape[1] != img_model.k:
-        raise InvalidInputError(
-            f"map takes {t.shape[1]}-dim codes but image model produces {img_model.k}"
-        )
-    if t.shape[0] != shape_model.k:
-        raise InvalidInputError(
-            f"map emits {t.shape[0]}-dim codes but shape model expects {shape_model.k}"
-        )
-    return shape_model.decode(t @ img_model.encode(x))
+    return _single_layer(least_squares(x, z))
 
 
 def _batched(x, first_dim: int, name: str):
@@ -169,7 +141,8 @@ def mlp_forward(m: MlpMap, code) -> np.ndarray:
     h, squeeze = _batched(code, m.layer_sizes[0], "input")
     last = len(m.weights) - 1
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = w @ h + b[:, None]
+        h = w @ h
+        h += b[:, None]  # in place: no second output-sized temporary
         if l < last and m.activation == "tanh":
             h = np.tanh(h)
     return h[:, 0] if squeeze else h
@@ -255,16 +228,6 @@ def mlp_train(layer_sizes, pairs, schedule: TrainSchedule) -> MlpTrainResult:
             history.append(loss)
             epoch += 1
     return MlpTrainResult(m, np.asarray(history))
-
-
-def linear_map_as_mlp(lm: LinearMap) -> MlpMap:
-    k_out, k_in = lm.t.shape
-    return MlpMap((k_in, k_out), [lm.t.copy()], [np.zeros(k_out)], activation="linear")
-
-
-def direct_map_as_mlp(dm: DirectMap) -> MlpMap:
-    p, d = dm.b_hat.shape
-    return MlpMap((d, p), [dm.b_hat.copy()], [np.zeros(p)], activation="linear")
 
 
 def save_map(m: MlpMap, path):

@@ -3,8 +3,10 @@
 Stages: ``generate_dataset`` writes a reproducible synthetic dataset to
 disk; ``pretrain`` fits both subspace models from the unlabeled pools only;
 ``fit_mapping`` consumes the paired split through one of three mapping
-methods; ``evaluate_rmse`` and ``heatmap`` score reconstructions; and
-``compare_methods`` runs all three mappings on identical splits.
+methods, each producing an ``MlpMap``; ``predict`` runs encode, network,
+decode (direct skips the encode and decode); ``evaluate_rmse`` and
+``heatmap`` score reconstructions; and ``compare_methods`` runs all three
+mappings on identical splits.
 
 Everything derives from the manifest's base seed, so a rerun of any stage
 is byte-identical (timestamps appear only in the human-readable text
@@ -24,7 +26,13 @@ import numpy as np
 
 from . import mapping as mp
 from . import render, shapes, subspace
-from .config import DatasetManifest, ExperimentConfig, write_manifest, load_manifest
+from .config import (
+    DatasetManifest,
+    ExperimentConfig,
+    load_manifest,
+    with_mapping,
+    write_manifest,
+)
 from .errors import InvalidInputError
 
 logger = logging.getLogger(__name__)
@@ -45,7 +53,6 @@ class EvaluationReport:
     average_rmse: float
     per_sample_rmse: np.ndarray
     sample_ids: list
-    runtime_seconds: float
     config_echo: dict
 
 
@@ -152,17 +159,30 @@ def _read_index(path: Path):
         raise InvalidInputError(f"cannot read split index {path}: {exc}") from exc
 
 
+def _save_views(shape, sample_id: int, manifest: DatasetManifest, out_dir: Path):
+    """Render and save every view of one shape; (view, yaw repr, image file) each."""
+    size = manifest.image_size
+    views = []
+    for view, yaw in enumerate(manifest.yaws):
+        image = render.render_depth(shape, render.Pose(yaw), size, size)
+        image_file = _image_filename(sample_id, view)
+        render.save_pgm(image, out_dir / image_file)
+        views.append((view, repr(float(yaw)), image_file))
+    return views
+
+
 def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     """Materialize shapes, renders, and split indexes under out_dir.
 
     Fully reproducible: the same manifest always writes bit-identical files.
-    Paired splits index one (image, shape) pair per rendered view.
+    Paired splits index one (image, shape) pair per rendered view.  The
+    manifest is written last and atomically, so a directory that has one
+    holds a complete dataset.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    write_manifest(manifest, root / MANIFEST_FILE)
-    yaws = manifest.yaws
-    size = manifest.image_size
+    # A stale manifest would vouch for a half-rewritten directory.
+    (root / MANIFEST_FILE).unlink(missing_ok=True)
     blocks = _id_blocks(manifest)
 
     for split in (SPLIT_PAIRED_TRAIN, SPLIT_PAIRED_TEST):
@@ -173,14 +193,10 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
             shape = _shape_for_id(manifest, sample_id)
             shape_file = _shape_filename(sample_id, manifest)
             _save_shape(shape, split_dir / shape_file)
-            rows = []
-            for view, yaw in enumerate(yaws):
-                image = render.render_depth(shape, render.Pose(yaw), size, size)
-                image_file = _image_filename(sample_id, view)
-                render.save_pgm(image, split_dir / image_file)
-                rows.append((f"{sample_id:05d}_v{view}", sample_id, view,
-                             repr(float(yaw)), image_file, shape_file))
-            return rows
+            return [(f"{sample_id:05d}_v{view}", sample_id, view, yaw, image_file,
+                     shape_file)
+                    for view, yaw, image_file in
+                    _save_views(shape, sample_id, manifest, split_dir)]
 
         all_rows = _map_ordered(emit_paired, blocks[split], threads)
         _write_index(split_dir / "index.csv",
@@ -192,13 +208,8 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
 
     def emit_images(sample_id):
         shape = _shape_for_id(manifest, sample_id)
-        rows = []
-        for view, yaw in enumerate(yaws):
-            image = render.render_depth(shape, render.Pose(yaw), size, size)
-            image_file = _image_filename(sample_id, view)
-            render.save_pgm(image, pool_dir / image_file)
-            rows.append((sample_id, view, repr(float(yaw)), image_file))
-        return rows
+        return [(sample_id, *view)
+                for view in _save_views(shape, sample_id, manifest, pool_dir)]
 
     all_rows = _map_ordered(emit_images, blocks[SPLIT_UNLABELED_2D], threads)
     _write_index(pool_dir / "index.csv", ("shape_id", "view", "yaw", "image"),
@@ -215,6 +226,10 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
 
     rows = _map_ordered(emit_shapes, blocks[SPLIT_UNLABELED_3D], threads)
     _write_index(pool_dir / "index.csv", ("shape_id", "shape"), rows)
+
+    tmp = root / (MANIFEST_FILE + ".tmp")
+    write_manifest(manifest, tmp)
+    tmp.replace(root / MANIFEST_FILE)
 
 
 def read_dataset_manifest(data_dir) -> DatasetManifest:
@@ -301,7 +316,7 @@ def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "
 
 
 def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
-    """Dispatch the configured mapping fit on one paired split.
+    """Dispatch the configured mapping fit on one paired split to an ``MlpMap``.
 
     lowdim and mlp operate in code space through the pretrained models;
     direct regresses raw pixels to raw shape vectors and touches neither
@@ -320,36 +335,29 @@ def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
     raise InvalidInputError(f"unknown mapping {config.mapping!r}")
 
 
-def predict(models, map_obj, x: np.ndarray) -> np.ndarray:
-    """Shape-vector predictions for image columns under any mapping kind."""
+def predict(config: ExperimentConfig, models, map_obj: mp.MlpMap,
+            x: np.ndarray) -> np.ndarray:
+    """Shape-vector predictions for image columns (or one flat image).
+
+    lowdim and mlp maps run between the code spaces of the pretrained
+    models: encode, network, decode.  A direct map takes pixels to shape
+    coordinates itself.  The method cannot be read off the map, because a
+    code-space map at full k can have the same layer sizes as a direct map.
+    """
+    if config.mapping == "direct":
+        return mp.mlp_forward(map_obj, x)
     img_model, shape_model = models
-    if isinstance(map_obj, mp.DirectMap):
-        if x.shape[0] != map_obj.b_hat.shape[1]:
-            raise InvalidInputError(
-                f"image dimension {x.shape[0]} does not match direct map "
-                f"input {map_obj.b_hat.shape[1]}"
-            )
-        return map_obj.b_hat @ x
-    if isinstance(map_obj, mp.LinearMap):
-        return mp.apply_linear_pipeline(img_model, shape_model, map_obj, x)
-    if isinstance(map_obj, mp.MlpMap):
-        return shape_model.decode(mp.mlp_forward(map_obj, img_model.encode(x)))
-    raise InvalidInputError(f"unknown mapping object {type(map_obj).__name__}")
+    return shape_model.decode(mp.mlp_forward(map_obj, img_model.encode(x)))
 
 
-def reconstruct(models, map_obj, image) -> np.ndarray:
-    """Predict one shape vector from one image (2-D array or flat vector)."""
-    vec = np.asarray(image, dtype=np.float64).ravel()
-    return predict(models, map_obj, vec[:, None])[:, 0]
-
-
-def reconstruct_shape(models, map_obj, image, manifest: DatasetManifest):
-    """Reconstruct and decode to the manifest's shape type.
+def reconstruct_shape(config: ExperimentConfig, models, map_obj: mp.MlpMap, image,
+                      manifest: DatasetManifest):
+    """Reconstruct one image (2-D array or flat vector) as the manifest's shape type.
 
     Voxel vectors digitize at VOXEL_THRESHOLD (>= occupies); the raw real
     vector is what RMSE evaluation uses, so it is returned alongside.
     """
-    vec = reconstruct(models, map_obj, image)
+    vec = predict(config, models, map_obj, np.asarray(image, dtype=np.float64).ravel())
     if manifest.representation == "voxel":
         return vec, shapes.grid_from_vector(vec, manifest.resolution, VOXEL_THRESHOLD)
     return vec, shapes.cloud_from_vector(vec, f"reconstruction:{manifest.point_count}")
@@ -362,7 +370,6 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     Each sample's RMSE is sqrt(||x_hat - x||^2 / dim); the report average
     is the plain mean of the per-sample values.
     """
-    started = time.perf_counter()
     pred = np.asarray(predictions, dtype=np.float64)
     truth = np.asarray(ground_truths, dtype=np.float64)
     if pred.ndim == 1:
@@ -389,7 +396,6 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
         average_rmse=float(per_sample.mean()),
         per_sample_rmse=per_sample,
         sample_ids=ids,
-        runtime_seconds=time.perf_counter() - started,
         config_echo=dict(config_echo or {}),
     )
 
@@ -450,14 +456,12 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
                                     config.pair_policy)
     rows = []
     for method in ("lowdim", "direct", "mlp"):
-        method_config = ExperimentConfig(
-            k_2d=config.k_2d, k_3d=config.k_3d, mapping=method,
-            mlp_hidden=config.mlp_hidden, pair_policy=config.pair_policy,
-            schedule=config.schedule,
-        )
+        method_config = with_mapping(config, method)
         map_obj = fit_mapping(method_config, models, x_train, z_train)
-        train_report = evaluate_rmse(predict(models, map_obj, x_train), z_train)
-        test_report = evaluate_rmse(predict(models, map_obj, x_test), z_test)
+        train_report = evaluate_rmse(predict(method_config, models, map_obj, x_train),
+                                     z_train)
+        test_report = evaluate_rmse(predict(method_config, models, map_obj, x_test),
+                                    z_test)
         rows.append(MethodResult(method, train_report.average_rmse,
                                  test_report.average_rmse))
     return ComparisonResult(
@@ -506,7 +510,6 @@ def write_evaluation_summary(report: EvaluationReport, path):
         f"samples: {len(report.sample_ids)}",
         f"average rmse: {report.average_rmse:.6g}",
         f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
-        f"runtime: {report.runtime_seconds:.2f} s",
     ]
     for key, value in sorted(report.config_echo.items()):
         lines.append(f"config {key}: {value}")

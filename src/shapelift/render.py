@@ -98,21 +98,10 @@ def render_depth(shape, pose: Pose, width: int = 32, height: int = 32) -> np.nda
     raise InvalidInputError(f"cannot render {type(rotated).__name__}")
 
 
-def render_views(shape, view_count: int, width: int = 32, height: int = 32):
+def view_yaws(view_count: int) -> list:
     """Evenly spread yaws over the half turn: 180 * i / view_count degrees."""
     if view_count < 1:
-        raise InvalidInputError(f"view_count must be >= 1, got {view_count}")
-    return [render_depth(shape, Pose(180.0 * i / view_count), width, height)
-            for i in range(view_count)]
-
-
-def render_poses(shape, poses, width: int = 32, height: int = 32):
-    """Render an explicit pose list (e.g. yaws -45, 0, 45)."""
-    return [render_depth(shape, p if isinstance(p, Pose) else Pose(p), width, height)
-            for p in poses]
-
-
-def view_yaws(view_count: int):
+        raise InvalidInputError(f"view count must be >= 1, got {view_count}")
     return [180.0 * i / view_count for i in range(view_count)]
 
 
@@ -155,8 +144,10 @@ def load_pgm(path) -> np.ndarray:
         raise FileFormatError(f"{path}: bad PGM header") from exc
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 is supported")
-    data = raw[pos : pos + w * h]
+    data = raw[pos:]
     if len(data) < w * h:
         raise FileFormatError(f"{path}: unexpected end of file")
+    if len(data) > w * h:
+        raise FileFormatError(f"{path}: trailing data after raster")
     pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     return pixels.reshape(h, w)

@@ -18,6 +18,7 @@ import pytest
 
 from shapelift import linalg, mapping as mp, pipeline, render, shapes, subspace
 from shapelift.cli import main
+from shapelift.config import ExperimentConfig
 from shapelift.mapping import MlpMap, TrainSchedule
 from shapelift.render import Pose
 from shapelift.shapes import PointCloud, VoxelGrid
@@ -124,10 +125,11 @@ def test_c04_full_rank_route_equivalence():
         img_model = subspace.fit_subspace(x, n - 1)
         shape_model = subspace.fit_subspace(z, n - 1)
         lm = mp.fit_linear_map(img_model.encode(x), shape_model.encode(z))
-        route_a = mp.apply_linear_pipeline(img_model, shape_model, lm, x)
+        route_a = pipeline.predict(ExperimentConfig(mapping="lowdim"),
+                                   (img_model, shape_model), lm, x)
         xc = x - x.mean(axis=1)[:, None]
         zc = z - z.mean(axis=1)[:, None]
-        route_b = z.mean(axis=1)[:, None] + mp.fit_direct_map(xc, zc).b_hat @ xc
+        route_b = z.mean(axis=1)[:, None] + mp.mlp_forward(mp.fit_direct_map(xc, zc), xc)
         worst = max(worst, np.linalg.norm(route_a - route_b)
                     / max(np.linalg.norm(route_b), 1.0))
     verdict(4, "subspace route equals direct route at full rank",

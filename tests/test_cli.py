@@ -173,6 +173,15 @@ class TestRenderCommand:
         assert (out / "render_315deg.pgm").is_file()
         assert (out / "render_45deg.pgm").is_file()
 
+    @pytest.mark.parametrize("views", ["0", "-3"])
+    def test_view_count_below_one_exit_1(self, workspace, tmp_path, views):
+        root, _ = workspace
+        shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+        out = tmp_path / "imgs"
+        assert main(["render", str(shape_file), "--out", str(out),
+                     "--views", views]) == 1
+        assert not out.exists()
+
 
 class TestHeatmapCommand:
     def test_writes_error_property(self, tmp_path):

@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 
 from shapelift import mapping as mp
-from shapelift import subspace
+from shapelift import pipeline, subspace
+from shapelift.config import ExperimentConfig
 from shapelift.errors import (
     FileFormatError,
     InvalidInputError,
     NumericalFailureError,
 )
 from shapelift.mapping import MlpMap, TrainSchedule
+
+LOWDIM = ExperimentConfig(mapping="lowdim")
+
+
+def linear_net(w):
+    """Single-layer linear network computing w @ x."""
+    w = np.asarray(w, dtype=np.float64)
+    return MlpMap(w.shape[::-1], [w], [np.zeros(w.shape[0])], activation="linear")
 
 
 def rng_net(seed, sizes):
@@ -52,12 +61,15 @@ class TestLinearMap:
     def test_identity_on_full_rank(self):
         y = np.random.default_rng(0).standard_normal((4, 9))
         lm = mp.fit_linear_map(y, y)
-        np.testing.assert_allclose(lm.t, np.eye(4), atol=1e-10)
+        assert lm.layer_sizes == (4, 4)
+        assert lm.activation == "linear"
+        assert not lm.biases[0].any()
+        np.testing.assert_allclose(lm.weights[0], np.eye(4), atol=1e-10)
 
     def test_scaling(self):
         y = np.random.default_rng(1).standard_normal((3, 8))
         lm = mp.fit_linear_map(y, 3.0 * y)
-        np.testing.assert_allclose(lm.t, 3.0 * np.eye(3), atol=1e-10)
+        np.testing.assert_allclose(lm.weights[0], 3.0 * np.eye(3), atol=1e-10)
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(2)
@@ -65,7 +77,7 @@ class TestLinearMap:
         b = rng.standard_normal((7, 20))
         lm = mp.fit_linear_map(y, b)
         oracle = b @ y.T @ np.linalg.inv(y @ y.T)
-        np.testing.assert_allclose(lm.t, oracle, atol=1e-8)
+        np.testing.assert_allclose(lm.weights[0], oracle, atol=1e-8)
 
 
 class TestLinearPipeline:
@@ -77,8 +89,8 @@ class TestLinearPipeline:
 
     def test_mean_image_maps_to_mean_shape(self):
         img_model, shape_model = self._models(3)
-        lm = mp.LinearMap(np.random.default_rng(4).standard_normal((2, 3)))
-        out = mp.apply_linear_pipeline(img_model, shape_model, lm, img_model.mean)
+        lm = linear_net(np.random.default_rng(4).standard_normal((2, 3)))
+        out = pipeline.predict(LOWDIM, (img_model, shape_model), lm, img_model.mean)
         np.testing.assert_allclose(out, shape_model.mean, atol=1e-12)
 
     def test_hand_built_chain(self):
@@ -94,21 +106,20 @@ class TestLinearPipeline:
             mean=np.ones(4),
             basis=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
             singular_values=np.array([1.0, 1.0]), k_requested=2)
-        lm = mp.LinearMap(np.diag([2.0, 0.5]))
-        out = mp.apply_linear_pipeline(img_model, shape_model, lm,
-                                       np.array([1.5, -1.0, 7.0, 9.0]))
+        lm = linear_net(np.diag([2.0, 0.5]))
+        out = pipeline.predict(LOWDIM, (img_model, shape_model), lm,
+                               np.array([1.5, -1.0, 7.0, 9.0]))
         np.testing.assert_array_equal(out, np.array([4.0, 1.0, 0.5, 1.0]))
 
     def test_dimension_chain_errors(self):
         img_model, shape_model = self._models(5)
-        wrong_cols = mp.LinearMap(np.zeros((2, 4)))
+        models = (img_model, shape_model)
+        wrong_cols = linear_net(np.zeros((2, 4)))
         with pytest.raises(InvalidInputError):
-            mp.apply_linear_pipeline(img_model, shape_model, wrong_cols,
-                                     img_model.mean)
-        wrong_rows = mp.LinearMap(np.zeros((3, 3)))
+            pipeline.predict(LOWDIM, models, wrong_cols, img_model.mean)
+        wrong_rows = linear_net(np.zeros((3, 3)))
         with pytest.raises(InvalidInputError):
-            mp.apply_linear_pipeline(img_model, shape_model, wrong_rows,
-                                     img_model.mean)
+            pipeline.predict(LOWDIM, models, wrong_rows, img_model.mean)
 
     def test_full_rank_equivalence_with_direct(self):
         # With k = rank of the centered data on both sides, the subspace
@@ -121,11 +132,11 @@ class TestLinearPipeline:
             img_model = subspace.fit_subspace(x, n - 1)
             shape_model = subspace.fit_subspace(z, n - 1)
             lm = mp.fit_linear_map(img_model.encode(x), shape_model.encode(z))
-            ours = mp.apply_linear_pipeline(img_model, shape_model, lm, x)
+            ours = pipeline.predict(LOWDIM, (img_model, shape_model), lm, x)
             xc = x - x.mean(axis=1)[:, None]
             zc = z - z.mean(axis=1)[:, None]
             direct = mp.fit_direct_map(xc, zc)
-            theirs = z.mean(axis=1)[:, None] + direct.b_hat @ xc
+            theirs = z.mean(axis=1)[:, None] + mp.mlp_forward(direct, xc)
             err = np.linalg.norm(ours - theirs) / max(np.linalg.norm(theirs), 1.0)
             assert err <= 1e-6
 
@@ -134,14 +145,14 @@ class TestDirectMap:
     def test_identity(self):
         x = np.random.default_rng(6).standard_normal((4, 10))
         dm = mp.fit_direct_map(x, x)
-        np.testing.assert_allclose(dm.b_hat, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(dm.weights[0], np.eye(4), atol=1e-10)
 
     def test_recovers_permutation(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((5, 12))
         perm = np.eye(5)[[3, 0, 4, 1, 2]]
         dm = mp.fit_direct_map(x, perm @ x)
-        np.testing.assert_allclose(dm.b_hat, perm, atol=1e-10)
+        np.testing.assert_allclose(dm.weights[0], perm, atol=1e-10)
 
     def test_interpolation_regime_zero_residual(self):
         # Fewer samples than input dimensions: generic data interpolates.
@@ -149,7 +160,7 @@ class TestDirectMap:
         x = rng.standard_normal((20, 6))
         z = rng.standard_normal((9, 6))
         dm = mp.fit_direct_map(x, z)
-        assert np.linalg.norm(dm.b_hat @ x - z) <= 1e-10
+        assert np.linalg.norm(mp.mlp_forward(dm, x) - z) <= 1e-10
 
 
 class TestMlpForward:
@@ -160,9 +171,9 @@ class TestMlpForward:
 
     def test_single_layer_matches_linear_map(self):
         t = np.random.default_rng(9).standard_normal((4, 3))
-        m = mp.linear_map_as_mlp(mp.LinearMap(t))
+        m = linear_net(t)
         code = np.random.default_rng(10).standard_normal((3, 6))
-        np.testing.assert_allclose(mp.mlp_forward(m, code), t @ code, atol=1e-14)
+        np.testing.assert_array_equal(mp.mlp_forward(m, code), t @ code)
 
     def test_matches_reference_implementation(self):
         m = rng_net(11, (5, 8, 4, 6))
@@ -179,7 +190,7 @@ class TestMlpForward:
 class TestMlpGradients:
     def test_zero_at_perfect_fit(self):
         t = np.random.default_rng(14).standard_normal((3, 4))
-        m = mp.linear_map_as_mlp(mp.LinearMap(t))
+        m = linear_net(t)
         x = np.random.default_rng(15).standard_normal((4, 7))
         g = mp.mlp_gradients(m, x, t @ x)
         assert g.loss <= 1e-24
@@ -238,7 +249,7 @@ class TestMlpTrain:
         result = mp.mlp_train((4, 10, 6), (y, b), schedule)
         closed = mp.fit_linear_map(y, b)
         mlp_rmse = np.sqrt(((mp.mlp_forward(result.map, y) - b) ** 2).mean())
-        closed_rmse = np.sqrt(((closed.t @ y - b) ** 2).mean())
+        closed_rmse = np.sqrt(((mp.mlp_forward(closed, y) - b) ** 2).mean())
         assert mlp_rmse <= closed_rmse * 1.1
 
     def test_zero_epochs_returns_initialization(self):
@@ -302,12 +313,15 @@ class TestMapFormat:
             assert np.array_equal(ba, bb)
 
     def test_linear_map_round_trip(self, tmp_path):
-        lm = mp.LinearMap(np.random.default_rng(27).standard_normal((5, 3)))
+        rng = np.random.default_rng(27)
+        lm = mp.fit_linear_map(rng.standard_normal((3, 8)), rng.standard_normal((5, 8)))
         path = tmp_path / "linear.map"
-        mp.save_map(mp.linear_map_as_mlp(lm), path)
+        mp.save_map(lm, path)
         back = mp.load_map(path)
+        assert back.layer_sizes == (3, 5)
         assert back.activation == "linear"
-        assert np.array_equal(back.weights[0], lm.t)
+        assert np.array_equal(back.weights[0], lm.weights[0])
+        assert not back.biases[0].any()
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "net.map"

@@ -15,7 +15,7 @@ from shapelift.config import (
     write_manifest,
 )
 from shapelift.errors import InvalidInputError
-from shapelift.mapping import TrainSchedule
+from shapelift.mapping import MlpMap, TrainSchedule
 from shapelift.shapes import PointCloud
 
 
@@ -74,6 +74,31 @@ class TestGenerateDataset:
         test_ids = ids["paired_test"]
         for other in ("paired_train", "unlabeled_2d", "unlabeled_3d"):
             assert not (test_ids & ids[other])
+
+    def test_interrupted_generation_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # Both a fresh gen and a rerun over a complete dataset are cut short
+        # partway through rendering; neither may read as a dataset.
+        root = tmp_path / "cut"
+        pipeline.generate_dataset(SMALL, root)
+        assert pipeline.read_dataset_manifest(root) == SMALL
+        assert not (root / "manifest.cfg.tmp").exists()
+        real = render.render_depth
+        calls = []
+
+        def render_then_fail(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 5:
+                raise RuntimeError("interrupted")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(render, "render_depth", render_then_fail)
+        for target in (root, tmp_path / "fresh"):
+            calls.clear()
+            with pytest.raises(RuntimeError, match="interrupted"):
+                pipeline.generate_dataset(SMALL, target)
+            assert (target / "paired_train").is_dir()
+            with pytest.raises(InvalidInputError):
+                pipeline.read_dataset_manifest(target)
 
     def test_manifest_echo_round_trips(self, small_dataset):
         back = load_manifest(str(small_dataset / "manifest.cfg"))
@@ -135,7 +160,7 @@ class TestFitMapping:
         cfg = ExperimentConfig(k_2d=3, k_3d=4, mapping="lowdim")
         lm = pipeline.fit_mapping(cfg, models, x, z)
         oracle = mp.fit_linear_map(models[0].encode(x), models[1].encode(z))
-        assert np.array_equal(lm.t, oracle.t)
+        assert np.array_equal(lm.weights[0], oracle.weights[0])
 
     def test_direct_ignores_subspace_dims(self, small_dataset):
         manifest = pipeline.read_dataset_manifest(small_dataset)
@@ -147,9 +172,9 @@ class TestFitMapping:
         cfg_b = ExperimentConfig(k_2d=5, k_3d=6, mapping="direct")
         map_a = pipeline.fit_mapping(cfg_a, small_models, x, z)
         map_b = pipeline.fit_mapping(cfg_b, big_models, x, z)
-        assert np.array_equal(map_a.b_hat, map_b.b_hat)
-        pred_a = pipeline.predict(small_models, map_a, x)
-        pred_b = pipeline.predict(big_models, map_b, x)
+        assert np.array_equal(map_a.weights[0], map_b.weights[0])
+        pred_a = pipeline.predict(cfg_a, small_models, map_a, x)
+        pred_b = pipeline.predict(cfg_b, big_models, map_b, x)
         assert np.array_equal(pred_a, pred_b)
 
     def test_mlp_deterministic_per_seed(self, small_dataset):
@@ -168,9 +193,9 @@ class TestReconstruct:
         rng = np.random.default_rng(40)
         img_model = subspace.fit_subspace(rng.standard_normal((9, 8)), 3)
         shape_model = subspace.fit_subspace(rng.standard_normal((7, 8)), 2)
-        zero_map = mp.LinearMap(np.zeros((2, 3)))
-        out = pipeline.reconstruct((img_model, shape_model), zero_map,
-                                   img_model.mean)
+        zero_map = MlpMap((3, 2), [np.zeros((2, 3))], [np.zeros(2)], activation="linear")
+        out = pipeline.predict(ExperimentConfig(mapping="lowdim"),
+                               (img_model, shape_model), zero_map, img_model.mean)
         np.testing.assert_allclose(out, shape_model.mean, atol=1e-12)
 
     def test_full_rank_training_interpolation(self):
@@ -183,7 +208,7 @@ class TestReconstruct:
         models = (subspace.fit_subspace(x, 4), subspace.fit_subspace(z, 4))
         cfg = ExperimentConfig(k_2d=4, k_3d=4, mapping="lowdim")
         lm = pipeline.fit_mapping(cfg, models, x, z)
-        pred = pipeline.predict(models, lm, x)
+        pred = pipeline.predict(cfg, models, lm, x)
         assert np.linalg.norm(pred - z) / np.linalg.norm(z) <= 1e-6
 
     def test_voxel_binarization_tie_rule(self):
@@ -194,9 +219,10 @@ class TestReconstruct:
         shape_model = subspace.SubspaceModel(
             mean=vec, basis=np.zeros((512, 1)), singular_values=np.ones(1),
             k_requested=1)
-        lm = mp.LinearMap(np.zeros((1, 2)))
+        lm = MlpMap((2, 1), [np.zeros((1, 2))], [np.zeros(1)], activation="linear")
         raw, grid = pipeline.reconstruct_shape(
-            (img_model, shape_model), lm, img_model.mean, manifest)
+            ExperimentConfig(mapping="lowdim"), (img_model, shape_model), lm,
+            img_model.mean, manifest)
         assert np.all(raw == 0.5)
         assert grid.occupancy.all()
 
@@ -302,7 +328,7 @@ class TestMethodAgreement:
             cfg = ExperimentConfig(k_2d=d, k_3d=p, mapping=method,
                                    mlp_hidden=(16,), schedule=sched)
             map_obj = pipeline.fit_mapping(cfg, models, x, z)
-            pred = pipeline.predict(models, map_obj, x_test)
+            pred = pipeline.predict(cfg, models, map_obj, x_test)
             rmses[method] = pipeline.evaluate_rmse(pred, z_test).average_rmse
         values = sorted(rmses.values())
         assert values[-1] <= 1.10 * values[0], rmses

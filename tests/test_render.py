@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shapelift import render, shapes
-from shapelift.errors import FileFormatError
+from shapelift.errors import FileFormatError, InvalidInputError
 from shapelift.render import Pose
 from shapelift.shapes import PointCloud, VoxelGrid
 
@@ -132,10 +132,12 @@ class TestRenderDepth:
 
 class TestViews:
     def test_single_view_is_yaw_zero(self):
-        grid = random_grid(11)
-        views = render.render_views(grid, 1)
-        assert len(views) == 1
-        assert np.array_equal(views[0], render.render_depth(grid, Pose(0.0)))
+        assert render.view_yaws(1) == [0.0]
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_view_count_below_one_rejected(self, count):
+        with pytest.raises(InvalidInputError):
+            render.view_yaws(count)
 
     def test_eight_view_yaws(self):
         assert render.view_yaws(8) == [0.0, 22.5, 45.0, 67.5, 90.0, 112.5,
@@ -145,10 +147,8 @@ class TestViews:
         cloud = shapes.generate_point_shape(
             shapes.ShapeSpec("ellipsoid", {"cx": 0.5, "cy": 0.5, "cz": 0.5,
                                            "rx": 0.2, "ry": 0.25, "rz": 0.3}), 200)
-        views = render.render_poses(cloud, [-45.0, 0.0, 45.0])
-        assert len(views) == 3
-        assert np.array_equal(views[1], render.render_depth(cloud, Pose(0.0)))
-        assert np.array_equal(views[0], render.render_depth(cloud, Pose(315.0)))
+        assert np.array_equal(render.render_depth(cloud, Pose(-45.0)),
+                              render.render_depth(cloud, Pose(315.0)))
 
 
 class TestPgm:
@@ -165,6 +165,13 @@ class TestPgm:
         render.save_pgm(np.zeros((8, 8)), path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FileFormatError, match="unexpected end of file"):
+            render.load_pgm(path)
+
+    def test_trailing_data(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        render.save_pgm(np.zeros((8, 8)), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FileFormatError, match="trailing"):
             render.load_pgm(path)
 
     def test_bad_magic(self, tmp_path):
