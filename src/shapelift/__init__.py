@@ -1,6 +1,7 @@
 """shapelift: semi-supervised single-image 3D shape reconstruction, desk scale.
 
-Subspace models for images and shapes are fitted by SVD on unlabeled pools;
+Subspace models for images and shapes are fitted by a truncated SVD (taken
+from the Gram matrix, see ``linalg.leading_svd``) on unlabeled pools;
 a mapping network (closed-form linear, direct least squares, or a small
 MLP, each an ``MlpMap``) is fitted on paired data; everything is evaluated
 by per-sample RMSE and per-point error heat maps on procedurally generated

@@ -3,7 +3,10 @@
 Every decomposition here truncates at the effective numerical rank
 (singular values below ``RANK_RTOL * sigma_max`` count as zero) and applies
 a fixed per-column sign convention so repeated calls on the same input are
-bit-identical.  All functions are pure and safe to call concurrently.
+bit-identical.  ``svd`` is the full thin SVD; ``leading_svd`` finds only the
+leading k triplets from the Gram matrix on the matrix's small side and
+falls back to ``svd`` when that would lose accuracy.  All functions are
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -17,6 +20,15 @@ from .errors import InvalidInputError, NumericalFailureError
 # Relative cutoff below which a singular value is treated as exactly zero.
 RANK_RTOL = 1e-10
 
+# Smallest kept singular value, relative to the largest, that `leading_svd`
+# accepts from the Gram route.  The Gram matrix squares the condition number,
+# so its singular vectors are orthonormal and accurate only to about
+# eps * (sigma_1 / sigma_r)**2; at 1e-3 that is ~2e-10.
+GRAM_MIN_RATIO = 1e-3
+
+# Rows per matrix product in `leading_svd`'s Rayleigh-Ritz step.
+_RITZ_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class SvdResult:
@@ -25,7 +37,8 @@ class SvdResult:
     ``u`` is (m, rank) with orthonormal columns, ``sigma`` is (rank,)
     non-negative and descending, ``v`` is (n, rank) with orthonormal
     columns, and ``u @ np.diag(sigma) @ v.T`` reconstructs the input up to
-    numerical error.
+    numerical error (from `leading_svd`, where rank <= k, it is the best
+    rank-k approximation instead).
     """
 
     u: np.ndarray
@@ -68,14 +81,81 @@ def svd(m) -> SvdResult:
         raise NumericalFailureError(f"SVD iteration failed to converge: {exc}") from exc
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s.size else 0
     u = u[:, :rank]
-    s = s[:rank].copy()
     v = vt[:rank].T
-    if rank:
+    _pin_signs(u, v)
+    return SvdResult(u=u, sigma=s[:rank].copy(), v=v, rank=rank)
+
+
+def leading_svd(m, k: int) -> SvdResult:
+    """The leading k singular triplets of ``m``, truncated at the effective rank.
+
+    Takes ``eigh`` of the Gram matrix on the small side (``m @ m.T`` when
+    ``m`` is wide, ``m.T @ m`` when it is tall) and keeps its leading k
+    eigenvectors.  One Rayleigh-Ritz step maps them through ``m``: the
+    singular values are the Ritz values ``||m.T u_i||`` (wide) or
+    ``||m v_i||`` (tall), accurate to about eps * sigma_1 rather than the
+    eps * sigma_1**2 / sigma_i of the eigenvalues, so the ``RANK_RTOL`` cut
+    still separates a zero singular value from a small one.  The other
+    factor is the mapped vector divided by its Ritz value.  The sign
+    convention is that of `svd`.
+
+    When the smallest kept Ritz value is below ``GRAM_MIN_RATIO * sigma_1``
+    or the kept Ritz values are not a descending prefix of the k, the
+    result is `svd` cut to the leading k columns instead.
+
+    Raises
+    ------
+    InvalidInputError
+        If the input is empty or non-finite, or k is outside [1, min(m.shape)].
+    NumericalFailureError
+        If the eigensolver (or the fallback SVD) does not converge.
+    """
+    a = _as_matrix(m)
+    if not 1 <= k <= min(a.shape):
+        raise InvalidInputError(f"k={k} outside [1, min{a.shape}]")
+    wide = a.shape[0] <= a.shape[1]
+    try:
+        _, vecs = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"Gram eigensolver failed to converge: {exc}") from exc
+    # Rows of `lead` are the eigenvectors by descending eigenvalue; rows of
+    # `mapped` are the same vectors sent through the matrix.  The product is
+    # taken in fixed blocks of rows so that row i comes out bit-identical for
+    # every k (BLAS picks its kernel by matrix size), which keeps the
+    # leading columns of a smaller-k result a prefix of a larger-k one.
+    lead = vecs.T[::-1]
+    other = a if wide else a.T
+    stop = min(lead.shape[0], -(-k // _RITZ_BLOCK) * _RITZ_BLOCK)
+    mapped = np.empty((stop, other.shape[1]))
+    for i in range(0, stop, _RITZ_BLOCK):
+        np.matmul(lead[i:i + _RITZ_BLOCK], other, out=mapped[i:i + _RITZ_BLOCK])
+    sigma = np.linalg.norm(mapped[:k], axis=1)
+    cut = RANK_RTOL * sigma[0]
+    rank = int(np.count_nonzero(sigma > cut))
+    kept = sigma[:rank]
+    if (np.any(sigma[rank:] > cut) or np.any(kept[1:] > kept[:-1])
+            or (rank and kept[-1] < GRAM_MIN_RATIO * sigma[0])):
+        res = svd(a)
+        r = min(k, res.rank)
+        return SvdResult(u=res.u[:, :r], sigma=res.sigma[:r], v=res.v[:, :r], rank=r)
+    mapped = mapped[:rank]
+    mapped /= kept[:, None]
+    u, v = (lead[:rank].T, mapped.T) if wide else (mapped.T, lead[:rank].T)
+    _pin_signs(u, v)
+    return SvdResult(u=u, sigma=kept, v=v, rank=rank)
+
+
+def _pin_signs(u: np.ndarray, v: np.ndarray):
+    """Make the largest-magnitude entry of each column of u non-negative.
+
+    The first occurrence wins on ties, and the matching column of v is
+    flipped alongside; both are changed in place.
+    """
+    if u.shape[1]:
         lead = np.argmax(np.abs(u), axis=0)
-        signs = np.where(u[lead, np.arange(rank)] < 0.0, -1.0, 1.0)
-        u = u * signs
-        v = v * signs
-    return SvdResult(u=u, sigma=s, v=v, rank=rank)
+        signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+        u *= signs
+        v *= signs
 
 
 def pseudo_inverse(m) -> np.ndarray:

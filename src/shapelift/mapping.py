@@ -74,8 +74,7 @@ class MlpMap:
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
-        if len(self.layer_sizes) < 2:
-            raise InvalidInputError("an MLP needs at least input and output sizes")
+        _check_layer_sizes(self.layer_sizes)
         if self.activation not in ("tanh", "linear"):
             raise InvalidInputError(f"unknown activation {self.activation!r}")
         expect = len(self.layer_sizes) - 1
@@ -95,6 +94,13 @@ class MlpMap:
                 )
             self.weights[l] = w
             self.biases[l] = b
+
+
+def _check_layer_sizes(sizes: tuple):
+    if len(sizes) < 2:
+        raise InvalidInputError("an MLP needs at least input and output sizes")
+    if min(sizes) < 1:
+        raise InvalidInputError(f"layer sizes must be >= 1, got {list(sizes)}")
 
 
 class MlpGradients(NamedTuple):
@@ -258,6 +264,10 @@ def load_map(path) -> MlpMap:
         raise FileFormatError(f"{path}: bad mapping header") from exc
     if version != MAP_FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format version {version}")
+    try:
+        _check_layer_sizes(sizes)
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     weights, biases = [], []
     offset = 0
     for l in range(len(sizes) - 1):

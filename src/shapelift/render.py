@@ -108,9 +108,9 @@ def view_yaws(view_count: int) -> list:
 def save_pgm(image: np.ndarray, path):
     """Binary PGM (P5), maxval 255, byte = round(pixel * 255)."""
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise InvalidInputError(f"image must be 2-D, got shape {img.shape}")
-    if img.size and (img.min() < 0.0 or img.max() > 1.0):
+    if img.ndim != 2 or img.size == 0:
+        raise InvalidInputError(f"image must be 2-D and nonempty, got shape {img.shape}")
+    if img.min() < 0.0 or img.max() > 1.0:
         raise InvalidInputError("image values must lie in [0, 1]")
     h, w = img.shape
     with open(path, "wb") as fh:
@@ -142,6 +142,8 @@ def load_pgm(path) -> np.ndarray:
         w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad PGM header") from exc
+    if w < 1 or h < 1:
+        raise FileFormatError(f"{path}: image size {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 is supported")
     data = raw[pos:]

@@ -1,7 +1,8 @@
-"""Affine subspace models fitted by SVD, plus a gradient-trained twin.
+"""Affine subspace models fitted by a truncated SVD, plus a gradient-trained twin.
 
 A fitted model holds the sample mean and the leading left singular vectors
-of the centered data: encode projects onto the basis, decode maps back.
+of the centered data, found by `linalg.leading_svd` from the Gram matrix on
+the pool's small side: encode projects onto the basis, decode maps back.
 ``train_linear_autoencoder`` learns the same subspace by plain gradient
 descent; its decoder-times-encoder product converges to the PCA projector,
 which is the checkable form of the classic equivalence between linear
@@ -83,9 +84,11 @@ class SubspaceModel:
 def fit_subspace(samples, k: int) -> SubspaceModel:
     """Fit mean and the first k left singular vectors of the centered data.
 
-    If the centered matrix has effective rank r < k the basis keeps only r
-    columns and the model is flagged shrunk.  Requires n >= 2 samples and
-    k <= min(dim, n).
+    The vectors and singular values come from `linalg.leading_svd`, so the
+    singular values are Ritz values, equal to the SVD's to about
+    eps * sigma_1.  If the centered matrix has effective rank r < k the
+    basis keeps only r columns and the model is flagged shrunk.  Requires
+    n >= 2 samples and k <= min(dim, n).
     """
     x = _as_matrix(samples, "samples")
     dim, n = x.shape
@@ -96,14 +99,13 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
             f"k={k} outside [1, min(dim={dim}, n={n})]"
         )
     mean = x.mean(axis=1)
-    res = linalg.svd(x - mean[:, None])
-    r = min(k, res.rank)
-    if r < k:
+    res = linalg.leading_svd(x - mean[:, None], k)
+    if res.rank < k:
         logger.warning("requested k=%d but effective rank is %d; basis shrunk", k, res.rank)
     return SubspaceModel(
         mean=mean,
-        basis=res.u[:, :r].copy(),
-        singular_values=res.sigma[:r].copy(),
+        basis=np.ascontiguousarray(res.u),
+        singular_values=res.sigma,
         k_requested=k,
     )
 
@@ -210,6 +212,8 @@ def load_ssm(path) -> SubspaceModel:
         raise FileFormatError(f"{path}: bad subspace-model header") from exc
     if version != SSM_FORMAT_VERSION:
         raise FileFormatError(f"{path}: unsupported format version {version}")
+    if dim < 1 or k < 0:
+        raise FileFormatError(f"{path}: need dim >= 1 and k >= 0, got dim={dim}, k={k}")
     need = (dim + dim * k + k) * 8
     if len(payload) < need:
         raise FileFormatError(f"{path}: unexpected end of file")

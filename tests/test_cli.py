@@ -29,6 +29,18 @@ batch_size = 3
 seed = 4
 """
 
+# Headers that declare an image, model or network with a size below one.
+NON_POSITIVE_SIZE_FILES = {
+    "negative.pgm": b"P5\n-2 -3\n255\n" + bytes(6),
+    "empty.pgm": b"P5\n0 5\n255\n",
+    "zero_dim.ssm": b'{"dim": 0, "format_version": 1, "k": 0}\n',
+    "zero_sizes.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": [0, 0]}\n',
+    "negative_size.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": [-1, 1]}\n'
+        + bytes(8),
+}
+
 
 def tree_digest(root) -> str:
     h = hashlib.sha256()
@@ -236,6 +248,15 @@ class TestInspect:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["inspect", str(tmp_path / "absent.ssm")]) == 1
+
+    @pytest.mark.parametrize("name", sorted(NON_POSITIVE_SIZE_FILES))
+    def test_non_positive_sizes_exit_1(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(NON_POSITIVE_SIZE_FILES[name])
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
 
 
 class TestConfigDirEnv:

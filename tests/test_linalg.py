@@ -79,6 +79,94 @@ class TestSvd:
             linalg.svd([1.0, 2.0])
 
 
+def centered_pool(seed, dim, n):
+    x = random_matrix(seed, dim, n)
+    return x - x.mean(axis=1)[:, None]
+
+
+def assert_matches_svd(res, oracle, k):
+    """leading_svd result against svd cut to k: sigma, factors, projector."""
+    r = min(k, oracle.rank)
+    assert res.rank == r
+    scale = oracle.sigma[0]
+    assert np.abs(res.sigma - oracle.sigma[:r]).max() <= 1e-12 * scale
+    np.testing.assert_allclose(res.u, oracle.u[:, :r], atol=1e-10)
+    np.testing.assert_allclose(res.v, oracle.v[:, :r], atol=1e-10)
+    np.testing.assert_allclose(res.u @ res.u.T, oracle.u[:, :r] @ oracle.u[:, :r].T,
+                               atol=1e-12)
+    eye = np.eye(r)
+    assert np.abs(res.u.T @ res.u - eye).max() <= 1e-10
+    assert np.abs(res.v.T @ res.v - eye).max() <= 1e-10
+
+
+class TestLeadingSvd:
+    def test_tall_centered_pool_drops_null_direction(self):
+        pool = centered_pool(40, 60, 15)
+        res = linalg.leading_svd(pool, 15)
+        assert_matches_svd(res, linalg.svd(pool), 15)
+        assert res.rank == 14
+
+    def test_wide_pool(self):
+        pool = centered_pool(41, 20, 70)
+        assert_matches_svd(linalg.leading_svd(pool, 8), linalg.svd(pool), 8)
+
+    def test_square_pool_every_column(self):
+        pool = random_matrix(42, 12, 12)
+        assert_matches_svd(linalg.leading_svd(pool, 12), linalg.svd(pool), 12)
+
+    def test_identical_samples_give_rank_zero(self):
+        pool = np.tile(np.arange(6.0)[:, None], (1, 5))
+        res = linalg.leading_svd(pool - pool.mean(axis=1)[:, None], 3)
+        assert res.rank == 0
+        assert res.u.shape == (6, 0)
+        assert res.sigma.shape == (0,)
+        assert res.v.shape == (5, 0)
+
+    def test_bit_stable_across_calls(self):
+        pool = centered_pool(43, 30, 9)
+        a = linalg.leading_svd(pool, 6)
+        b = linalg.leading_svd(pool, 6)
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.v, b.v)
+
+    def test_leading_columns_do_not_depend_on_k(self):
+        pool = centered_pool(45, 150, 130)
+        full = linalg.leading_svd(pool, 130)
+        for k in (1, 2, 63, 64, 65, 129):
+            part = linalg.leading_svd(pool, k)
+            assert np.array_equal(part.u, full.u[:, :k])
+            assert np.array_equal(part.sigma, full.sigma[:k])
+            assert np.array_equal(part.v, full.v[:, :k])
+
+    def test_small_kept_sigma_falls_back_to_svd(self, monkeypatch):
+        # sigma descends from 1 to 1e-6: the Gram route cannot resolve the
+        # smallest kept value, so the result must be svd's, bit for bit.
+        rng = np.random.default_rng(44)
+        q_left, _ = np.linalg.qr(rng.standard_normal((40, 6)))
+        q_right, _ = np.linalg.qr(rng.standard_normal((25, 6)))
+        pool = q_left @ np.diag(np.logspace(0, -6, 6)) @ q_right.T
+        oracle = linalg.svd(pool)
+        calls = []
+        svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", lambda m: calls.append(1) or svd(m))
+        res = linalg.leading_svd(pool, 6)
+        assert calls == [1]
+        assert res.rank == 6
+        assert res.sigma[-1] < 1e-5 * res.sigma[0]
+        assert np.array_equal(res.u, oracle.u)
+        assert np.array_equal(res.sigma, oracle.sigma)
+        assert np.array_equal(res.v, oracle.v)
+
+    def test_rejects_k_outside_range(self):
+        with pytest.raises(InvalidInputError):
+            linalg.leading_svd(np.ones((3, 5)), 0)
+        with pytest.raises(InvalidInputError):
+            linalg.leading_svd(np.ones((3, 5)), 4)
+        with pytest.raises(InvalidInputError):
+            linalg.leading_svd([[np.nan, 1.0]], 1)
+
+
 class TestLeastSquares:
     def test_invertible_square(self):
         x = linalg.least_squares(np.eye(3), 2.0 * np.eye(3))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,10 @@ class TestMlpForward:
         np.testing.assert_allclose(mp.mlp_forward(m, x), reference_forward(m, x),
                                    atol=1e-12)
 
+    def test_rejects_empty_layer(self):
+        with pytest.raises(InvalidInputError, match="layer sizes must be >= 1"):
+            MlpMap((3, 0), [np.zeros((0, 3))], [np.zeros(0)])
+
     def test_input_dimension_check(self):
         m = rng_net(13, (4, 3))
         with pytest.raises(InvalidInputError):
@@ -322,6 +328,14 @@ class TestMapFormat:
         assert back.activation == "linear"
         assert np.array_equal(back.weights[0], lm.weights[0])
         assert not back.biases[0].any()
+
+    @pytest.mark.parametrize("sizes", [[0, 0], [-1, 1], [3, 0, 2]])
+    def test_non_positive_layer_size(self, tmp_path, sizes):
+        path = tmp_path / "net.map"
+        header = {"activation": "linear", "format_version": 1, "layer_sizes": sizes}
+        path.write_bytes((json.dumps(header) + "\n").encode() + bytes(64))
+        with pytest.raises(FileFormatError, match="layer sizes must be >= 1"):
+            mp.load_map(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "net.map"

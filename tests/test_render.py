@@ -174,6 +174,19 @@ class TestPgm:
         with pytest.raises(FileFormatError, match="trailing"):
             render.load_pgm(path)
 
+    @pytest.mark.parametrize("header", [b"P5\n0 5\n255\n", b"P5\n-2 -3\n255\n"])
+    def test_non_positive_size(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(6))
+        with pytest.raises(FileFormatError, match="at least 1x1"):
+            render.load_pgm(path)
+
+    def test_save_rejects_empty_image(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(InvalidInputError):
+            render.save_pgm(np.zeros((0, 5)), path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "img.pgm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))

@@ -63,6 +63,27 @@ class TestFitSubspace:
         eye = np.eye(model.k)
         assert np.abs(model.basis.T @ model.basis - eye).max() <= 1e-8
 
+    def test_tall_pool_with_k_equal_n_shrinks(self, caplog):
+        data = random_data(22, 40, 10)
+        with caplog.at_level("WARNING", logger="shapelift.subspace"):
+            model = subspace.fit_subspace(data, 10)
+        assert model.k == 9
+        assert model.shrunk
+        assert "effective rank is 9" in caplog.text
+        oracle = linalg.svd(data - data.mean(axis=1)[:, None])
+        np.testing.assert_allclose(model.basis, oracle.u[:, :9], atol=1e-10)
+
+    def test_reference_sized_pool_skips_full_svd(self, monkeypatch):
+        # A well-conditioned pool must take the Gram route; the full SVD is
+        # only the fallback for ill-conditioned leading spectra.
+        def no_svd(m):
+            raise AssertionError("fit_subspace fell back to linalg.svd")
+
+        monkeypatch.setattr(linalg, "svd", no_svd)
+        model = subspace.fit_subspace(random_data(23, 2000, 120), 120)
+        assert model.k == 119
+        assert model.shrunk
+
     def test_nested_subspaces_share_prefix(self):
         data = random_data(21, 12, 9)
         big = subspace.fit_subspace(data, 6)
@@ -169,6 +190,23 @@ class TestSsmFormat:
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(FileFormatError, match="unexpected end of file"):
             subspace.load_ssm(path)
+
+    @pytest.mark.parametrize("dim, k", [(0, 0), (-1, 0), (3, -1)])
+    def test_rejects_bad_sizes(self, tmp_path, dim, k):
+        path = tmp_path / "model.ssm"
+        header = f'{{"dim": {dim}, "format_version": 1, "k": {k}}}\n'
+        path.write_bytes(header.encode() + bytes(24))
+        with pytest.raises(FileFormatError, match="need dim >= 1 and k >= 0"):
+            subspace.load_ssm(path)
+
+    def test_rank_zero_model_loads(self, tmp_path):
+        model = subspace.fit_subspace(np.tile(np.arange(3.0)[:, None], (1, 4)), 2)
+        assert model.k == 0
+        path = tmp_path / "model.ssm"
+        subspace.save_ssm(model, path)
+        back = subspace.load_ssm(path)
+        assert back.k == 0
+        assert np.array_equal(back.mean, model.mean)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "model.ssm"
