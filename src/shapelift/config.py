@@ -39,6 +39,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from ._fileio import atomic_open
 from .errors import InvalidInputError
 from .mapping import TrainSchedule
 from .render import view_yaws
@@ -259,7 +260,7 @@ def with_mapping(config: ExperimentConfig, method: str | None) -> ExperimentConf
 
 
 def write_manifest(manifest: DatasetManifest, path: str):
-    """Write a resolved [dataset] section; byte-deterministic."""
+    """Write a resolved [dataset] section; byte-deterministic and atomic."""
     lines = ["[dataset]"]
     lines.append("kinds = " + " ".join(manifest.kinds))
     lines.append(f"representation = {manifest.representation}")
@@ -273,5 +274,5 @@ def write_manifest(manifest: DatasetManifest, path: str):
     lines.append("poses = " + " ".join(repr(p) for p in manifest.poses))
     lines.append(f"image_size = {manifest.image_size}")
     lines.append(f"base_seed = {manifest.base_seed}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._fileio import atomic_open
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix, least_squares
 
@@ -164,16 +165,23 @@ def mlp_gradients(m: MlpMap, batch_in, batch_target) -> MlpGradients:
         )
     nb = x.shape[1]
     last = len(m.weights) - 1
+    # Every operation below is done in place on an array this call created,
+    # in the same order as its out-of-place form, so the results are
+    # bit-identical to it; acts[0] is the caller's input and is only read.
     acts = [x]
     h = x
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = w @ h + b[:, None]
+        h = w @ h
+        h += b[:, None]
         if l < last and m.activation == "tanh":
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         acts.append(h)
-    err = acts[-1] - t
+    err = acts[-1]  # the output is not needed after this point
+    err -= t
     loss = float((err * err).sum() / nb)
-    delta = 2.0 * err / nb
+    delta = err
+    delta *= 2.0
+    delta /= nb
     grad_w = [None] * len(m.weights)
     grad_b = [None] * len(m.biases)
     for l in range(last, -1, -1):
@@ -182,12 +190,24 @@ def mlp_gradients(m: MlpMap, batch_in, batch_target) -> MlpGradients:
         if l > 0:
             delta = m.weights[l].T @ delta
             if m.activation == "tanh":
-                delta = delta * (1.0 - acts[l] * acts[l])
+                a = acts[l]  # last use of this activation: becomes 1 - a^2
+                a *= a
+                np.subtract(1.0, a, out=a)
+                delta *= a
     return MlpGradients(grad_w, grad_b, loss)
 
 
 @dataclass
 class MlpTrainResult:
+    """The trained network and one loss per epoch.
+
+    ``loss_history[e]`` is the sample-weighted mean of epoch e's minibatch
+    losses, each taken before that batch's update:
+    ``sum(batch_loss * batch_size) / n``.  With one full batch per epoch it
+    is, up to summation order, the full-data MSE of the weights the epoch
+    started from.
+    """
+
     map: MlpMap
     loss_history: np.ndarray
 
@@ -199,6 +219,12 @@ def mlp_train(layer_sizes, pairs, schedule: TrainSchedule) -> MlpTrainResult:
     and initialization both derive from ``schedule.seed``, so identical
     calls produce bit-identical weight trajectories.  A schedule with zero
     total epochs returns the initialization untouched.
+
+    ``loss_history`` holds each epoch's size-weighted mean minibatch loss
+    (see ``MlpTrainResult``); no full-data pass runs between epochs.  A
+    non-finite epoch loss raises ``NumericalFailureError`` naming the epoch,
+    and so does a non-finite full-data loss of the final weights, which
+    catches a divergence in the last step that no minibatch loss saw.
     """
     y = _as_matrix(pairs[0], "inputs")
     b = _as_matrix(pairs[1], "targets")
@@ -221,30 +247,40 @@ def mlp_train(layer_sizes, pairs, schedule: TrainSchedule) -> MlpTrainResult:
     for rate, epochs in schedule.learning_rate_phases:
         for _ in range(epochs):
             perm = rng.permutation(n)
+            total = 0.0
             for start in range(0, n, schedule.batch_size):
                 idx = perm[start:start + schedule.batch_size]
                 g = mlp_gradients(m, y[:, idx], b[:, idx])
-                for l in range(len(m.weights)):
-                    m.weights[l] -= rate * g.weights[l]
-                    m.biases[l] -= rate * g.biases[l]
-            err = mlp_forward(m, y) - b
-            loss = float((err * err).sum() / n)
+                total += g.loss * len(idx)
+                for w, bias, gw, gb in zip(m.weights, m.biases, g.weights, g.biases):
+                    gw *= rate
+                    w -= gw
+                    gb *= rate
+                    bias -= gb
+            loss = total / n
             if not np.isfinite(loss):
                 raise NumericalFailureError(f"training loss diverged at epoch {epoch}")
             history.append(loss)
             epoch += 1
+    if epoch:
+        err = mlp_forward(m, y) - b
+        if not np.isfinite((err * err).sum()):
+            raise NumericalFailureError(
+                f"training loss diverged at epoch {epoch - 1} (final weights)"
+            )
     return MlpTrainResult(m, np.asarray(history))
 
 
 def save_map(m: MlpMap, path):
     """JSON header line, then per layer the row-major weights and the biases,
-    all little-endian float64."""
+    all little-endian float64.  Written to ``<path>.tmp`` and renamed over
+    ``path``, so an interrupted save leaves any old file intact."""
     header = {
         "layer_sizes": list(m.layer_sizes),
         "activation": m.activation,
         "format_version": MAP_FORMAT_VERSION,
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for w, b in zip(m.weights, m.biases):
             fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import render, shapes, subspace
+from ._fileio import atomic_open
 from .config import (
     DatasetManifest,
     ExperimentConfig,
@@ -88,10 +89,8 @@ def _map_ordered(fn, items, threads: int = 1):
 
 def _atomic_write_text(path, text: str):
     # Readers never observe a half-written report.
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-    tmp.replace(path)
 
 
 def _sample_rng(base_seed: int, sample_id: int) -> np.random.Generator:
@@ -227,9 +226,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     rows = _map_ordered(emit_shapes, blocks[SPLIT_UNLABELED_3D], threads)
     _write_index(pool_dir / "index.csv", ("shape_id", "shape"), rows)
 
-    tmp = root / (MANIFEST_FILE + ".tmp")
-    write_manifest(manifest, tmp)
-    tmp.replace(root / MANIFEST_FILE)
+    write_manifest(manifest, root / MANIFEST_FILE)
 
 
 def read_dataset_manifest(data_dir) -> DatasetManifest:

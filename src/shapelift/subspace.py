@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from ._fileio import atomic_open
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix
 from .mapping import TrainSchedule, glorot_uniform
@@ -190,9 +191,11 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
 
 def save_ssm(model: SubspaceModel, path):
     """JSON header {dim, k, format_version}, then raw little-endian float64:
-    mean, basis in column-major order, singular values."""
+    mean, basis in column-major order, singular values.  Written to
+    ``<path>.tmp`` and renamed over ``path``, so an interrupted save leaves
+    any old file intact."""
     header = {"dim": model.dim, "k": model.k, "format_version": SSM_FORMAT_VERSION}
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
         fh.write(model.basis.astype("<f8").tobytes(order="F"))

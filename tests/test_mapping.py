@@ -16,6 +16,13 @@ from shapelift.mapping import MlpMap, TrainSchedule
 LOWDIM = ExperimentConfig(mapping="lowdim")
 
 
+class Unwritable:
+    """Stands in for an array; converting it to one fails mid-save."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("write failed")
+
+
 def linear_net(w):
     """Single-layer linear network computing w @ x."""
     w = np.asarray(w, dtype=np.float64)
@@ -165,6 +172,60 @@ class TestDirectMap:
         assert np.linalg.norm(mp.mlp_forward(dm, x) - z) <= 1e-10
 
 
+def reference_gradients(m, x, t):
+    """Out-of-place form of ``mlp_gradients``; it must match bit for bit."""
+    nb = x.shape[1]
+    last = len(m.weights) - 1
+    acts = [x]
+    h = x
+    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
+        h = w @ h + b[:, None]
+        if l < last and m.activation == "tanh":
+            h = np.tanh(h)
+        acts.append(h)
+    err = acts[-1] - t
+    loss = float((err * err).sum() / nb)
+    delta = 2.0 * err / nb
+    grad_w = [None] * len(m.weights)
+    grad_b = [None] * len(m.biases)
+    for l in range(last, -1, -1):
+        grad_w[l] = delta @ acts[l].T
+        grad_b[l] = delta.sum(axis=1)
+        if l > 0:
+            delta = m.weights[l].T @ delta
+            if m.activation == "tanh":
+                delta = delta * (1.0 - acts[l] * acts[l])
+    return grad_w, grad_b, loss
+
+
+def reference_train(sizes, y, b, schedule):
+    """Out-of-place form of ``mlp_train``'s SGD loop.
+
+    Returns the trained net and, per epoch, the list of (batch loss, batch
+    size) pairs in batch order.
+    """
+    n = y.shape[1]
+    rng = np.random.default_rng(schedule.seed)
+    weights = [mp.glorot_uniform(rng, sizes[l + 1], sizes[l])
+               for l in range(len(sizes) - 1)]
+    biases = [np.zeros(sizes[l + 1]) for l in range(len(sizes) - 1)]
+    m = MlpMap(sizes, weights, biases)
+    batches = []
+    for rate, epochs in schedule.learning_rate_phases:
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            epoch_batches = []
+            for start in range(0, n, schedule.batch_size):
+                idx = perm[start:start + schedule.batch_size]
+                gw, gb, loss = reference_gradients(m, y[:, idx], b[:, idx])
+                epoch_batches.append((loss, len(idx)))
+                for l in range(len(m.weights)):
+                    m.weights[l] -= rate * gw[l]
+                    m.biases[l] -= rate * gb[l]
+            batches.append(epoch_batches)
+    return m, batches
+
+
 class TestMlpForward:
     def test_zero_network_outputs_zero(self):
         m = MlpMap((3, 4, 2), [np.zeros((4, 3)), np.zeros((2, 4))],
@@ -239,6 +300,40 @@ class TestMlpGradients:
         with pytest.raises(InvalidInputError):
             mp.mlp_gradients(m, np.zeros((3, 4)), np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("sizes, activation", [
+        ((6, 9, 5, 4), "tanh"), ((6, 9, 4), "linear"), ((6, 4), "linear"),
+    ])
+    def test_bit_identical_to_out_of_place_form(self, sizes, activation):
+        m = rng_net(40, sizes)
+        m.activation = activation
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((sizes[0], 11))
+        t = rng.standard_normal((sizes[-1], 11))
+        g = mp.mlp_gradients(m, x, t)
+        grad_w, grad_b, loss = reference_gradients(m, x, t)
+        assert g.loss == loss
+        for got, want in zip(g.weights + g.biases, grad_w + grad_b):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes, activation, columns", [
+        ((5, 7, 3), "tanh", 6),
+        ((5, 7, 3), "tanh", None),  # 1-D input and 1-D target
+        ((5, 7, 3), "linear", 6),
+        ((5, 3), "linear", None),
+    ])
+    def test_does_not_mutate_arguments(self, sizes, activation, columns):
+        m = rng_net(42, sizes)
+        m.activation = activation
+        rng = np.random.default_rng(43)
+        shape_in = (sizes[0],) if columns is None else (sizes[0], columns)
+        shape_out = (sizes[-1],) if columns is None else (sizes[-1], columns)
+        x = rng.standard_normal(shape_in)
+        t = rng.standard_normal(shape_out)
+        before = [a.copy() for a in (x, t, *m.weights, *m.biases)]
+        mp.mlp_gradients(m, x, t)
+        for got, want in zip((x, t, *m.weights, *m.biases), before):
+            assert np.array_equal(got, want)
+
 
 class TestMlpTrain:
     def test_learns_linear_relation_close_to_closed_form(self):
@@ -299,6 +394,56 @@ class TestMlpTrain:
         with pytest.raises(NumericalFailureError, match="epoch"):
             mp.mlp_train((4, 6, 3), (y, b), schedule)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_in_last_step_reports_epoch(self):
+        # One full-batch step: the only minibatch loss is taken before the
+        # step and is finite, so only the final full-data check can see the
+        # weights it leaves behind diverge.
+        rng = np.random.default_rng(25)
+        y = rng.standard_normal((4, 20))
+        b = rng.standard_normal((3, 20))
+        schedule = TrainSchedule(((1e300, 1),), batch_size=20, seed=2)
+        with pytest.raises(NumericalFailureError, match="epoch"):
+            mp.mlp_train((4, 6, 3), (y, b), schedule)
+
+    def test_bit_identical_to_out_of_place_loop(self):
+        rng = np.random.default_rng(44)
+        y = rng.standard_normal((4, 23))
+        b = rng.standard_normal((3, 23))
+        # 23 % 5 != 0, so every epoch ends with a partial batch of 3.
+        schedule = TrainSchedule(((0.05, 12), (0.005, 9)), batch_size=5, seed=3)
+        result = mp.mlp_train((4, 7, 5, 3), (y, b), schedule)
+        expected, _ = reference_train((4, 7, 5, 3), y, b, schedule)
+        for got, want in zip(result.map.weights + result.map.biases,
+                             expected.weights + expected.biases):
+            assert np.array_equal(got, want)
+
+    def test_full_batch_loss_history_starts_at_initial_mse(self):
+        rng = np.random.default_rng(45)
+        y = rng.standard_normal((4, 30))
+        b = rng.standard_normal((3, 30))
+        schedule = TrainSchedule(((0.05, 3),), batch_size=64, seed=6)
+        result = mp.mlp_train((4, 6, 3), (y, b), schedule)
+        init_rng = np.random.default_rng(6)
+        init = MlpMap((4, 6, 3), [mp.glorot_uniform(init_rng, 6, 4),
+                                  mp.glorot_uniform(init_rng, 3, 6)],
+                      [np.zeros(6), np.zeros(3)])
+        err = mp.mlp_forward(init, y) - b
+        # Same sum over a permuted column order: equal up to summation roundoff.
+        np.testing.assert_allclose(result.loss_history[0], (err * err).sum() / 30,
+                                   rtol=1e-13)
+
+    def test_minibatch_loss_history_is_weighted_mean_of_batch_losses(self):
+        rng = np.random.default_rng(46)
+        y = rng.standard_normal((4, 23))
+        b = rng.standard_normal((3, 23))
+        schedule = TrainSchedule(((0.05, 6), (0.01, 4)), batch_size=5, seed=8)
+        result = mp.mlp_train((4, 7, 3), (y, b), schedule)
+        _, batches = reference_train((4, 7, 3), y, b, schedule)
+        expected = [sum(loss * size for loss, size in epoch) / 23 for epoch in batches]
+        assert result.loss_history.shape == (10,)
+        np.testing.assert_allclose(result.loss_history, expected, rtol=1e-13)
+
     def test_shape_validation(self):
         with pytest.raises(InvalidInputError):
             mp.mlp_train((3, 2), (np.zeros((4, 5)), np.zeros((2, 5))),
@@ -336,6 +481,17 @@ class TestMapFormat:
         path.write_bytes((json.dumps(header) + "\n").encode() + bytes(64))
         with pytest.raises(FileFormatError, match="layer sizes must be >= 1"):
             mp.load_map(path)
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "net.map"
+        mp.save_map(rng_net(30, (4, 3)), path)
+        before = path.read_bytes()
+        m = rng_net(31, (4, 5, 3))
+        m.biases[-1] = Unwritable()  # raises after the header and three arrays
+        with pytest.raises(RuntimeError, match="write failed"):
+            mp.save_map(m, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "net.map"

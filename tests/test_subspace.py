@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,13 @@ from shapelift.errors import (
 )
 from shapelift.mapping import TrainSchedule
 from shapelift.subspace import PCA_EQUIVALENCE_SCHEDULE
+
+
+class Unwritable:
+    """Stands in for an array; converting it to one fails mid-save."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("write failed")
 
 
 def random_data(seed, dim, n):
@@ -182,6 +191,18 @@ class TestSsmFormat:
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.basis, model.basis)
         assert np.array_equal(back.singular_values, model.singular_values)
+
+    def test_interrupted_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "model.ssm"
+        model = subspace.fit_subspace(random_data(32, 8, 6), 3)
+        subspace.save_ssm(model, path)
+        before = path.read_bytes()
+        # The header, mean and basis are written before the raise.
+        broken = dataclasses.replace(model, singular_values=Unwritable())
+        with pytest.raises(RuntimeError, match="write failed"):
+            subspace.save_ssm(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_truncated(self, tmp_path):
         model = subspace.fit_subspace(random_data(31, 8, 6), 3)
