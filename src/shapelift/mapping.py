@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import atomic_open
+from ._fileio import atomic_open, read_f8_arrays
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix, least_squares
 
@@ -273,8 +273,11 @@ def mlp_train(layer_sizes, pairs, schedule: TrainSchedule) -> MlpTrainResult:
 
 def save_map(m: MlpMap, path):
     """JSON header line, then per layer the row-major weights and the biases,
-    all little-endian float64.  Written to ``<path>.tmp`` and renamed over
-    ``path``, so an interrupted save leaves any old file intact."""
+    all little-endian float64.  Each array goes to the file as it is, with
+    no ``bytes`` copy; only an array that is not already C-ordered
+    little-endian float64 is converted first.  Written to ``<path>.tmp``
+    and renamed over ``path``, so an interrupted save leaves any old file
+    intact."""
     header = {
         "layer_sizes": list(m.layer_sizes),
         "activation": m.activation,
@@ -283,40 +286,36 @@ def save_map(m: MlpMap, path):
     with atomic_open(path) as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for w, b in zip(m.weights, m.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(w, dtype="<f8"))
+            fh.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def load_map(path) -> MlpMap:
+    """Read a ``.map`` file written by ``save_map``.
+
+    The payload length is checked against the header's layer sizes before
+    anything is allocated (``_fileio.read_f8_arrays``), then each weight
+    matrix and bias is read straight into its own C-contiguous float64
+    array.  A bad header, a short file or trailing bytes raise
+    ``FileFormatError``.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("ascii"))
-        sizes = tuple(int(s) for s in header["layer_sizes"])
-        activation = str(header["activation"])
-        version = int(header["format_version"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: bad mapping header") from exc
-    if version != MAP_FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    try:
-        _check_layer_sizes(sizes)
-    except InvalidInputError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
-    weights, biases = [], []
-    offset = 0
-    for l in range(len(sizes) - 1):
-        out_d, in_d = sizes[l + 1], sizes[l]
-        need = (out_d * in_d + out_d) * 8
-        if offset + need > len(payload):
-            raise FileFormatError(f"{path}: unexpected end of file")
-        w = np.frombuffer(payload, dtype="<f8", count=out_d * in_d, offset=offset)
-        offset += out_d * in_d * 8
-        b = np.frombuffer(payload, dtype="<f8", count=out_d, offset=offset)
-        offset += out_d * 8
-        weights.append(w.reshape(out_d, in_d).astype(np.float64))
-        biases.append(b.astype(np.float64))
-    if offset != len(payload):
-        raise FileFormatError(f"{path}: trailing data after weights")
-    return MlpMap(sizes, weights, biases, activation=activation)
+        try:
+            header = json.loads(header_line.decode("ascii"))
+            sizes = tuple(int(s) for s in header["layer_sizes"])
+            activation = str(header["activation"])
+            version = int(header["format_version"])
+        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"{path}: bad mapping header") from exc
+        if version != MAP_FORMAT_VERSION:
+            raise FileFormatError(f"{path}: unsupported format version {version}")
+        try:
+            _check_layer_sizes(sizes)
+        except InvalidInputError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+        shapes = []
+        for in_d, out_d in zip(sizes, sizes[1:]):
+            shapes += [(out_d, in_d), (out_d,)]
+        arrays = read_f8_arrays(fh, shapes, path)
+    return MlpMap(sizes, arrays[0::2], arrays[1::2], activation=activation)

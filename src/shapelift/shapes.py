@@ -480,6 +480,8 @@ def read_ply(path):
     rows = [r for r in rows if r.strip()]
     if len(rows) < count:
         raise FileFormatError(f"{path}: unexpected end of file in vertex data")
+    if len(rows) > count:
+        raise FileFormatError(f"{path}: trailing data after vertex data")
     try:
         data = np.array([[float(v) for v in rows[j].split()] for j in range(count)])
     except ValueError as exc:

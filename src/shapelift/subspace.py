@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from ._fileio import atomic_open
+from ._fileio import atomic_open, read_f8_arrays
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix
 from .mapping import TrainSchedule, glorot_uniform
@@ -148,7 +148,8 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
     their initial value, so they must start negligible for the learned
     projector to match PCA.  ``init_scale=0.0`` starts from exact zeros.
 
-    Raises NumericalFailureError naming the epoch if the loss diverges.
+    Raises NumericalFailureError naming the epoch if the loss diverges,
+    including a last step that leaves the final weights' loss non-finite.
     """
     x = _as_matrix(samples, "samples")
     dim, n = x.shape
@@ -186,45 +187,50 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
     hidden = w_enc @ x + b_enc[:, None]
     err = w_dec @ hidden + b_dec[:, None] - x
     final_loss = float((err * err).sum() / n)
+    if epoch and not np.isfinite(final_loss):
+        raise NumericalFailureError(
+            f"autoencoder loss diverged at epoch {epoch - 1} (final weights)"
+        )
     return LinearAutoencoder(w_enc, b_enc, w_dec, b_dec, final_loss, np.asarray(history))
 
 
 def save_ssm(model: SubspaceModel, path):
     """JSON header {dim, k, format_version}, then raw little-endian float64:
-    mean, basis in column-major order, singular values.  Written to
+    mean, basis in column-major order, singular values.  The arrays go to
+    the file with no ``bytes`` copy: a column-major basis, as ``load_ssm``
+    returns it, is written as it is, and a row-major one, as
+    ``fit_subspace`` returns it, through one transposing copy.  Written to
     ``<path>.tmp`` and renamed over ``path``, so an interrupted save leaves
     any old file intact."""
     header = {"dim": model.dim, "k": model.k, "format_version": SSM_FORMAT_VERSION}
     with atomic_open(path) as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f8").tobytes())
-        fh.write(model.basis.astype("<f8").tobytes(order="F"))
-        fh.write(np.ascontiguousarray(model.singular_values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.mean, dtype="<f8"))
+        fh.write(np.asfortranarray(model.basis, dtype="<f8").T)
+        fh.write(np.ascontiguousarray(model.singular_values, dtype="<f8"))
 
 
 def load_ssm(path) -> SubspaceModel:
+    """Read a ``.ssm`` file written by ``save_ssm``.
+
+    The payload length is checked against the header's dim and k before
+    anything is allocated (``_fileio.read_f8_arrays``), then the mean, the
+    basis and the singular values are read straight into float64 arrays;
+    the basis is column-major (F-contiguous), as stored.  A bad header, a
+    short file or trailing bytes raise ``FileFormatError``.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("ascii"))
-        dim = int(header["dim"])
-        k = int(header["k"])
-        version = int(header["format_version"])
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
-        raise FileFormatError(f"{path}: bad subspace-model header") from exc
-    if version != SSM_FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported format version {version}")
-    if dim < 1 or k < 0:
-        raise FileFormatError(f"{path}: need dim >= 1 and k >= 0, got dim={dim}, k={k}")
-    need = (dim + dim * k + k) * 8
-    if len(payload) < need:
-        raise FileFormatError(f"{path}: unexpected end of file")
-    if len(payload) > need:
-        raise FileFormatError(f"{path}: trailing data")
-    mean = np.frombuffer(payload, dtype="<f8", count=dim).astype(np.float64)
-    basis = np.frombuffer(payload, dtype="<f8", count=dim * k, offset=dim * 8)
-    basis = basis.reshape((dim, k), order="F").astype(np.float64)
-    sigma = np.frombuffer(payload, dtype="<f8", count=k, offset=(dim + dim * k) * 8)
-    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma.astype(np.float64),
-                         k_requested=k)
+        try:
+            header = json.loads(header_line.decode("ascii"))
+            dim = int(header["dim"])
+            k = int(header["k"])
+            version = int(header["format_version"])
+        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+            raise FileFormatError(f"{path}: bad subspace-model header") from exc
+        if version != SSM_FORMAT_VERSION:
+            raise FileFormatError(f"{path}: unsupported format version {version}")
+        if dim < 1 or k < 0:
+            raise FileFormatError(f"{path}: need dim >= 1 and k >= 0, got dim={dim}, k={k}")
+        mean, basis, sigma = read_f8_arrays(fh, [(dim,), (dim, k), (k,)], path, order="F")
+    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma, k_requested=k)

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -7,3 +10,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("shapelift")
+
+
+@pytest.fixture
+def traced_peak():
+    """Run ``fn()`` under tracemalloc; return its result and peak bytes."""
+
+    def run(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run

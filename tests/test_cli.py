@@ -41,6 +41,14 @@ NON_POSITIVE_SIZE_FILES = {
         + bytes(8),
 }
 
+# Headers that declare a model or network far larger than the file.
+HUGE_SIZE_FILES = {
+    "huge_dim.ssm": b'{"dim": 1000000000000, "format_version": 1, "k": 2}\n' + bytes(64),
+    "huge_sizes.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": [1000000, 1000000]}\n'
+        + bytes(64),
+}
+
 
 def tree_digest(root) -> str:
     h = hashlib.sha256()
@@ -257,6 +265,25 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(HUGE_SIZE_FILES))
+    def test_huge_sizes_exit_1(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(HUGE_SIZE_FILES[name])
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "unexpected end of file" in err
+
+    @pytest.mark.parametrize("extra", ["0.1 0.2 0.3\n", "garbage here\n"])
+    def test_ply_trailing_rows_exit_1(self, tmp_path, capsys, extra):
+        path = tmp_path / "long.ply"
+        shapes.save_cloud(shapes.PointCloud(np.zeros((4, 3))), path)
+        path.write_text(path.read_text() + extra)
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "trailing" in err
 
 
 class TestConfigDirEnv:

@@ -506,3 +506,35 @@ class TestMapFormat:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(FileFormatError, match="trailing"):
             mp.load_map(path)
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.map"
+        header = {"activation": "linear", "format_version": 1,
+                  "layer_sizes": [1000000, 1000000]}
+        path.write_bytes((json.dumps(header) + "\n").encode() + bytes(64))
+        with pytest.raises(FileFormatError, match="unexpected end of file"):
+            mp.load_map(path)
+
+    def test_save_streams_arrays_without_copies(self, tmp_path, traced_peak):
+        m = rng_net(32, (1000, 2000))
+        payload = (2000 * 1000 + 2000) * 8
+        path = tmp_path / "big.map"
+        _, peak = traced_peak(lambda: mp.save_map(m, path))
+        assert peak <= 0.1 * payload
+        header = {"activation": "tanh", "format_version": 1, "layer_sizes": [1000, 2000]}
+        expected = (json.dumps(header, sort_keys=True) + "\n").encode("ascii")
+        expected += m.weights[0].astype("<f8").tobytes() + m.biases[0].astype("<f8").tobytes()
+        assert path.read_bytes() == expected
+
+    def test_load_reads_straight_into_arrays(self, tmp_path, traced_peak):
+        m = rng_net(33, (1000, 2000))
+        payload = (2000 * 1000 + 2000) * 8
+        path = tmp_path / "big.map"
+        mp.save_map(m, path)
+        back, peak = traced_peak(lambda: mp.load_map(path))
+        assert peak <= 1.1 * payload
+        for arr in back.weights + back.biases:
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+        assert back.weights[0].flags.c_contiguous
+        assert np.array_equal(back.weights[0], m.weights[0])
+        assert np.array_equal(back.biases[0], m.biases[0])

@@ -280,6 +280,21 @@ class TestPlyFormat:
         with pytest.raises(FileFormatError):
             shapes.load_cloud(path)
 
+    @pytest.mark.parametrize("extra", ["0.1 0.2 0.3\n", "garbage here\n"])
+    def test_trailing_rows_rejected(self, tmp_path, extra):
+        path = tmp_path / "long.ply"
+        shapes.save_cloud(PointCloud(np.random.default_rng(1).random((6, 3))), path)
+        path.write_text(path.read_text() + extra)
+        with pytest.raises(FileFormatError, match="trailing"):
+            shapes.load_cloud(path)
+
+    def test_blank_lines_after_rows_tolerated(self, tmp_path):
+        pts = np.random.default_rng(2).random((6, 3))
+        path = tmp_path / "blank.ply"
+        shapes.save_cloud(PointCloud(pts), path)
+        path.write_text(path.read_text() + "\n  \n")
+        assert np.array_equal(shapes.load_cloud(path).points, pts)
+
 
 class TestVoxrFormat:
     def test_round_trip_exact(self, tmp_path):

@@ -26,6 +26,17 @@ def random_data(seed, dim, n):
     return np.random.default_rng(seed).standard_normal((dim, n))
 
 
+def large_model(seed):
+    """An 8000 x 250 model with a row-major basis, as ``fit_subspace`` gives."""
+    rng = np.random.default_rng(seed)
+    return subspace.SubspaceModel(
+        mean=rng.standard_normal(8000),
+        basis=rng.standard_normal((8000, 250)),
+        singular_values=np.sort(rng.random(250))[::-1].copy(),
+        k_requested=250,
+    )
+
+
 class TestFitSubspace:
     def test_identical_samples_give_rank_zero(self):
         v = np.arange(5.0)
@@ -179,6 +190,14 @@ class TestLinearAutoencoder:
             subspace.train_linear_autoencoder(
                 data, 2, TrainSchedule(((50.0, 200),), seed=2))
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_divergence_in_last_step_is_caught(self):
+        # The only epoch's loss is finite; the step it takes is not.
+        data = random_data(91, 5, 8)
+        with pytest.raises(NumericalFailureError, match=r"epoch 0 \(final weights\)"):
+            subspace.train_linear_autoencoder(
+                data, 2, TrainSchedule(((1e300, 1),), seed=1), init_scale=1.0)
+
 
 class TestSsmFormat:
     def test_round_trip_exact(self, tmp_path):
@@ -234,3 +253,38 @@ class TestSsmFormat:
         path.write_bytes(b"{\"nope\": 1}\n")
         with pytest.raises(FileFormatError):
             subspace.load_ssm(path)
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.ssm"
+        header = '{"dim": 1000000000000, "format_version": 1, "k": 2}\n'
+        path.write_bytes(header.encode() + bytes(64))
+        with pytest.raises(FileFormatError, match="unexpected end of file"):
+            subspace.load_ssm(path)
+
+    def test_save_copies_a_row_major_basis_once(self, tmp_path, traced_peak):
+        model = large_model(34)
+        assert model.basis.flags.c_contiguous
+        path = tmp_path / "big.ssm"
+        _, peak = traced_peak(lambda: subspace.save_ssm(model, path))
+        assert peak <= 1.1 * model.basis.nbytes
+        header = '{"dim": 8000, "format_version": 1, "k": 250}\n'
+        expected = (header.encode("ascii") + model.mean.tobytes()
+                    + model.basis.tobytes(order="F") + model.singular_values.tobytes())
+        assert path.read_bytes() == expected
+
+    def test_load_reads_straight_into_arrays(self, tmp_path, traced_peak):
+        model = large_model(35)
+        path = tmp_path / "big.ssm"
+        subspace.save_ssm(model, path)
+        back, peak = traced_peak(lambda: subspace.load_ssm(path))
+        assert peak <= 1.1 * model.basis.nbytes
+        for arr in (back.mean, back.basis, back.singular_values):
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.owndata
+        assert back.basis.flags.f_contiguous
+        assert np.array_equal(back.mean, model.mean)
+        assert np.array_equal(back.basis, model.basis)
+        assert np.array_equal(back.singular_values, model.singular_values)
+        # A loaded, column-major model saves back to the same bytes.
+        again = tmp_path / "again.ssm"
+        subspace.save_ssm(back, again)
+        assert again.read_bytes() == path.read_bytes()
