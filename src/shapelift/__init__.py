@@ -41,11 +41,9 @@ from .shapes import (
     PointCloud,
     ShapeSpec,
     VoxelGrid,
-    cloud_from_voxels,
     generate_point_shape,
     generate_voxel_shape,
     vectorize_shape,
-    voxelize,
 )
 from .subspace import SubspaceModel, fit_subspace, train_linear_autoencoder
 
@@ -68,7 +66,6 @@ __all__ = [
     "SvdResult",
     "TrainSchedule",
     "VoxelGrid",
-    "cloud_from_voxels",
     "compare_methods",
     "evaluate_rmse",
     "fit_direct_map",
@@ -91,5 +88,4 @@ __all__ = [
     "svd",
     "train_linear_autoencoder",
     "vectorize_shape",
-    "voxelize",
 ]

@@ -13,6 +13,10 @@ hidden layers and an affine output.
 
 The two closed-form fits return a single-layer network with zero bias and
 activation ``linear``, which is also the form they are stored in.
+
+``mlp_train``'s SGD loop, with its divergence checks, is the only training
+loop in the package: ``subspace.train_linear_autoencoder`` runs it full
+batch on a ``(dim, k, dim)`` linear network.
 """
 
 from __future__ import annotations
@@ -237,11 +241,19 @@ def mlp_train(layer_sizes, pairs, schedule: TrainSchedule) -> MlpTrainResult:
         raise InvalidInputError(
             f"sample counts differ: {y.shape[1]} inputs vs {b.shape[1]} targets"
         )
-    n = y.shape[1]
     rng = np.random.default_rng(schedule.seed)
     weights = [glorot_uniform(rng, sizes[l + 1], sizes[l]) for l in range(len(sizes) - 1)]
     biases = [np.zeros(sizes[l + 1]) for l in range(len(sizes) - 1)]
-    m = MlpMap(sizes, weights, biases)
+    return _sgd(MlpMap(sizes, weights, biases), y, b, schedule, rng)
+
+
+def _sgd(m: MlpMap, y: np.ndarray, b: np.ndarray, schedule: TrainSchedule,
+         rng: np.random.Generator) -> MlpTrainResult:
+    """``mlp_train``'s loop, updating ``m`` in place: each epoch draws one
+    permutation from ``rng`` and steps through its minibatches of (y, b)
+    columns.  Loss history and divergence checks are as ``mlp_train``
+    documents them."""
+    n = y.shape[1]
     history = []
     epoch = 0
     for rate, epochs in schedule.learning_rate_phases:

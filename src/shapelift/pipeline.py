@@ -44,7 +44,6 @@ SPLIT_UNLABELED_2D = "unlabeled_2d"
 SPLIT_UNLABELED_3D = "unlabeled_3d"
 
 MANIFEST_FILE = "manifest.cfg"
-VOXEL_THRESHOLD = 0.5
 
 
 @dataclass
@@ -345,19 +344,6 @@ def predict(config: ExperimentConfig, models, map_obj: mp.MlpMap,
         return mp.mlp_forward(map_obj, x)
     img_model, shape_model = models
     return shape_model.decode(mp.mlp_forward(map_obj, img_model.encode(x)))
-
-
-def reconstruct_shape(config: ExperimentConfig, models, map_obj: mp.MlpMap, image,
-                      manifest: DatasetManifest):
-    """Reconstruct one image (2-D array or flat vector) as the manifest's shape type.
-
-    Voxel vectors digitize at VOXEL_THRESHOLD (>= occupies); the raw real
-    vector is what RMSE evaluation uses, so it is returned alongside.
-    """
-    vec = predict(config, models, map_obj, np.asarray(image, dtype=np.float64).ravel())
-    if manifest.representation == "voxel":
-        return vec, shapes.grid_from_vector(vec, manifest.resolution, VOXEL_THRESHOLD)
-    return vec, shapes.cloud_from_vector(vec, f"reconstruction:{manifest.point_count}")
 
 
 def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,

@@ -1,4 +1,4 @@
-"""Procedural 3D solids and conversions between voxel and point-cloud form.
+"""Procedural 3D solids, their flat vector form, and the PLY and VOXR formats.
 
 All shapes live in the unit cube.  Parameter validation keeps every solid at
 least ``UNIT_MARGIN`` away from the cube faces and inside the vertical
@@ -348,33 +348,6 @@ def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) 
     return ShapeSpec(kind, params, seed=seed)
 
 
-def voxelize(cloud: PointCloud, resolution: int) -> VoxelGrid:
-    """Occupy every cell containing at least one point.
-
-    Cells are half-open except the last one per axis, which is closed, so a
-    coordinate of exactly 1.0 lands in cell resolution-1.
-    """
-    pts = cloud.points
-    if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-        raise InvalidInputError("cloud is not normalized to [0, 1]")
-    occ = np.zeros((resolution,) * 3, dtype=bool)
-    if pts.size:
-        idx = np.minimum(np.floor(pts * resolution).astype(np.int64), resolution - 1)
-        occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return VoxelGrid(occ)
-
-
-def cloud_from_voxels(grid: VoxelGrid) -> PointCloud:
-    """One point at each occupied cell center, in the grid's flat ordering."""
-    res = grid.resolution
-    flat = np.nonzero(grid.occupancy.ravel(order="F"))[0]
-    ix = flat % res
-    iy = (flat // res) % res
-    iz = flat // (res * res)
-    pts = np.column_stack([(ix + 0.5) / res, (iy + 0.5) / res, (iz + 0.5) / res])
-    return PointCloud(pts)
-
-
 def vectorize_shape(shape) -> np.ndarray:
     """Flatten a shape to the float64 column layout used by the data matrices.
 
@@ -386,17 +359,6 @@ def vectorize_shape(shape) -> np.ndarray:
     if isinstance(shape, PointCloud):
         return shape.points.flatten()
     raise InvalidInputError(f"cannot vectorize {type(shape).__name__}")
-
-
-def grid_from_vector(vec, resolution: int, threshold: float = 0.5) -> VoxelGrid:
-    """Digitize a real-valued voxel vector back to a grid (>= threshold occupies)."""
-    v = np.asarray(vec, dtype=np.float64)
-    if v.size != resolution ** 3:
-        raise InvalidInputError(
-            f"vector length {v.size} does not match resolution {resolution}^3"
-        )
-    occ = (v >= threshold).reshape((resolution,) * 3, order="F")
-    return VoxelGrid(occ)
 
 
 def cloud_from_vector(vec, correspondence_id: str = "") -> PointCloud:
@@ -444,7 +406,11 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
 def read_ply(path):
     """Parse our ASCII PLY profile; returns (points, extras, correspondence_id)."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path}: not an ASCII file: {exc.reason} "
+                                  f"at byte {exc.start}") from exc
     lines = text.splitlines()
     if not lines or lines[0].strip() != "ply":
         raise FileFormatError(f"{path}: not a PLY file")
@@ -464,9 +430,14 @@ def read_ply(path):
         elif tok[0] == "comment":
             if len(tok) >= 3 and tok[1] == "correspondence":
                 corr = tok[2]
+        elif tok[0] in ("element", "property") and len(tok) < 3:
+            raise FileFormatError(f"{path}: header line {lines[i].strip()!r} lacks a field")
         elif tok[0] == "element":
             if tok[1] != "vertex":
                 raise FileFormatError(f"{path}: unsupported element {tok[1]!r}")
+            if not tok[2].isdigit():
+                raise FileFormatError(
+                    f"{path}: vertex count {tok[2]!r} is not a non-negative integer")
             count = int(tok[2])
         elif tok[0] == "property":
             if tok[1] != "double":
@@ -524,6 +495,8 @@ def load_voxr(path) -> VoxelGrid:
             res = int(tok[1])
         except ValueError as exc:
             raise FileFormatError(f"{path}: bad resolution field") from exc
+        if res < 1:
+            raise FileFormatError(f"{path}: resolution must be >= 1, got {res}")
         n_cells = res ** 3
         n_bytes = (n_cells + 7) // 8
         payload = fh.read()

@@ -3,25 +3,27 @@
 A fitted model holds the sample mean and the leading left singular vectors
 of the centered data, found by `linalg.leading_svd` from the Gram matrix on
 the pool's small side: encode projects onto the basis, decode maps back.
-``train_linear_autoencoder`` learns the same subspace by plain gradient
-descent; its decoder-times-encoder product converges to the PCA projector,
-which is the checkable form of the classic equivalence between linear
-autoencoders and PCA.
+``train_linear_autoencoder`` learns the same subspace by full-batch
+gradient descent: it runs ``mapping.mlp_train``'s loop on a ``(dim, k, dim)``
+linear ``MlpMap``, and the decoder-times-encoder product
+``weights[1] @ weights[0]`` converges to the PCA projector, which is the
+checkable form of the classic equivalence between linear autoencoders and
+PCA.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
 from ._fileio import atomic_open, read_f8_arrays
-from .errors import FileFormatError, InvalidInputError, NumericalFailureError
+from .errors import FileFormatError, InvalidInputError
 from .linalg import _as_matrix
-from .mapping import TrainSchedule, glorot_uniform
+from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
 logger = logging.getLogger(__name__)
 
@@ -111,45 +113,24 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
     )
 
 
-@dataclass
-class LinearAutoencoder:
-    """One linear hidden layer of width k with biases on both layers."""
-
-    encoder_weights: np.ndarray
-    encoder_bias: np.ndarray
-    decoder_weights: np.ndarray
-    decoder_bias: np.ndarray
-    final_loss: float
-    loss_history: np.ndarray
-
-    def projector(self) -> np.ndarray:
-        """decoder @ encoder: converges to the rank-k PCA projector."""
-        return self.decoder_weights @ self.encoder_weights
-
-    def reconstruct(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        code = self.encoder_weights @ arr + (
-            self.encoder_bias if arr.ndim == 1 else self.encoder_bias[:, None]
-        )
-        return self.decoder_weights @ code + (
-            self.decoder_bias if arr.ndim == 1 else self.decoder_bias[:, None]
-        )
-
-
 def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
-                             init_scale: float = 1e-4) -> LinearAutoencoder:
+                             init_scale: float = 1e-4) -> MlpTrainResult:
     """Full-batch gradient descent on mean squared reconstruction error.
 
-    The loss is ``mean_i ||decode(encode(x_i)) - x_i||^2``.  The schedule's
-    batch_size is ignored (training is full batch); its seed drives the
-    initialization, which is glorot-uniform scaled down by ``init_scale``.
-    The small scale matters on rank-deficient data: encoder components
-    outside the data's row space receive no gradient and stay frozen at
-    their initial value, so they must start negligible for the learned
-    projector to match PCA.  ``init_scale=0.0`` starts from exact zeros.
+    Trains a ``(dim, k, dim)`` linear ``MlpMap`` with ``mlp_train``'s loop
+    to minimize ``mean_i ||W1 (W0 x_i + b0) + b1 - x_i||^2``.  The
+    schedule's batch_size is ignored (training is full batch); its seed
+    drives the column shuffle and the initialization, which is
+    glorot-uniform scaled down by ``init_scale`` with zero biases.  The
+    small scale matters on rank-deficient data: encoder components outside
+    the data's row space receive no gradient and stay frozen at their
+    initial value, so they must start negligible for the learned projector
+    ``weights[1] @ weights[0]`` to match PCA.  ``init_scale=0.0`` starts
+    from exact zeros.
 
-    Raises NumericalFailureError naming the epoch if the loss diverges,
-    including a last step that leaves the final weights' loss non-finite.
+    Raises NumericalFailureError "training loss diverged at epoch N" if an
+    epoch's loss is not finite, or "... at epoch N (final weights)" if the
+    last step leaves the final weights' loss non-finite.
     """
     x = _as_matrix(samples, "samples")
     dim, n = x.shape
@@ -158,40 +139,10 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
     if not 1 <= k <= min(dim, n):
         raise InvalidInputError(f"k={k} outside [1, min(dim={dim}, n={n})]")
     rng = np.random.default_rng(schedule.seed)
-    w_enc = init_scale * glorot_uniform(rng, k, dim)
-    w_dec = init_scale * glorot_uniform(rng, dim, k)
-    b_enc = np.zeros(k)
-    b_dec = np.zeros(dim)
-    history = []
-    epoch = 0
-    for rate, epochs in schedule.learning_rate_phases:
-        for _ in range(epochs):
-            hidden = w_enc @ x + b_enc[:, None]
-            recon = w_dec @ hidden + b_dec[:, None]
-            err = recon - x
-            loss = float((err * err).sum() / n)
-            if not np.isfinite(loss):
-                raise NumericalFailureError(f"autoencoder loss diverged at epoch {epoch}")
-            scale = 2.0 / n
-            g_dec = scale * (err @ hidden.T)
-            gb_dec = scale * err.sum(axis=1)
-            back = w_dec.T @ err
-            g_enc = scale * (back @ x.T)
-            gb_enc = scale * back.sum(axis=1)
-            w_dec -= rate * g_dec
-            b_dec -= rate * gb_dec
-            w_enc -= rate * g_enc
-            b_enc -= rate * gb_enc
-            history.append(loss)
-            epoch += 1
-    hidden = w_enc @ x + b_enc[:, None]
-    err = w_dec @ hidden + b_dec[:, None] - x
-    final_loss = float((err * err).sum() / n)
-    if epoch and not np.isfinite(final_loss):
-        raise NumericalFailureError(
-            f"autoencoder loss diverged at epoch {epoch - 1} (final weights)"
-        )
-    return LinearAutoencoder(w_enc, b_enc, w_dec, b_dec, final_loss, np.asarray(history))
+    weights = [init_scale * glorot_uniform(rng, k, dim),
+               init_scale * glorot_uniform(rng, dim, k)]
+    m = MlpMap((dim, k, dim), weights, [np.zeros(k), np.zeros(dim)], activation="linear")
+    return _sgd(m, x, x, replace(schedule, batch_size=n), rng)
 
 
 def save_ssm(model: SubspaceModel, path):

@@ -108,7 +108,8 @@ def test_c03_linear_autoencoder_matches_pca():
     data = np.random.default_rng(3).standard_normal((8, 20))
     ae = subspace.train_linear_autoencoder(data, 3, PCA_EQUIVALENCE_SCHEDULE)
     pca = subspace.fit_subspace(data, 3)
-    dist = float(np.linalg.norm(ae.projector() - pca.basis @ pca.basis.T))
+    learned = ae.map.weights[1] @ ae.map.weights[0]
+    dist = float(np.linalg.norm(learned - pca.basis @ pca.basis.T))
     elapsed = time.perf_counter() - started
     verdict(3, "trained autoencoder projector equals pca projector",
             dist <= 1e-3 and elapsed < 30.0,

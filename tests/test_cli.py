@@ -29,16 +29,30 @@ batch_size = 3
 seed = 4
 """
 
-# Headers that declare an image, model or network with a size below one.
+# Headers that declare an image, grid, model or network with a size below one.
 NON_POSITIVE_SIZE_FILES = {
     "negative.pgm": b"P5\n-2 -3\n255\n" + bytes(6),
     "empty.pgm": b"P5\n0 5\n255\n",
+    "zero.voxr": b"VOXR 0\n",
+    "negative.voxr": b"VOXR -3\n",
     "zero_dim.ssm": b'{"dim": 0, "format_version": 1, "k": 0}\n',
     "zero_sizes.map":
         b'{"activation": "linear", "format_version": 1, "layer_sizes": [0, 0]}\n',
     "negative_size.map":
         b'{"activation": "linear", "format_version": 1, "layer_sizes": [-1, 1]}\n'
         + bytes(8),
+}
+
+# PLY headers that are malformed: (line of a good header, its replacement,
+# a fragment of the error).
+BAD_PLY_HEADERS = {
+    "count_not_a_number": (b"element vertex 1", b"element vertex abc", "vertex count 'abc'"),
+    "count_negative": (b"element vertex 1", b"element vertex -1", "vertex count '-1'"),
+    "count_missing": (b"element vertex 1", b"element vertex", "lacks a field"),
+    "element_bare": (b"element vertex 1", b"element", "lacks a field"),
+    "property_name_missing": (b"property double z", b"property double", "lacks a field"),
+    "property_bare": (b"property double z", b"property", "lacks a field"),
+    "non_ascii": (b"format ascii 1.0", b"format ascii 1.0\ncomment \xff", "not an ASCII file"),
 }
 
 # Headers that declare a model or network far larger than the file.
@@ -274,6 +288,20 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "unexpected end of file" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_PLY_HEADERS))
+    def test_bad_ply_header_exit_1(self, tmp_path, capsys, name):
+        good, bad, message = BAD_PLY_HEADERS[name]
+        path = tmp_path / "bad.ply"
+        shapes.save_cloud(shapes.PointCloud(np.zeros((1, 3))), path)
+        data = path.read_bytes()
+        assert data.count(good) == 1
+        path.write_bytes(data.replace(good, bad))
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("extra", ["0.1 0.2 0.3\n", "garbage here\n"])
     def test_ply_trailing_rows_exit_1(self, tmp_path, capsys, extra):

@@ -211,21 +211,6 @@ class TestReconstruct:
         pred = pipeline.predict(cfg, models, lm, x)
         assert np.linalg.norm(pred - z) / np.linalg.norm(z) <= 1e-6
 
-    def test_voxel_binarization_tie_rule(self):
-        manifest = dataclasses.replace(SMALL, resolution=8)
-        rng = np.random.default_rng(42)
-        img_model = subspace.fit_subspace(rng.standard_normal((4, 6)), 2)
-        vec = np.full(512, 0.5)
-        shape_model = subspace.SubspaceModel(
-            mean=vec, basis=np.zeros((512, 1)), singular_values=np.ones(1),
-            k_requested=1)
-        lm = MlpMap((2, 1), [np.zeros((1, 2))], [np.zeros(1)], activation="linear")
-        raw, grid = pipeline.reconstruct_shape(
-            ExperimentConfig(mapping="lowdim"), (img_model, shape_model), lm,
-            img_model.mean, manifest)
-        assert np.all(raw == 0.5)
-        assert grid.occupancy.all()
-
 
 class TestEvaluateRmse:
     def test_exact_prediction_is_zero(self):

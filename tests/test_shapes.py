@@ -165,46 +165,6 @@ class TestSampleSpec:
         assert a == b
 
 
-class TestVoxelizeRoundTrip:
-    def test_origin_point(self):
-        grid = shapes.voxelize(PointCloud([[0.0, 0.0, 0.0]]), 4)
-        assert grid.occupied_count == 1
-        assert grid.occupancy[0, 0, 0]
-
-    def test_far_corner_closed_interval(self):
-        grid = shapes.voxelize(PointCloud([[1.0, 1.0, 1.0]]), 4)
-        assert grid.occupied_count == 1
-        assert grid.occupancy[3, 3, 3]
-
-    def test_eight_corners(self):
-        corners = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0)
-                   for z in (0.0, 1.0)]
-        grid = shapes.voxelize(PointCloud(corners), 2)
-        assert grid.occupancy.all()
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(InvalidInputError):
-            shapes.voxelize(PointCloud([[1.5, 0.0, 0.0]]), 4)
-
-    def test_empty_grid_to_empty_cloud(self):
-        cloud = shapes.cloud_from_voxels(VoxelGrid(np.zeros((4, 4, 4), bool)))
-        assert cloud.count == 0
-
-    def test_cell_center_formula(self):
-        occ = np.zeros((2, 2, 2), bool)
-        occ[0, 0, 0] = True
-        cloud = shapes.cloud_from_voxels(VoxelGrid(occ))
-        np.testing.assert_allclose(cloud.points, [[0.25, 0.25, 0.25]])
-
-    @given(st.integers(0, 10**9), st.integers(1, 6))
-    def test_round_trip_is_exact(self, seed, res):
-        rng = np.random.default_rng(seed)
-        occ = rng.random((res, res, res)) < 0.4
-        grid = VoxelGrid(occ)
-        back = shapes.voxelize(shapes.cloud_from_voxels(grid), res)
-        assert np.array_equal(back.occupancy, grid.occupancy)
-
-
 class TestVectorize:
     def test_resolution_30_gives_27000(self):
         grid = shapes.generate_voxel_shape(centered_box(), 30)
@@ -232,17 +192,10 @@ class TestVectorize:
             assert vec[stride] == 1.0
             assert vec.sum() == 1.0
 
-    def test_grid_from_vector_threshold_ties_occupy(self):
-        vec = np.zeros(8)
-        vec[3] = 0.5
-        vec[5] = 0.499999
-        grid = shapes.grid_from_vector(vec, 2)
-        assert shapes.vectorize_shape(grid)[3] == 1.0
-        assert shapes.vectorize_shape(grid)[5] == 0.0
-
     def test_vectorize_round_trip(self):
         grid = shapes.generate_voxel_shape(centered_ellipsoid(), 12)
-        back = shapes.grid_from_vector(shapes.vectorize_shape(grid), 12)
+        vec = shapes.vectorize_shape(grid)
+        back = VoxelGrid(vec.reshape((12,) * 3, order="F") == 1.0)
         assert np.array_equal(back.occupancy, grid.occupancy)
 
 

@@ -158,14 +158,22 @@ class TestEncodeDecode:
             model.decode(np.zeros(3))
 
 
+def projector(result):
+    """decoder @ encoder of a trained linear autoencoder."""
+    return result.map.weights[1] @ result.map.weights[0]
+
+
 class TestLinearAutoencoder:
     def test_zero_data_zero_init(self):
         data = np.zeros((4, 6))
         ae = subspace.train_linear_autoencoder(
             data, 2, TrainSchedule(((0.1, 50),), seed=0), init_scale=0.0)
-        assert not ae.encoder_weights.any()
-        assert not ae.decoder_weights.any()
-        assert ae.final_loss == 0.0
+        assert ae.map.layer_sizes == (4, 2, 4)
+        assert ae.map.activation == "linear"
+        for w, b in zip(ae.map.weights, ae.map.biases):
+            assert not w.any()
+            assert not b.any()
+        assert not ae.loss_history.any()
 
     def test_line_through_origin_learns_rank_one_projector(self):
         rng = np.random.default_rng(70)
@@ -174,14 +182,28 @@ class TestLinearAutoencoder:
         ae = subspace.train_linear_autoencoder(
             data, 1, TrainSchedule(((0.1, 5000),), seed=1))
         target = np.outer(direction, direction)
-        assert np.linalg.norm(ae.projector() - target) <= 1e-3
+        assert np.linalg.norm(projector(ae) - target) <= 1e-3
 
     def test_projector_matches_pca(self):
         data = random_data(80, 8, 20)
         ae = subspace.train_linear_autoencoder(data, 3, PCA_EQUIVALENCE_SCHEDULE)
         pca = subspace.fit_subspace(data, 3)
         target = pca.basis @ pca.basis.T
-        assert np.linalg.norm(ae.projector() - target) <= 1e-3
+        assert np.linalg.norm(projector(ae) - target) <= 1e-3
+
+    def test_batch_size_is_ignored(self):
+        # Training is full batch whatever the schedule says, so batch sizes
+        # 1 and n give the same bits.
+        data = random_data(81, 6, 9)
+        runs = [
+            subspace.train_linear_autoencoder(
+                data, 2, TrainSchedule(((0.05, 40), (0.01, 10)), batch_size=size, seed=5))
+            for size in (1, data.shape[1])
+        ]
+        assert np.array_equal(runs[0].loss_history, runs[1].loss_history)
+        for a, b in zip(runs[0].map.weights + runs[0].map.biases,
+                        runs[1].map.weights + runs[1].map.biases):
+            assert np.array_equal(a, b)
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_reports_epoch(self):
