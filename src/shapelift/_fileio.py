@@ -1,14 +1,19 @@
-"""Crash-safe replacement of an output file, and the array payload reader.
+"""Crash-safe replacement of an output file, and the ``.ssm``/``.map`` container.
 
 The ``.ssm`` and ``.map`` writers, the CSV and text reports and the dataset
 manifest go through ``atomic_open``, so a reader never sees one of them
-half-written under its final name.  The ``.ssm`` and ``.map`` loaders read
-their float64 payload through ``read_f8_arrays``, straight from the file
-into the arrays they return.
+half-written under its final name.
+
+``.ssm`` and ``.map`` files are one container, written by
+``write_container`` and read by ``read_container``: a JSON object with
+sorted keys and a ``format_version`` on the first line, then little-endian
+float64 arrays with nothing after them, moved between memory and the file
+with no intermediate ``bytes`` copy.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from contextlib import contextmanager
@@ -16,8 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError
-
+from .errors import FileFormatError, InvalidInputError
 
 @contextmanager
 def atomic_open(path, mode: str = "wb", **kwargs):
@@ -34,6 +38,61 @@ def atomic_open(path, mode: str = "wb", **kwargs):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_container(path, header: dict, arrays, order: str = "C"):
+    """Write ``header``, then each array in ``order`` ("C" row-major, "F"
+    column-major) through ``atomic_open``.  An array already laid out so is
+    written as it is; any other is converted by one copy first."""
+    with atomic_open(path) as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        for arr in arrays:
+            fh.write(np.asarray(arr, dtype="<f8", order=order).ravel(order))
+
+
+def header_int(value) -> int:
+    """An integer header field; a float, string, bool or null is rejected."""
+    if type(value) is not int:
+        raise TypeError("not an integer")
+    return value
+
+
+def read_header(fh, path, what: str) -> dict:
+    """Return the JSON object on the next line of ``fh``; anything else is a
+    ``FileFormatError`` "bad <what> header"."""
+    try:
+        header = json.loads(fh.readline().decode("ascii"))
+    except (ValueError, RecursionError) as exc:  # deep nesting: RecursionError
+        raise FileFormatError(f"{path}: bad {what} header") from exc
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: bad {what} header")
+    return header
+
+
+def read_container(path, what: str, version: int, fields: dict, shapes,
+                   order: str = "C"):
+    """Read a ``write_container`` file; returns (converted fields, arrays).
+
+    ``fields`` maps each header key to its converter, which raises
+    ``ValueError`` or ``TypeError`` on a wrong-typed value; that, or a
+    missing field, is "bad <what> header".  ``shapes(converted)`` returns
+    the declared array shapes, raising ``InvalidInputError`` on sizes the
+    format does not allow.
+    """
+    with open(path, "rb") as fh:
+        header = read_header(fh, path, what)
+        try:
+            found = header_int(header["format_version"])
+            converted = {key: conv(header[key]) for key, conv in fields.items()}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FileFormatError(f"{path}: bad {what} header") from exc
+        if found != version:
+            raise FileFormatError(f"{path}: unsupported format version {found}")
+        try:
+            sizes = shapes(converted)
+        except InvalidInputError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+        return converted, read_f8_arrays(fh, sizes, path, order)
 
 
 def read_f8_arrays(fh, shapes, path, order: str = "C") -> list:

@@ -8,7 +8,6 @@ for ``inspect``).
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import pipeline, render, shapes, subspace
+from ._fileio import read_header
 from .config import (
     load_experiment,
     load_manifest,
@@ -178,8 +178,8 @@ def _cmd_inspect(args) -> int:
         if points.size:
             for axis, name in enumerate("xyz"):
                 print(f"{name}: {_stats(points[:, axis])}")
-        for name, values in extras.items():
-            print(f"property {name}: {_stats(values)}")
+            for name, values in extras.items():
+                print(f"property {name}: {_stats(values)}")
         return 0
     if head.startswith(b"P5"):
         image = render.load_pgm(path)
@@ -187,15 +187,12 @@ def _cmd_inspect(args) -> int:
         print(f"size: {image.shape[1]}x{image.shape[0]}")
         print(f"pixels: {_stats(image)}")
         return 0
-    if head.startswith(b"{"):
+    if head[:1] in (b"{", b"["):
         with open(path, "rb") as fh:
-            try:
-                header = json.loads(fh.readline().decode("ascii"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise FileFormatError(f"{path}: bad JSON header") from exc
+            header = read_header(fh, path, "JSON")
         if "dim" in header:
             model = subspace.load_ssm(path)
-            print(f"{path}: subspace model (format v{header['format_version']})")
+            print(f"{path}: subspace model (format v{subspace.SSM_FORMAT_VERSION})")
             print(f"dim: {model.dim}, k: {model.k}")
             lead = ", ".join(f"{s:.6g}" for s in model.singular_values[:5])
             print(f"leading singular values: {lead}")
@@ -203,7 +200,7 @@ def _cmd_inspect(args) -> int:
             return 0
         if "layer_sizes" in header:
             m = mp.load_map(path)
-            print(f"{path}: mapping network (format v{header['format_version']})")
+            print(f"{path}: mapping network (format v{mp.MAP_FORMAT_VERSION})")
             print(f"layers: {'-'.join(str(s) for s in m.layer_sizes)}")
             print(f"activation: {m.activation}")
             flat = np.concatenate([w.ravel() for w in m.weights])

@@ -2,7 +2,9 @@
 
 INI-style key/value text parsed with configparser.  Every key is documented
 below; unknown sections or keys are rejected outright so typos fail loudly.
-Precedence is CLI flags > config file > the defaults baked in here.
+Precedence is CLI flags > config file > the defaults baked in here.  One
+table, ``_KEYS``, lists each key with its parser; it drives the unknown-key
+check, both loaders and ``write_manifest``.
 
 [dataset]
     kinds            space-separated shape kinds (box ellipsoid cylinder
@@ -133,17 +135,6 @@ class ExperimentConfig:
                 raise InvalidInputError("mlp_hidden widths must be >= 1")
 
 
-_DATASET_KEYS = {
-    "kinds", "representation", "resolution", "point_count", "unlabeled_2d",
-    "unlabeled_3d", "paired_train", "paired_test", "view_count", "poses",
-    "image_size", "base_seed",
-}
-_EXPERIMENT_KEYS = {"k_2d", "k_3d", "mapping", "mlp_hidden", "pair_policy"}
-_SCHEDULE_KEYS = {"rates", "batch_size", "seed"}
-_SECTIONS = {"dataset": _DATASET_KEYS, "experiment": _EXPERIMENT_KEYS,
-             "schedule": _SCHEDULE_KEYS}
-
-
 def resolve_config_path(path: str) -> str:
     """Return the path as-is, or fall back to $SHAPELIFT_CONFIG_DIR/<path>."""
     if os.path.exists(path):
@@ -166,24 +157,14 @@ def _read_parser(path: str) -> configparser.ConfigParser:
     except configparser.Error as exc:
         raise InvalidInputError(f"config {path} does not parse: {exc}") from exc
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in _KEYS:
             raise InvalidInputError(f"config {path}: unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTIONS[section]
+        unknown = set(parser[section]) - _KEYS[section].keys()
         if unknown:
             raise InvalidInputError(
                 f"config {path}: unknown keys in [{section}]: {sorted(unknown)}"
             )
     return parser
-
-
-def _get(parser, section, key, conv, default):
-    if parser.has_option(section, key):
-        raw = parser.get(section, key)
-        try:
-            return conv(raw)
-        except ValueError as exc:
-            raise InvalidInputError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-    return default
 
 
 def _words(raw: str) -> tuple:
@@ -208,43 +189,48 @@ def _phases(raw: str) -> tuple:
     return tuple(phases)
 
 
+# Every config key and its parser, section by section.  Each section lists
+# its keys in the order of the fields they set in DatasetManifest,
+# ExperimentConfig and TrainSchedule; a key is its field's name, except
+# [schedule] rates, which sets learning_rate_phases.  write_manifest writes
+# [dataset] in this order.
+_KEYS = {
+    "dataset": {
+        "kinds": _words, "representation": str, "resolution": int,
+        "point_count": int, "unlabeled_2d": int, "unlabeled_3d": int,
+        "paired_train": int, "paired_test": int, "view_count": int,
+        "poses": _floats, "image_size": int, "base_seed": int,
+    },
+    "experiment": {"k_2d": int, "k_3d": int, "mapping": str, "mlp_hidden": _ints,
+                   "pair_policy": str},
+    "schedule": {"rates": _phases, "batch_size": int, "seed": int},
+}
+
+
+def _section(parser, section: str, cls) -> dict:
+    """Field values for ``cls`` from the keys of ``section`` that the file
+    sets, the n-th key filling the n-th field; a key it leaves out keeps
+    the dataclass default."""
+    values = {}
+    for (key, parse), field in zip(_KEYS[section].items(), dataclasses.fields(cls)):
+        if parser.has_option(section, key):
+            raw = parser.get(section, key)
+            try:
+                values[field.name] = parse(raw)
+            except ValueError as exc:
+                raise InvalidInputError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return values
+
+
 def load_manifest(path: str) -> DatasetManifest:
-    parser = _read_parser(path)
-    d = DatasetManifest()
-    return DatasetManifest(
-        kinds=_get(parser, "dataset", "kinds", _words, d.kinds),
-        representation=_get(parser, "dataset", "representation", str, d.representation),
-        resolution=_get(parser, "dataset", "resolution", int, d.resolution),
-        point_count=_get(parser, "dataset", "point_count", int, d.point_count),
-        unlabeled_2d=_get(parser, "dataset", "unlabeled_2d", int, d.unlabeled_2d),
-        unlabeled_3d=_get(parser, "dataset", "unlabeled_3d", int, d.unlabeled_3d),
-        paired_train=_get(parser, "dataset", "paired_train", int, d.paired_train),
-        paired_test=_get(parser, "dataset", "paired_test", int, d.paired_test),
-        view_count=_get(parser, "dataset", "view_count", int, d.view_count),
-        poses=_get(parser, "dataset", "poses", _floats, d.poses),
-        image_size=_get(parser, "dataset", "image_size", int, d.image_size),
-        base_seed=_get(parser, "dataset", "base_seed", int, d.base_seed),
-    )
+    return DatasetManifest(**_section(_read_parser(path), "dataset", DatasetManifest))
 
 
 def load_experiment(path: str) -> ExperimentConfig:
     parser = _read_parser(path)
-    e = ExperimentConfig()
-    s = e.schedule
-    schedule = TrainSchedule(
-        learning_rate_phases=_get(parser, "schedule", "rates", _phases,
-                                  s.learning_rate_phases),
-        batch_size=_get(parser, "schedule", "batch_size", int, s.batch_size),
-        seed=_get(parser, "schedule", "seed", int, s.seed),
-    )
-    return ExperimentConfig(
-        k_2d=_get(parser, "experiment", "k_2d", int, e.k_2d),
-        k_3d=_get(parser, "experiment", "k_3d", int, e.k_3d),
-        mapping=_get(parser, "experiment", "mapping", str, e.mapping),
-        mlp_hidden=_get(parser, "experiment", "mlp_hidden", _ints, e.mlp_hidden),
-        pair_policy=_get(parser, "experiment", "pair_policy", str, e.pair_policy),
-        schedule=schedule,
-    )
+    schedule = TrainSchedule(**_section(parser, "schedule", TrainSchedule))
+    return ExperimentConfig(**_section(parser, "experiment", ExperimentConfig),
+                            schedule=schedule)
 
 
 def with_seed(manifest: DatasetManifest, seed: int | None) -> DatasetManifest:
@@ -260,19 +246,15 @@ def with_mapping(config: ExperimentConfig, method: str | None) -> ExperimentConf
 
 
 def write_manifest(manifest: DatasetManifest, path: str):
-    """Write a resolved [dataset] section; byte-deterministic and atomic."""
+    """Write a resolved [dataset] section; byte-deterministic and atomic.
+
+    Keys follow ``_KEYS`` order and each value is written as ``str``, a
+    tuple space-separated; a float's ``str`` reads back to the same value."""
     lines = ["[dataset]"]
-    lines.append("kinds = " + " ".join(manifest.kinds))
-    lines.append(f"representation = {manifest.representation}")
-    lines.append(f"resolution = {manifest.resolution}")
-    lines.append(f"point_count = {manifest.point_count}")
-    lines.append(f"unlabeled_2d = {manifest.unlabeled_2d}")
-    lines.append(f"unlabeled_3d = {manifest.unlabeled_3d}")
-    lines.append(f"paired_train = {manifest.paired_train}")
-    lines.append(f"paired_test = {manifest.paired_test}")
-    lines.append(f"view_count = {manifest.view_count}")
-    lines.append("poses = " + " ".join(repr(p) for p in manifest.poses))
-    lines.append(f"image_size = {manifest.image_size}")
-    lines.append(f"base_seed = {manifest.base_seed}")
+    for key in _KEYS["dataset"]:
+        value = getattr(manifest, key)
+        if isinstance(value, tuple):
+            value = " ".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
     with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

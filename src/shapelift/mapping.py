@@ -17,18 +17,21 @@ activation ``linear``, which is also the form they are stored in.
 ``mlp_train``'s SGD loop, with its divergence checks, is the only training
 loop in the package: ``subspace.train_linear_autoencoder`` runs it full
 batch on a ``(dim, k, dim)`` linear network.
+
+``save_map``/``load_map`` store a network in the ``.map`` file, the shared
+``_fileio`` container with header {activation, format_version,
+layer_sizes} and, per layer, the row-major weights then the biases.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import atomic_open, read_f8_arrays
-from .errors import FileFormatError, InvalidInputError, NumericalFailureError
+from ._fileio import header_int, read_container, write_container
+from .errors import InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix, least_squares
 
 MAP_FORMAT_VERSION = 1
@@ -52,15 +55,6 @@ class TrainSchedule:
                 raise InvalidInputError(f"epoch count {epochs} must be >= 0")
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size {self.batch_size} must be >= 1")
-
-    @property
-    def total_epochs(self) -> int:
-        return sum(e for _, e in self.learning_rate_phases)
-
-
-# Stated reference schedule: 0.001 for 1000 epochs, then 1e-5 for another
-# 1000, mini-batches of 40.
-REFERENCE_SCHEDULE = TrainSchedule(((1e-3, 1000), (1e-5, 1000)), batch_size=40, seed=7)
 
 
 @dataclass
@@ -284,50 +278,25 @@ def _sgd(m: MlpMap, y: np.ndarray, b: np.ndarray, schedule: TrainSchedule,
 
 
 def save_map(m: MlpMap, path):
-    """JSON header line, then per layer the row-major weights and the biases,
-    all little-endian float64.  Each array goes to the file as it is, with
-    no ``bytes`` copy; only an array that is not already C-ordered
-    little-endian float64 is converted first.  Written to ``<path>.tmp``
-    and renamed over ``path``, so an interrupted save leaves any old file
-    intact."""
-    header = {
-        "layer_sizes": list(m.layer_sizes),
-        "activation": m.activation,
-        "format_version": MAP_FORMAT_VERSION,
-    }
-    with atomic_open(path) as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        for w, b in zip(m.weights, m.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8"))
-            fh.write(np.ascontiguousarray(b, dtype="<f8"))
+    """Write ``m`` as a ``.map`` file; C-ordered float64 arrays are not copied."""
+    header = {"layer_sizes": list(m.layer_sizes), "activation": m.activation,
+              "format_version": MAP_FORMAT_VERSION}
+    write_container(path, header, [a for wb in zip(m.weights, m.biases) for a in wb])
+
+
+def _map_shapes(header: dict) -> list:
+    sizes = header["layer_sizes"]
+    _check_layer_sizes(sizes)
+    return [shape for in_d, out_d in zip(sizes, sizes[1:])
+            for shape in ((out_d, in_d), (out_d,))]
 
 
 def load_map(path) -> MlpMap:
-    """Read a ``.map`` file written by ``save_map``.
-
-    The payload length is checked against the header's layer sizes before
-    anything is allocated (``_fileio.read_f8_arrays``), then each weight
-    matrix and bias is read straight into its own C-contiguous float64
-    array.  A bad header, a short file or trailing bytes raise
-    ``FileFormatError``.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("ascii"))
-            sizes = tuple(int(s) for s in header["layer_sizes"])
-            activation = str(header["activation"])
-            version = int(header["format_version"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: bad mapping header") from exc
-        if version != MAP_FORMAT_VERSION:
-            raise FileFormatError(f"{path}: unsupported format version {version}")
-        try:
-            _check_layer_sizes(sizes)
-        except InvalidInputError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-        shapes = []
-        for in_d, out_d in zip(sizes, sizes[1:]):
-            shapes += [(out_d, in_d), (out_d,)]
-        arrays = read_f8_arrays(fh, shapes, path)
-    return MlpMap(sizes, arrays[0::2], arrays[1::2], activation=activation)
+    """Read a ``.map`` file straight into C-contiguous float64 arrays; a bad
+    header, a short file or trailing bytes raise ``FileFormatError``."""
+    header, arrays = read_container(
+        path, "mapping", MAP_FORMAT_VERSION,
+        {"layer_sizes": lambda v: tuple(header_int(s) for s in v), "activation": str},
+        _map_shapes)
+    return MlpMap(header["layer_sizes"], arrays[0::2], arrays[1::2],
+                  activation=header["activation"])

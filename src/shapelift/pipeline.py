@@ -61,7 +61,6 @@ class HeatMap:
     """Per-point error scalars aligned with the ground-truth ordering."""
 
     errors: np.ndarray
-    mode: str
 
 
 @dataclass
@@ -403,7 +402,7 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
                 f"{prediction.correspondence_id!r} vs {truth.correspondence_id!r}"
             )
         errors = np.linalg.norm(prediction.points - truth.points, axis=1)
-        return HeatMap(errors, mode)
+        return HeatMap(errors)
     if mode == "nearest":
         if prediction.count == 0:
             raise InvalidInputError("nearest mode needs a nonempty prediction")
@@ -414,7 +413,7 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
             block = truth.points[start:start + chunk]
             d2 = ((block[:, None, :] - pred[None, :, :]) ** 2).sum(axis=2)
             errors[start:start + chunk] = np.sqrt(d2.min(axis=1))
-        return HeatMap(errors, mode)
+        return HeatMap(errors)
     raise InvalidInputError(f"unknown heat-map mode {mode!r}")
 
 

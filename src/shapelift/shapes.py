@@ -460,6 +460,8 @@ def read_ply(path):
     if count and data.shape[1] != len(names):
         raise FileFormatError(f"{path}: vertex rows do not match property count")
     data = data.reshape(count, len(names))
+    if not np.isfinite(data).all():
+        raise FileFormatError(f"{path}: non-finite vertex value")
     extras = {n: data[:, 3 + k] for k, n in enumerate(names[3:])}
     return data[:, :3], extras, corr
 

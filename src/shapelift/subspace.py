@@ -9,19 +9,22 @@ linear ``MlpMap``, and the decoder-times-encoder product
 ``weights[1] @ weights[0]`` converges to the PCA projector, which is the
 checkable form of the classic equivalence between linear autoencoders and
 PCA.
+
+``save_ssm``/``load_ssm`` store a fitted model in the ``.ssm`` file, the
+shared ``_fileio`` container with header {dim, format_version, k} and the
+mean, the column-major basis and the singular values as payload.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
-from ._fileio import atomic_open, read_f8_arrays
-from .errors import FileFormatError, InvalidInputError
+from ._fileio import header_int, read_container, write_container
+from .errors import InvalidInputError
 from .linalg import _as_matrix
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
@@ -146,42 +149,27 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
 
 
 def save_ssm(model: SubspaceModel, path):
-    """JSON header {dim, k, format_version}, then raw little-endian float64:
-    mean, basis in column-major order, singular values.  The arrays go to
-    the file with no ``bytes`` copy: a column-major basis, as ``load_ssm``
-    returns it, is written as it is, and a row-major one, as
-    ``fit_subspace`` returns it, through one transposing copy.  Written to
-    ``<path>.tmp`` and renamed over ``path``, so an interrupted save leaves
-    any old file intact."""
+    """Write ``model`` as a ``.ssm`` file.  A column-major basis, as ``load_ssm``
+    returns it, is not copied; a row-major one, as ``fit_subspace`` returns
+    it, goes through one transposing copy."""
     header = {"dim": model.dim, "k": model.k, "format_version": SSM_FORMAT_VERSION}
-    with atomic_open(path) as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(np.ascontiguousarray(model.mean, dtype="<f8"))
-        fh.write(np.asfortranarray(model.basis, dtype="<f8").T)
-        fh.write(np.ascontiguousarray(model.singular_values, dtype="<f8"))
+    write_container(path, header, [model.mean, model.basis, model.singular_values],
+                    order="F")
+
+
+def _ssm_shapes(header: dict) -> list:
+    dim, k = header["dim"], header["k"]
+    if dim < 1 or k < 0:
+        raise InvalidInputError(f"need dim >= 1 and k >= 0, got dim={dim}, k={k}")
+    return [(dim,), (dim, k), (k,)]
 
 
 def load_ssm(path) -> SubspaceModel:
-    """Read a ``.ssm`` file written by ``save_ssm``.
-
-    The payload length is checked against the header's dim and k before
-    anything is allocated (``_fileio.read_f8_arrays``), then the mean, the
-    basis and the singular values are read straight into float64 arrays;
-    the basis is column-major (F-contiguous), as stored.  A bad header, a
-    short file or trailing bytes raise ``FileFormatError``.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("ascii"))
-            dim = int(header["dim"])
-            k = int(header["k"])
-            version = int(header["format_version"])
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise FileFormatError(f"{path}: bad subspace-model header") from exc
-        if version != SSM_FORMAT_VERSION:
-            raise FileFormatError(f"{path}: unsupported format version {version}")
-        if dim < 1 or k < 0:
-            raise FileFormatError(f"{path}: need dim >= 1 and k >= 0, got dim={dim}, k={k}")
-        mean, basis, sigma = read_f8_arrays(fh, [(dim,), (dim, k), (k,)], path, order="F")
-    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma, k_requested=k)
+    """Read a ``.ssm`` file straight into float64 arrays, the basis
+    column-major as stored; a bad header, a short file or trailing bytes
+    raise ``FileFormatError``."""
+    header, (mean, basis, sigma) = read_container(
+        path, "subspace-model", SSM_FORMAT_VERSION,
+        {"dim": header_int, "k": header_int}, _ssm_shapes, order="F")
+    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma,
+                         k_requested=header["k"])

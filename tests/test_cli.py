@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,22 @@ BAD_PLY_HEADERS = {
     "property_name_missing": (b"property double z", b"property double", "lacks a field"),
     "property_bare": (b"property double z", b"property", "lacks a field"),
     "non_ascii": (b"format ascii 1.0", b"format ascii 1.0\ncomment \xff", "not an ASCII file"),
+}
+
+# JSON headers whose fields have the wrong type, or that are not an object.
+BAD_TYPE_HEADERS = {
+    "null_dim.ssm": b'{"dim": null, "format_version": 1, "k": 2}\n',
+    "infinite_dim.ssm": b'{"dim": Infinity, "format_version": 1, "k": 2}\n',
+    "null_version.ssm": b'{"dim": 3, "format_version": null, "k": 2}\n',
+    "scalar_sizes.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": 5}\n',
+    "null_size.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": [null, 2]}\n',
+    "list.ssm": b"[1, 2]\n",
+    "fractional_dim.ssm": b'{"dim": 2.5, "format_version": 1, "k": 1}\n',
+    "string_sizes.map":
+        b'{"activation": "linear", "format_version": 1, "layer_sizes": "12"}\n',
+    "deep.ssm": b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}\n",
 }
 
 # Headers that declare a model or network far larger than the file.
@@ -169,6 +186,25 @@ class TestPretrainFitEval:
         assert rc == 1
         assert len(err.splitlines()) == 1
         assert "144" in err and "256" in err
+
+    def test_bad_header_types_exit_1(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        art = tmp_path / "art"
+        args = ["--config", str(cfg), "--data", str(root / "data"), "--out", str(art),
+                "--method", "lowdim"]
+        assert main(["pretrain"] + args[:-2]) == 0
+        assert main(["fit"] + args) == 0
+        good = (art / "image_model.ssm").read_bytes()
+        (art / "image_model.ssm").write_bytes(BAD_TYPE_HEADERS["null_dim.ssm"])
+        capsys.readouterr()
+        assert main(["fit"] + args) == 1
+        assert "bad subspace-model header" in capsys.readouterr().err
+        (art / "image_model.ssm").write_bytes(good)
+        (art / "mapping_lowdim.map").write_bytes(BAD_TYPE_HEADERS["null_size.map"])
+        assert main(["eval"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "bad mapping header" in err
 
     def test_fit_without_models_exit_1(self, workspace, tmp_path):
         root, cfg = workspace
@@ -288,6 +324,35 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "unexpected end of file" in err
+
+    @pytest.mark.parametrize("name", sorted(BAD_TYPE_HEADERS))
+    def test_bad_header_types_exit_1(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(BAD_TYPE_HEADERS[name] + bytes(48))
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert re.search(r"bad [\w-]+ header", err)
+        assert "Traceback" not in err
+
+    def test_ply_property_without_vertices(self, tmp_path, capsys):
+        path = tmp_path / "empty.ply"
+        shapes.write_ply(path, np.zeros((0, 3)), extra={"error": np.zeros(0)})
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "vertices: 0" in out
+        assert "property error" not in out
+
+    def test_ply_non_finite_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.ply"
+        shapes.save_cloud(shapes.PointCloud(np.zeros((1, 3))), path)
+        path.write_text(path.read_text().replace("0 0 0", "nan inf 2"))
+        for argv in (["inspect", str(path)], ["render", str(path), "--out", str(tmp_path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1
+            assert "non-finite" in err
+        assert not list(tmp_path.glob("*.pgm"))
 
     @pytest.mark.parametrize("name", sorted(BAD_PLY_HEADERS))
     def test_bad_ply_header_exit_1(self, tmp_path, capsys, name):

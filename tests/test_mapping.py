@@ -59,12 +59,6 @@ class TestSchedule:
         with pytest.raises(InvalidInputError):
             TrainSchedule(batch_size=0)
 
-    def test_reference_values(self):
-        sched = mp.REFERENCE_SCHEDULE
-        assert sched.learning_rate_phases == ((1e-3, 1000), (1e-5, 1000))
-        assert sched.batch_size == 40
-        assert sched.total_epochs == 2000
-
 
 class TestLinearMap:
     def test_identity_on_full_rank(self):
@@ -480,6 +474,22 @@ class TestMapFormat:
         header = {"activation": "linear", "format_version": 1, "layer_sizes": sizes}
         path.write_bytes((json.dumps(header) + "\n").encode() + bytes(64))
         with pytest.raises(FileFormatError, match="layer sizes must be >= 1"):
+            mp.load_map(path)
+
+    @pytest.mark.parametrize("header", [
+        {"activation": "linear", "format_version": 1, "layer_sizes": 5},
+        {"activation": "linear", "format_version": 1, "layer_sizes": [None, 2]},
+        {"activation": "linear", "format_version": None, "layer_sizes": [2, 2]},
+        {"activation": "linear", "layer_sizes": [2, 2]},
+        [1, 2],
+        {"activation": "linear", "format_version": 1, "layer_sizes": "12"},
+        {"activation": "linear", "format_version": 1, "layer_sizes": [2.5, 2]},
+    ], ids=["scalar_sizes", "null_size", "null_version", "no_version", "list",
+            "string_sizes", "float_size"])
+    def test_bad_header_types(self, tmp_path, header):
+        path = tmp_path / "net.map"
+        path.write_bytes((json.dumps(header) + "\n").encode() + bytes(48))
+        with pytest.raises(FileFormatError, match="bad mapping header"):
             mp.load_map(path)
 
     def test_interrupted_save_keeps_old_file(self, tmp_path):

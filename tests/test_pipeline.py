@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shapelift import mapping as mp
-from shapelift import pipeline, render, shapes, subspace
+from shapelift import config, pipeline, render, shapes, subspace
 from shapelift.config import (
     DatasetManifest,
     ExperimentConfig,
@@ -359,6 +359,37 @@ class TestConfigFiles:
         path = tmp_path / "manifest.cfg"
         write_manifest(SMALL, path)
         assert load_manifest(str(path)) == SMALL
+
+    def test_manifest_round_trip_every_field_off_default(self, tmp_path):
+        manifest = DatasetManifest(
+            kinds=("composite", "torus"), representation="cloud", resolution=12,
+            point_count=50, unlabeled_2d=3, unlabeled_3d=4, paired_train=5,
+            paired_test=6, view_count=2, poses=(-45.0, 0.1, 1e-20), image_size=9,
+            base_seed=3,
+        )
+        default = DatasetManifest()
+        for field in dataclasses.fields(DatasetManifest):
+            assert getattr(manifest, field.name) != getattr(default, field.name)
+        path = tmp_path / "manifest.cfg"
+        write_manifest(manifest, path)
+        assert load_manifest(str(path)) == manifest
+        assert "poses = -45.0 0.1 1e-20\n" in path.read_text()
+
+    def test_dataset_keys_are_manifest_fields(self):
+        names = [f.name for f in dataclasses.fields(DatasetManifest)]
+        assert list(config._KEYS["dataset"]) == names
+
+    def test_experiment_keys_are_config_fields(self):
+        names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert list(config._KEYS["experiment"]) + ["schedule"] == names
+
+    def test_schedule_keys_map_onto_train_schedule(self, tmp_path):
+        names = [f.name for f in dataclasses.fields(TrainSchedule)]
+        assert names == ["learning_rate_phases", "batch_size", "seed"]
+        assert list(config._KEYS["schedule"]) == ["rates", "batch_size", "seed"]
+        path = tmp_path / "sched.cfg"
+        path.write_text("[schedule]\nrates = 0.5:3\nbatch_size = 7\nseed = 9\n")
+        assert load_experiment(str(path)).schedule == TrainSchedule(((0.5, 3),), 7, 9)
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -241,6 +241,14 @@ class TestPlyFormat:
         with pytest.raises(FileFormatError, match="trailing"):
             shapes.load_cloud(path)
 
+    @pytest.mark.parametrize("row", ["nan 0.5 2", "0.5 inf 2", "0.5 0.5 -inf"])
+    def test_non_finite_vertex_rejected(self, tmp_path, row):
+        path = tmp_path / "nan.ply"
+        shapes.save_cloud(PointCloud(np.zeros((1, 3))), path)
+        path.write_text(path.read_text().replace("0 0 0", row))
+        with pytest.raises(FileFormatError, match="non-finite"):
+            shapes.read_ply(path)
+
     def test_blank_lines_after_rows_tolerated(self, tmp_path):
         pts = np.random.default_rng(2).random((6, 3))
         path = tmp_path / "blank.ply"

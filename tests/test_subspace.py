@@ -276,6 +276,29 @@ class TestSsmFormat:
         with pytest.raises(FileFormatError):
             subspace.load_ssm(path)
 
+    @pytest.mark.parametrize("header", [
+        b'{"dim": null, "format_version": 1, "k": 2}',
+        b'{"dim": Infinity, "format_version": 1, "k": 2}',
+        b'{"dim": 3, "format_version": 1, "k": [2]}',
+        b'{"dim": 3, "format_version": null, "k": 2}',
+        b"[1, 2]",
+        b'"dim"',
+        b'{"dim": 3.0, "format_version": 1, "k": 2}',
+        b'{"dim": 3, "format_version": "1", "k": 2}',
+    ], ids=["null_dim", "infinite_dim", "list_k", "null_version", "list", "string",
+            "float_dim", "string_version"])
+    def test_bad_header_types(self, tmp_path, header):
+        path = tmp_path / "model.ssm"
+        path.write_bytes(header + b"\n" + bytes(48))
+        with pytest.raises(FileFormatError, match="bad subspace-model header"):
+            subspace.load_ssm(path)
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "model.ssm"
+        path.write_bytes(b'{"dim": 1, "format_version": 2, "k": 0}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 2"):
+            subspace.load_ssm(path)
+
     def test_huge_header_fails_before_allocating(self, tmp_path):
         path = tmp_path / "huge.ssm"
         header = '{"dim": 1000000000000, "format_version": 1, "k": 2}\n'
