@@ -57,6 +57,13 @@ def header_int(value) -> int:
     return value
 
 
+def header_str(value) -> str:
+    """A string header field; a number, list, bool or null is rejected."""
+    if type(value) is not str:
+        raise TypeError("not a string")
+    return value
+
+
 def read_header(fh, path, what: str) -> dict:
     """Return the JSON object on the next line of ``fh``; anything else is a
     ``FileFormatError`` "bad <what> header"."""
@@ -73,6 +80,8 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
                    order: str = "C"):
     """Read a ``write_container`` file; returns (converted fields, arrays).
 
+    ``format_version`` is checked first, as an integer: any other version
+    is "unsupported format version", whatever its other fields hold.
     ``fields`` maps each header key to its converter, which raises
     ``ValueError`` or ``TypeError`` on a wrong-typed value; that, or a
     missing field, is "bad <what> header".  ``shapes(converted)`` returns
@@ -83,11 +92,14 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
         header = read_header(fh, path, what)
         try:
             found = header_int(header["format_version"])
-            converted = {key: conv(header[key]) for key, conv in fields.items()}
-        except (ValueError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise FileFormatError(f"{path}: bad {what} header") from exc
         if found != version:
             raise FileFormatError(f"{path}: unsupported format version {found}")
+        try:
+            converted = {key: conv(header[key]) for key, conv in fields.items()}
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FileFormatError(f"{path}: bad {what} header") from exc
         try:
             sizes = shapes(converted)
         except InvalidInputError as exc:

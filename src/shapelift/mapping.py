@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fileio import header_int, read_container, write_container
+from ._fileio import header_int, header_str, read_container, write_container
 from .errors import InvalidInputError, NumericalFailureError
 from .linalg import _as_matrix, least_squares
 
@@ -296,7 +296,8 @@ def load_map(path) -> MlpMap:
     header, a short file or trailing bytes raise ``FileFormatError``."""
     header, arrays = read_container(
         path, "mapping", MAP_FORMAT_VERSION,
-        {"layer_sizes": lambda v: tuple(header_int(s) for s in v), "activation": str},
+        {"layer_sizes": lambda v: tuple(header_int(s) for s in v),
+         "activation": header_str},
         _map_shapes)
     return MlpMap(header["layer_sizes"], arrays[0::2], arrays[1::2],
                   activation=header["activation"])

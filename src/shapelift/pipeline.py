@@ -8,6 +8,10 @@ decode (direct skips the encode and decode); ``evaluate_rmse`` and
 ``heatmap`` score reconstructions; and ``compare_methods`` runs all three
 mappings on identical splits.
 
+A dataset is one directory per split plus ``manifest.cfg``, and the
+manifest is its only index: ``_id_blocks`` gives each split's sample ids,
+and ``_shape_filename`` and ``_image_filename`` the files of each id.
+
 Everything derives from the manifest's base seed, so a rerun of any stage
 is byte-identical (timestamps appear only in the human-readable text
 summaries, never in CSVs).
@@ -15,7 +19,6 @@ summaries, never in CSVs).
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -111,10 +114,10 @@ def _save_shape(shape, path: Path):
         shapes.save_cloud(shape, path)
 
 
-def _load_shape(manifest: DatasetManifest, path: Path):
-    if manifest.representation == "voxel":
-        return shapes.load_voxr(path)
-    return shapes.load_cloud(path)
+def _shape_vector(manifest: DatasetManifest, split_dir: Path, sample_id: int):
+    path = split_dir / _shape_filename(sample_id, manifest)
+    load = shapes.load_voxr if manifest.representation == "voxel" else shapes.load_cloud
+    return shapes.vectorize_shape(load(path))
 
 
 def _shape_filename(sample_id: int, manifest: DatasetManifest) -> str:
@@ -141,88 +144,34 @@ def _id_blocks(manifest: DatasetManifest) -> dict:
     return blocks
 
 
-def _write_index(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _read_index(path: Path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read split index {path}: {exc}") from exc
-
-
-def _save_views(shape, sample_id: int, manifest: DatasetManifest, out_dir: Path):
-    """Render and save every view of one shape; (view, yaw repr, image file) each."""
-    size = manifest.image_size
-    views = []
-    for view, yaw in enumerate(manifest.yaws):
-        image = render.render_depth(shape, render.Pose(yaw), size, size)
-        image_file = _image_filename(sample_id, view)
-        render.save_pgm(image, out_dir / image_file)
-        views.append((view, repr(float(yaw)), image_file))
-    return views
-
-
 def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
-    """Materialize shapes, renders, and split indexes under out_dir.
+    """Materialize every split's shapes and renders under out_dir.
 
     Fully reproducible: the same manifest always writes bit-identical files.
-    Paired splits index one (image, shape) pair per rendered view.  The
-    manifest is written last and atomically, so a directory that has one
-    holds a complete dataset.
+    Each sample writes its shape (except in unlabeled_2d) and one image per
+    manifest yaw (except in unlabeled_3d); the file names follow from the
+    manifest alone, so no index is written.  The manifest is written last
+    and atomically, so a directory that has one holds a complete dataset.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     # A stale manifest would vouch for a half-rewritten directory.
     (root / MANIFEST_FILE).unlink(missing_ok=True)
-    blocks = _id_blocks(manifest)
-
-    for split in (SPLIT_PAIRED_TRAIN, SPLIT_PAIRED_TEST):
+    size = manifest.image_size
+    for split, ids in _id_blocks(manifest).items():
         split_dir = root / split
         split_dir.mkdir(exist_ok=True)
 
-        def emit_paired(sample_id, split_dir=split_dir):
+        def emit(sample_id, split=split, split_dir=split_dir):
             shape = _shape_for_id(manifest, sample_id)
-            shape_file = _shape_filename(sample_id, manifest)
-            _save_shape(shape, split_dir / shape_file)
-            return [(f"{sample_id:05d}_v{view}", sample_id, view, yaw, image_file,
-                     shape_file)
-                    for view, yaw, image_file in
-                    _save_views(shape, sample_id, manifest, split_dir)]
+            if split != SPLIT_UNLABELED_2D:
+                _save_shape(shape, split_dir / _shape_filename(sample_id, manifest))
+            if split != SPLIT_UNLABELED_3D:
+                for view, yaw in enumerate(manifest.yaws):
+                    image = render.render_depth(shape, render.Pose(yaw), size, size)
+                    render.save_pgm(image, split_dir / _image_filename(sample_id, view))
 
-        all_rows = _map_ordered(emit_paired, blocks[split], threads)
-        _write_index(split_dir / "index.csv",
-                     ("pair_id", "shape_id", "view", "yaw", "image", "shape"),
-                     [r for rows in all_rows for r in rows])
-
-    pool_dir = root / SPLIT_UNLABELED_2D
-    pool_dir.mkdir(exist_ok=True)
-
-    def emit_images(sample_id):
-        shape = _shape_for_id(manifest, sample_id)
-        return [(sample_id, *view)
-                for view in _save_views(shape, sample_id, manifest, pool_dir)]
-
-    all_rows = _map_ordered(emit_images, blocks[SPLIT_UNLABELED_2D], threads)
-    _write_index(pool_dir / "index.csv", ("shape_id", "view", "yaw", "image"),
-                 [r for rows in all_rows for r in rows])
-
-    pool_dir = root / SPLIT_UNLABELED_3D
-    pool_dir.mkdir(exist_ok=True)
-
-    def emit_shapes(sample_id):
-        shape = _shape_for_id(manifest, sample_id)
-        shape_file = _shape_filename(sample_id, manifest)
-        _save_shape(shape, pool_dir / shape_file)
-        return (sample_id, shape_file)
-
-    rows = _map_ordered(emit_shapes, blocks[SPLIT_UNLABELED_3D], threads)
-    _write_index(pool_dir / "index.csv", ("shape_id", "shape"), rows)
+        _map_ordered(emit, ids, threads)
 
     write_manifest(manifest, root / MANIFEST_FILE)
 
@@ -235,21 +184,20 @@ def read_dataset_manifest(data_dir) -> DatasetManifest:
 
 
 def load_unlabeled_images(data_dir, manifest: DatasetManifest, threads: int = 1):
-    """Image pool as a (image_dim, n) column matrix, index order."""
+    """Image pool as a (image_dim, n) column matrix, by sample id, then view."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_2D
-    rows = _read_index(pool_dir / "index.csv")
-    cols = _map_ordered(lambda r: render.load_pgm(pool_dir / r["image"]).ravel(),
-                        rows, threads)
+    files = [_image_filename(sample_id, view)
+             for sample_id in _id_blocks(manifest)[SPLIT_UNLABELED_2D]
+             for view in range(len(manifest.yaws))]
+    cols = _map_ordered(lambda f: render.load_pgm(pool_dir / f).ravel(), files, threads)
     return np.column_stack(cols)
 
 
 def load_unlabeled_shapes(data_dir, manifest: DatasetManifest, threads: int = 1):
-    """Shape pool as a (shape_dim, n) column matrix, index order."""
+    """Shape pool as a (shape_dim, n) column matrix, by sample id."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_3D
-    rows = _read_index(pool_dir / "index.csv")
-    cols = _map_ordered(
-        lambda r: shapes.vectorize_shape(_load_shape(manifest, pool_dir / r["shape"])),
-        rows, threads)
+    cols = _map_ordered(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
+                        _id_blocks(manifest)[SPLIT_UNLABELED_3D], threads)
     return np.column_stack(cols)
 
 
@@ -268,7 +216,7 @@ def _fit_pool(pool: np.ndarray, k: int, label: str) -> subspace.SubspaceModel:
 def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
     """Fit both subspace models from the unlabeled pools alone.
 
-    Reads only the two unlabeled split indexes (plus the manifest); the
+    Reads only the two unlabeled splits, whose files the manifest names; the
     paired splits are never opened, so their presence or absence cannot
     change the result.  A k larger than a pool supports is shrunk with a
     warning.
@@ -284,29 +232,24 @@ def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):
     """Paired split as (images X, shapes Z, pair_ids) column matrices.
 
-    policy "all" takes every indexed (image, shape) pair; "cycle" takes one
-    pair per shape, the view cycling with the shape's ordinal so poses stay
-    diverse while the sample count equals the shape count.
+    The manifest names every file: policy "all" takes each shape with every
+    view; "cycle" takes one pair per shape, the view cycling with the
+    shape's ordinal so poses stay diverse while the sample count equals the
+    shape count.  A file the manifest names but the split lacks is an
+    ``OSError``.
     """
-    split_dir = Path(data_dir) / split
-    rows = _read_index(split_dir / "index.csv")
-    if policy == "cycle":
-        n_views = len(manifest.yaws)
-        shape_ids = sorted({int(r["shape_id"]) for r in rows})
-        ordinal = {sid: j for j, sid in enumerate(shape_ids)}
-        rows = [r for r in rows
-                if int(r["view"]) == ordinal[int(r["shape_id"])] % n_views]
-    elif policy != "all":
+    if policy not in ("all", "cycle"):
         raise InvalidInputError(f"unknown pair policy {policy!r}")
-    shape_cache: dict = {}
+    split_dir = Path(data_dir) / split
+    n_views = len(manifest.yaws)
     x_cols, z_cols, pair_ids = [], [], []
-    for r in rows:
-        x_cols.append(render.load_pgm(split_dir / r["image"]).ravel())
-        if r["shape"] not in shape_cache:
-            shape_cache[r["shape"]] = shapes.vectorize_shape(
-                _load_shape(manifest, split_dir / r["shape"]))
-        z_cols.append(shape_cache[r["shape"]])
-        pair_ids.append(r["pair_id"])
+    for ordinal, sample_id in enumerate(_id_blocks(manifest)[split]):
+        z = _shape_vector(manifest, split_dir, sample_id)
+        for view in range(n_views) if policy == "all" else (ordinal % n_views,):
+            image = render.load_pgm(split_dir / _image_filename(sample_id, view))
+            x_cols.append(image.ravel())
+            z_cols.append(z)
+            pair_ids.append(f"{sample_id:05d}_v{view}")
     return np.column_stack(x_cols), np.column_stack(z_cols), pair_ids
 
 

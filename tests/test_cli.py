@@ -1,5 +1,6 @@
 import hashlib
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,10 @@ BAD_TYPE_HEADERS = {
     "string_sizes.map":
         b'{"activation": "linear", "format_version": 1, "layer_sizes": "12"}\n',
     "deep.ssm": b'{"dim": ' + b"[" * 100000 + b"]" * 100000 + b"}\n",
+    "null_activation.map":
+        b'{"activation": null, "format_version": 1, "layer_sizes": [2, 2]}\n',
+    "number_activation.map":
+        b'{"activation": 5, "format_version": 1, "layer_sizes": [2, 2]}\n',
 }
 
 # Headers that declare a model or network far larger than the file.
@@ -104,11 +109,14 @@ class TestGen:
         root, _ = workspace
         data = root / "data"
         assert (data / "manifest.cfg").is_file()
-        for split in ("paired_train", "paired_test", "unlabeled_2d",
-                      "unlabeled_3d"):
-            assert (data / split / "index.csv").is_file()
-        assert len(list((data / "paired_train").glob("*.pgm"))) == 6 * 2
-        assert len(list((data / "paired_train").glob("*.voxr"))) == 6
+        # (shapes, images) per split; the manifest is the only index.
+        expected = {"paired_train": (6, 6 * 2), "paired_test": (3, 3 * 2),
+                    "unlabeled_2d": (0, 10 * 2), "unlabeled_3d": (10, 0)}
+        for split, (n_shapes, n_images) in expected.items():
+            assert len(list((data / split).glob("shp_*.voxr"))) == n_shapes
+            assert len(list((data / split).glob("img_*_v*.pgm"))) == n_images
+            assert len(list((data / split).iterdir())) == n_shapes + n_images
+        assert not list(data.rglob("index.csv"))
 
     def test_seed_override_changes_data(self, workspace, tmp_path):
         root, cfg = workspace
@@ -205,6 +213,23 @@ class TestPretrainFitEval:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "bad mapping header" in err
+
+    def test_manifest_claiming_unrendered_views_exit_1(self, workspace, tmp_path,
+                                                       capsys):
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        args = ["--config", str(cfg), "--data", str(data), "--out", str(tmp_path / "art")]
+        assert main(["pretrain"] + args) == 0
+        manifest = (data / "manifest.cfg").read_text()
+        assert "view_count = 2\n" in manifest
+        (data / "manifest.cfg").write_text(manifest.replace("view_count = 2\n",
+                                                            "view_count = 3\n"))
+        capsys.readouterr()
+        assert main(["fit"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "img_00002_v2.pgm" in err
 
     def test_fit_without_models_exit_1(self, workspace, tmp_path):
         root, cfg = workspace

@@ -484,12 +484,21 @@ class TestMapFormat:
         [1, 2],
         {"activation": "linear", "format_version": 1, "layer_sizes": "12"},
         {"activation": "linear", "format_version": 1, "layer_sizes": [2.5, 2]},
+        {"activation": None, "format_version": 1, "layer_sizes": [2, 2]},
+        {"activation": 5, "format_version": 1, "layer_sizes": [2, 2]},
     ], ids=["scalar_sizes", "null_size", "null_version", "no_version", "list",
-            "string_sizes", "float_size"])
+            "string_sizes", "float_size", "null_activation", "number_activation"])
     def test_bad_header_types(self, tmp_path, header):
         path = tmp_path / "net.map"
         path.write_bytes((json.dumps(header) + "\n").encode() + bytes(48))
         with pytest.raises(FileFormatError, match="bad mapping header"):
+            mp.load_map(path)
+
+    def test_version_is_checked_before_other_fields(self, tmp_path):
+        # A newer file may name its fields differently; say so, not "bad header".
+        path = tmp_path / "net.map"
+        path.write_bytes(b'{"format_version": 2, "n_dim": 3}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 2"):
             mp.load_map(path)
 
     def test_interrupted_save_keeps_old_file(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +51,13 @@ def small_dataset(tmp_path_factory):
 
 class TestGenerateDataset:
     def test_pair_counting_contract(self, small_dataset):
-        rows = pipeline._read_index(small_dataset / "paired_train" / "index.csv")
-        assert len(rows) == 4 * 2  # shapes x views
+        x, z, ids = pipeline.load_paired(small_dataset, SMALL,
+                                         pipeline.SPLIT_PAIRED_TRAIN, "all")
+        assert x.shape == (16 * 16, 4 * 2)  # shapes x views
+        assert z.shape == (10 ** 3, 4 * 2)
+        assert ids == [f"{sid:05d}_v{view}" for sid in range(4) for view in range(2)]
+        for j in range(0, 8, 2):
+            assert np.array_equal(z[:, j], z[:, j + 1])
 
     def test_regeneration_is_bit_identical(self, tmp_path):
         a = tmp_path / "a"
@@ -66,11 +72,13 @@ class TestGenerateDataset:
         assert tree_digest(threaded) == tree_digest(small_dataset)
 
     def test_split_ids_are_disjoint(self, small_dataset):
+        blocks = pipeline._id_blocks(SMALL)
+        assert list(blocks) == ["paired_train", "paired_test", "unlabeled_2d",
+                                "unlabeled_3d"]
         ids = {}
-        for split in ("paired_train", "paired_test", "unlabeled_2d",
-                      "unlabeled_3d"):
-            rows = pipeline._read_index(small_dataset / split / "index.csv")
-            ids[split] = {int(r["shape_id"]) for r in rows}
+        for split, block in blocks.items():
+            ids[split] = {int(p.name[4:9]) for p in (small_dataset / split).iterdir()}
+            assert ids[split] == set(block)
         test_ids = ids["paired_test"]
         for other in ("paired_train", "unlabeled_2d", "unlabeled_3d"):
             assert not (test_ids & ids[other])
@@ -110,11 +118,51 @@ class TestGenerateDataset:
             poses=(-45.0, 0.0, 45.0), view_count=3)
         root = tmp_path / "clouds"
         pipeline.generate_dataset(manifest, root)
-        rows = pipeline._read_index(root / "paired_train" / "index.csv")
-        assert len(rows) == 4 * 3
-        assert sorted({r["yaw"] for r in rows}) == ["-45.0", "0.0", "45.0"]
-        cloud = shapes.load_cloud(root / "paired_train" / rows[0]["shape"])
-        assert cloud.count == 60
+        assert manifest.yaws == (-45.0, 0.0, 45.0)
+        split_dir = root / "paired_train"
+        for sid in range(4):
+            assert shapes.load_cloud(split_dir / f"shp_{sid:05d}.ply").count == 60
+            cloud = pipeline._shape_for_id(manifest, sid)
+            for view, yaw in enumerate(manifest.yaws):
+                expected = tmp_path / "expected.pgm"
+                render.save_pgm(render.render_depth(cloud, render.Pose(yaw), 16, 16),
+                                expected)
+                image = split_dir / f"img_{sid:05d}_v{view}.pgm"
+                assert image.read_bytes() == expected.read_bytes()
+        assert len(list(split_dir.glob("*.pgm"))) == 4 * 3
+        assert not list(root.rglob("index.csv"))
+
+    def test_manifest_naming_missing_views_fails_loudly(self, tmp_path):
+        # A manifest that claims more views than were rendered must not load
+        # a smaller split silently.
+        root = tmp_path / "mismatch"
+        pipeline.generate_dataset(SMALL, root)
+        claimed = dataclasses.replace(SMALL, view_count=3)
+        write_manifest(claimed, root / "manifest.cfg")
+        manifest = pipeline.read_dataset_manifest(root)
+        assert manifest == claimed
+        with pytest.raises(OSError, match="img_00002_v2.pgm"):
+            pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN, "cycle")
+        with pytest.raises(OSError, match="img_00000_v2.pgm"):
+            pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN, "all")
+
+    def test_stray_index_files_are_ignored(self, small_dataset, tmp_path):
+        root = tmp_path / "old_layout"
+        shutil.copytree(small_dataset, root)
+        # Index files an older version wrote (here deliberately wrong) are ignored.
+        for split in pipeline._id_blocks(SMALL):
+            (root / split / "index.csv").write_text("shape_id,view\n99999,7\n")
+        for split in (pipeline.SPLIT_PAIRED_TRAIN, pipeline.SPLIT_PAIRED_TEST):
+            for policy in ("cycle", "all"):
+                got = pipeline.load_paired(root, SMALL, split, policy)
+                want = pipeline.load_paired(small_dataset, SMALL, split, policy)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
+                assert got[2] == want[2]
+        assert np.array_equal(pipeline.load_unlabeled_images(root, SMALL),
+                              pipeline.load_unlabeled_images(small_dataset, SMALL))
+        assert np.array_equal(pipeline.load_unlabeled_shapes(root, SMALL),
+                              pipeline.load_unlabeled_shapes(small_dataset, SMALL))
 
 
 class TestPretrain:

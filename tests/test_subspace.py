@@ -299,6 +299,13 @@ class TestSsmFormat:
         with pytest.raises(FileFormatError, match="unsupported format version 2"):
             subspace.load_ssm(path)
 
+    def test_version_is_checked_before_other_fields(self, tmp_path):
+        # A newer file may name its fields differently; say so, not "bad header".
+        path = tmp_path / "model.ssm"
+        path.write_bytes(b'{"format_version": 2, "n_dim": 3}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 2"):
+            subspace.load_ssm(path)
+
     def test_huge_header_fails_before_allocating(self, tmp_path):
         path = tmp_path / "huge.ssm"
         header = '{"dim": 1000000000000, "format_version": 1, "k": 2}\n'
