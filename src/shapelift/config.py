@@ -17,7 +17,8 @@ check, both loaders and ``write_manifest``.
     paired_train     shapes in the paired training split
     paired_test      shapes in the paired test split
     view_count       rendered views per shape (yaws spread over 0..180)
-    poses            explicit yaw list in degrees; overrides view_count
+    poses            explicit yaw list in degrees, each finite; overrides
+                     view_count
     image_size       square image side in pixels
     base_seed        seed from which every per-sample seed derives
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -89,6 +91,8 @@ class DatasetManifest:
                 raise InvalidInputError(f"{name} must be >= 1")
         if self.view_count < 1:
             raise InvalidInputError("view_count must be >= 1")
+        if not all(math.isfinite(yaw) for yaw in self.poses):
+            raise InvalidInputError(f"poses must be finite, got {list(self.poses)}")
         if self.image_size < 1:
             raise InvalidInputError("image_size must be >= 1")
 

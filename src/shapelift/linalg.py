@@ -165,24 +165,34 @@ def pseudo_inverse(m) -> np.ndarray:
     to ``diag(0.5, 0)``.  Satisfies the four Penrose identities to within
     roundoff for well-scaled inputs.
     """
-    res = svd(m)
+    return _pinv(svd(m))
+
+
+def _pinv(res: SvdResult) -> np.ndarray:
     if res.rank == 0:
         return np.zeros((res.v.shape[0], res.u.shape[0]))
     return res.v @ (res.u / res.sigma).T
 
 
-def least_squares(a, b) -> np.ndarray:
-    """Minimum-norm solution of ``min_X || b - X @ a ||_F``.
-
-    ``a`` is (k, n) and ``b`` is (k', n) with a shared sample count n; the
-    result is (k', k).  Computed as ``b @ pinv(a)``, which among all
-    Frobenius-norm minimizers is the one of least ``||X||_F`` (rows of X lie
-    in the row space of ``a``).
-    """
+def _sample_pair(a, b) -> tuple:
+    """``a`` and ``b`` as finite nonempty matrices with one sample count."""
     a2 = _as_matrix(a, "a")
     b2 = _as_matrix(b, "b")
     if a2.shape[1] != b2.shape[1]:
         raise InvalidInputError(
             f"sample counts differ: a has {a2.shape[1]} columns, b has {b2.shape[1]}"
         )
-    return b2 @ pseudo_inverse(a2)
+    return a2, b2
+
+
+def least_squares(a, b, factors: SvdResult | None = None) -> np.ndarray:
+    """Minimum-norm solution of ``min_X || b - X @ a ||_F``.
+
+    ``a`` is (k, n) and ``b`` is (k', n) with a shared sample count n; the
+    result is (k', k).  Computed as ``b @ pinv(a)``, which among all
+    Frobenius-norm minimizers is the one of least ``||X||_F`` (rows of X lie
+    in the row space of ``a``).  ``factors``, when given, must be
+    ``svd(a)``; the result is then the same bits without a second SVD.
+    """
+    a2, b2 = _sample_pair(a, b)
+    return b2 @ _pinv(svd(a2) if factors is None else factors)

@@ -11,8 +11,12 @@ hidden layers and an affine output.
   root-mean-square metric, but with a well-conditioned gradient near zero
   error).
 
-The two closed-form fits return a single-layer network with zero bias and
-activation ``linear``, which is also the form they are stored in.
+The two closed-form fits return a ``linear`` network with zero biases,
+built from one SVD ``a = U S V^T`` of rank r of the input matrix (in x n):
+the two-layer ``(in, r, out)`` network with weights ``S^-1 U^T`` and
+``b V`` when its r*(in + out) parameters are fewer than the in*out of one
+dense layer (the direct map, whose rank is at most the sample count), else
+the single layer ``least_squares`` gives.  Either is stored as it is.
 
 ``mlp_train``'s SGD loop, with its divergence checks, is the only training
 loop in the package: ``subspace.train_linear_autoencoder`` runs it full
@@ -32,7 +36,7 @@ import numpy as np
 
 from ._fileio import header_int, header_str, read_container, write_container
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import _as_matrix, least_squares
+from .linalg import _as_matrix, _sample_pair, least_squares, svd
 
 MAP_FORMAT_VERSION = 1
 
@@ -113,20 +117,36 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
     return rng.uniform(-limit, limit, size=(out_dim, in_dim))
 
 
-def _single_layer(w: np.ndarray) -> MlpMap:
-    # Wraps w without copying it; a direct map's w can be 27000 x 1024.
-    out_d, in_d = w.shape
-    return MlpMap((in_d, out_d), [w], [np.zeros(out_d)], activation="linear")
+def _fit_closed_form(a, b) -> MlpMap:
+    """The minimum-norm map ``b @ pinv(a)`` from one ``svd(a)``, factored
+    when that stores fewer numbers (see the module docstring)."""
+    a2, b2 = _sample_pair(a, b)
+    f = svd(a2)
+    r, in_d, out_d = f.rank, a2.shape[0], b2.shape[0]
+    if r and r * (in_d + out_d) < in_d * out_d:
+        # Both products come out C-contiguous, so save_map copies neither.
+        sizes = (in_d, r, out_d)
+        weights = [np.ascontiguousarray((f.u / f.sigma).T), b2 @ f.v]
+    else:
+        sizes, weights = (in_d, out_d), [least_squares(a2, b2, f)]
+    return MlpMap(sizes, weights, [np.zeros(s) for s in sizes[1:]], activation="linear")
 
 
 def fit_linear_map(y, b) -> MlpMap:
-    """Least-squares map from code matrix y (k x n) to code matrix b (k' x n)."""
-    return _single_layer(least_squares(y, b))
+    """Least-squares map from code matrix y (k x n) to code matrix b (k' x n).
+
+    At the reference sizes (60 -> 299 codes, rank 60) factoring saves
+    nothing: this is the single layer ``least_squares(y, b)``."""
+    return _fit_closed_form(y, b)
 
 
 def fit_direct_map(x, z) -> MlpMap:
-    """Least-squares map from raw image matrix x (D x n) to shapes z (p x n)."""
-    return _single_layer(least_squares(x, z))
+    """Least-squares map from raw image matrix x (D x n) to shapes z (p x n).
+
+    Its rank r is at most n, so with fewer samples than pixels it is the
+    factored ``(D, r, p)`` network: 1024-200-27000 on the voxel reference,
+    45 MB where the dense 27000 x 1024 layer took 221 MB."""
+    return _fit_closed_form(x, z)
 
 
 def _batched(x, first_dim: int, name: str):

@@ -19,12 +19,17 @@ from .shapes import PointCloud, VoxelGrid
 
 @dataclass(frozen=True)
 class Pose:
-    """Yaw about the cube's central vertical axis, normalized to [0, 360)."""
+    """Yaw about the cube's central vertical axis, normalized to [0, 360).
+
+    A non-finite yaw raises ``InvalidInputError``."""
 
     yaw_deg: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "yaw_deg", float(self.yaw_deg) % 360.0)
+        yaw = float(self.yaw_deg)
+        if not math.isfinite(yaw):
+            raise InvalidInputError(f"yaw {yaw} must be finite")
+        object.__setattr__(self, "yaw_deg", yaw % 360.0)
 
 
 def rotate_z(shape, pose: Pose):

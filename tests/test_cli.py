@@ -133,6 +133,15 @@ class TestGen:
         assert cfg.read_bytes() == before
         assert tree_digest(root / "data") == data_before
 
+    @pytest.mark.parametrize("poses", ["0 nan", "inf", "30 -inf 60"])
+    def test_non_finite_pose_exit_1_writes_nothing(self, tmp_path, capsys, poses):
+        cfg = tmp_path / "poses.cfg"
+        cfg.write_text(SMALL_CFG.replace("view_count = 2", f"poses = {poses}"))
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "poses must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_row_csv(self, workspace, tmp_path):
@@ -267,6 +276,16 @@ class TestRenderCommand:
                      "--yaw", "-45", "--yaw", "45"]) == 0
         assert (out / "render_315deg.pgm").is_file()
         assert (out / "render_45deg.pgm").is_file()
+
+    @pytest.mark.parametrize("yaw", ["inf", "nan", "-inf"])
+    def test_non_finite_yaw_exit_1(self, workspace, tmp_path, capsys, yaw):
+        root, _ = workspace
+        shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+        out = tmp_path / "imgs"
+        assert main(["render", str(shape_file), "--out", str(out),
+                     "--yaw", "0", f"--yaw={yaw}"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("views", ["0", "-3"])
     def test_view_count_below_one_exit_1(self, workspace, tmp_path, views):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shapelift import mapping as mp
-from shapelift import pipeline, subspace
+from shapelift import linalg, pipeline, subspace
 from shapelift.config import ExperimentConfig
 from shapelift.errors import (
     FileFormatError,
@@ -164,6 +164,119 @@ class TestDirectMap:
         z = rng.standard_normal((9, 6))
         dm = mp.fit_direct_map(x, z)
         assert np.linalg.norm(mp.mlp_forward(dm, x) - z) <= 1e-10
+
+
+class TestFactoredMap:
+    """Closed-form fits store r*(in+out) numbers when that beats in*out."""
+
+    def test_wide_input_with_large_output_factors(self):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal((30, 8))
+        z = rng.standard_normal((50, 8))
+        dm = mp.fit_direct_map(x, z)
+        assert dm.layer_sizes == (30, 8, 50)  # 8 * 80 < 30 * 50
+        assert dm.activation == "linear"
+        assert not any(b.any() for b in dm.biases)
+        f = linalg.svd(x)
+        np.testing.assert_array_equal(dm.weights[0], (f.u / f.sigma).T)
+        np.testing.assert_array_equal(dm.weights[1], z @ f.v)
+
+    @pytest.mark.parametrize("in_d, out_d, n", [(6, 6, 10), (20, 6, 9), (4, 9, 12)],
+                             ids=["square", "small_output", "full_rank"])
+    def test_stays_one_layer_unless_smaller(self, in_d, out_d, n):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((in_d, n))
+        z = rng.standard_normal((out_d, n))
+        for fit in (mp.fit_linear_map, mp.fit_direct_map):
+            m = fit(x, z)
+            assert m.layer_sizes == (in_d, out_d)
+            assert np.array_equal(m.weights[0], z @ linalg.pseudo_inverse(x))
+
+    def test_rank_deficient_input_factors_at_its_rank(self):
+        rng = np.random.default_rng(42)
+        base = rng.standard_normal((30, 5))
+        x = np.hstack([base, base[:, :3]])  # 8 samples, rank 5
+        z = rng.standard_normal((40, 8))
+        dm = mp.fit_direct_map(x, z)
+        assert dm.layer_sizes == (30, 5, 40)
+        dense = linalg.least_squares(x, z)
+        np.testing.assert_allclose(mp.mlp_forward(dm, x), dense @ x,
+                                   rtol=1e-12, atol=1e-12 * np.abs(dense @ x).max())
+
+    def test_zero_input_is_the_single_zero_layer(self):
+        dm = mp.fit_direct_map(np.zeros((30, 6)), np.ones((40, 6)))
+        assert dm.layer_sizes == (30, 40)
+        assert not dm.weights[0].any() and not dm.biases[0].any()
+
+    def test_agrees_with_dense_least_squares(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((60, 12))
+        z = rng.standard_normal((80, 12))
+        dm = mp.fit_direct_map(x, z)
+        assert dm.layer_sizes == (60, 12, 80)
+        probe = rng.standard_normal((60, 7))
+        want = linalg.least_squares(x, z) @ probe
+        got = mp.mlp_forward(dm, probe)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(mp.mlp_forward(dm, x) - z) <= 1e-10
+
+    def test_one_svd_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return real_svd(m)
+
+        real_svd = linalg.svd
+        monkeypatch.setattr(linalg, "svd", counted)
+        monkeypatch.setattr(mp, "svd", counted)
+        rng = np.random.default_rng(44)
+        for (in_d, out_d), sizes in (((6, 6), (6, 6)), ((30, 50), (30, 8, 50))):
+            calls.clear()
+            m = mp.fit_direct_map(rng.standard_normal((in_d, 8)),
+                                  rng.standard_normal((out_d, 8)))
+            assert m.layer_sizes == sizes
+            assert calls == [(in_d, 8)]
+
+    def test_round_trip_is_bit_identical(self, tmp_path, traced_peak):
+        rng = np.random.default_rng(45)
+        x = rng.standard_normal((3000, 10))
+        dm = mp.fit_direct_map(x, rng.standard_normal((4000, 10)))
+        assert dm.layer_sizes == (3000, 10, 4000)
+        for arr in dm.weights + dm.biases:
+            assert arr.flags.c_contiguous
+        path = tmp_path / "direct.map"
+        payload = (10 * 3000 + 10 + 4000 * 10 + 4000) * 8
+        _, peak = traced_peak(lambda: mp.save_map(dm, path))
+        assert peak <= 0.1 * payload  # nothing is copied on the way out
+        back = mp.load_map(path)
+        assert back.layer_sizes == dm.layer_sizes
+        probe = rng.standard_normal((3000, 5))
+        assert np.array_equal(mp.mlp_forward(back, probe), mp.mlp_forward(dm, probe))
+
+    def test_fit_never_builds_the_dense_product(self, traced_peak):
+        rng = np.random.default_rng(46)
+        x = rng.standard_normal((400, 20))
+        z = rng.standard_normal((5000, 20))
+        dm, peak = traced_peak(lambda: mp.fit_direct_map(x, z))
+        assert dm.layer_sizes == (400, 20, 5000)
+        assert peak <= 0.2 * 400 * 5000 * 8
+
+    def test_dense_direct_map_from_older_versions_still_evaluates(self, tmp_path):
+        # Older versions wrote every direct map as one dense linear layer.
+        rng = np.random.default_rng(47)
+        x = rng.standard_normal((30, 8))
+        z = rng.standard_normal((50, 8))
+        path = tmp_path / "mapping_direct.map"
+        mp.save_map(linear_net(linalg.least_squares(x, z)), path)
+        old = mp.load_map(path)
+        assert old.layer_sizes == (30, 50)
+        cfg = ExperimentConfig(mapping="direct")
+        probe = rng.standard_normal((30, 4))
+        got = pipeline.predict(cfg, None, old, probe)
+        assert np.array_equal(got, linalg.least_squares(x, z) @ probe)
+        new = pipeline.predict(cfg, None, mp.fit_direct_map(x, z), probe)
+        assert np.linalg.norm(got - new) <= 1e-12 * np.linalg.norm(got)
 
 
 def reference_gradients(m, x, t):

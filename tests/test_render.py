@@ -28,6 +28,11 @@ class TestPose:
         assert Pose(360.0).yaw_deg == 0.0
         assert Pose(540.0).yaw_deg == 180.0
 
+    @pytest.mark.parametrize("yaw", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_yaw(self, yaw):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            Pose(yaw)
+
 
 class TestRotate:
     def test_yaw_zero_is_identity(self):
