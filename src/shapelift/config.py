@@ -39,14 +39,13 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 import os
 from dataclasses import dataclass
 
 from ._fileio import atomic_open
 from .errors import InvalidInputError
 from .mapping import TrainSchedule
-from .render import view_yaws
+from .render import Pose, view_yaws
 from .shapes import ALL_KINDS, MAX_RESOLUTION, MIN_RESOLUTION
 
 ENV_CONFIG_DIR = "SHAPELIFT_CONFIG_DIR"
@@ -91,8 +90,8 @@ class DatasetManifest:
                 raise InvalidInputError(f"{name} must be >= 1")
         if self.view_count < 1:
             raise InvalidInputError("view_count must be >= 1")
-        if not all(math.isfinite(yaw) for yaw in self.poses):
-            raise InvalidInputError(f"poses must be finite, got {list(self.poses)}")
+        for yaw in self.poses:
+            Pose(yaw)  # raises on a non-finite yaw before any file is written
         if self.image_size < 1:
             raise InvalidInputError("image_size must be >= 1")
 

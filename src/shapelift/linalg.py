@@ -165,10 +165,7 @@ def pseudo_inverse(m) -> np.ndarray:
     to ``diag(0.5, 0)``.  Satisfies the four Penrose identities to within
     roundoff for well-scaled inputs.
     """
-    return _pinv(svd(m))
-
-
-def _pinv(res: SvdResult) -> np.ndarray:
+    res = svd(m)
     if res.rank == 0:
         return np.zeros((res.v.shape[0], res.u.shape[0]))
     return res.v @ (res.u / res.sigma).T
@@ -185,14 +182,13 @@ def _sample_pair(a, b) -> tuple:
     return a2, b2
 
 
-def least_squares(a, b, factors: SvdResult | None = None) -> np.ndarray:
+def least_squares(a, b) -> np.ndarray:
     """Minimum-norm solution of ``min_X || b - X @ a ||_F``.
 
     ``a`` is (k, n) and ``b`` is (k', n) with a shared sample count n; the
     result is (k', k).  Computed as ``b @ pinv(a)``, which among all
     Frobenius-norm minimizers is the one of least ``||X||_F`` (rows of X lie
-    in the row space of ``a``).  ``factors``, when given, must be
-    ``svd(a)``; the result is then the same bits without a second SVD.
+    in the row space of ``a``).
     """
     a2, b2 = _sample_pair(a, b)
-    return b2 @ _pinv(svd(a2) if factors is None else factors)
+    return b2 @ pseudo_inverse(a2)

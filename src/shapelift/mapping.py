@@ -11,12 +11,13 @@ hidden layers and an affine output.
   root-mean-square metric, but with a well-conditioned gradient near zero
   error).
 
-The two closed-form fits return a ``linear`` network with zero biases,
-built from one SVD ``a = U S V^T`` of rank r of the input matrix (in x n):
-the two-layer ``(in, r, out)`` network with weights ``S^-1 U^T`` and
-``b V`` when its r*(in + out) parameters are fewer than the in*out of one
-dense layer (the direct map, whose rank is at most the sample count), else
-the single layer ``least_squares`` gives.  Either is stored as it is.
+The two closed-form fits return a ``linear`` network with zero biases.
+The rank r of the input matrix (in x n) is at most the sample count n, so
+when n*(in + out) < in*out (the direct map) the fit takes one SVD
+``a = U S V^T`` and returns the two-layer ``(in, r, out)`` network with
+weights ``S^-1 U^T`` and ``b V``, or the single zero layer when r = 0.
+Otherwise it returns the single layer ``least_squares`` gives.  Either is
+stored as it is.
 
 ``mlp_train``'s SGD loop, with its divergence checks, is the only training
 loop in the package: ``subspace.train_linear_autoencoder`` runs it full
@@ -118,34 +119,38 @@ def glorot_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 def _fit_closed_form(a, b) -> MlpMap:
-    """The minimum-norm map ``b @ pinv(a)`` from one ``svd(a)``, factored
-    when that stores fewer numbers (see the module docstring)."""
+    """The minimum-norm map ``b @ pinv(a)``, factored when that can store
+    fewer numbers (see the module docstring); one SVD either way."""
     a2, b2 = _sample_pair(a, b)
-    f = svd(a2)
-    r, in_d, out_d = f.rank, a2.shape[0], b2.shape[0]
-    if r and r * (in_d + out_d) < in_d * out_d:
-        # Both products come out C-contiguous, so save_map copies neither.
-        sizes = (in_d, r, out_d)
-        weights = [np.ascontiguousarray((f.u / f.sigma).T), b2 @ f.v]
+    (in_d, n), out_d = a2.shape, b2.shape[0]
+    if n * (in_d + out_d) >= in_d * out_d:
+        sizes, weights = (in_d, out_d), [least_squares(a2, b2)]
     else:
-        sizes, weights = (in_d, out_d), [least_squares(a2, b2, f)]
+        f = svd(a2)
+        if f.rank == 0:  # the pseudo-inverse of a zero matrix is zero
+            sizes, weights = (in_d, out_d), [np.zeros((out_d, in_d))]
+        else:
+            # Both products come out C-contiguous, so save_map copies neither.
+            sizes = (in_d, f.rank, out_d)
+            weights = [np.ascontiguousarray((f.u / f.sigma).T), b2 @ f.v]
     return MlpMap(sizes, weights, [np.zeros(s) for s in sizes[1:]], activation="linear")
 
 
 def fit_linear_map(y, b) -> MlpMap:
     """Least-squares map from code matrix y (k x n) to code matrix b (k' x n).
 
-    At the reference sizes (60 -> 299 codes, rank 60) factoring saves
-    nothing: this is the single layer ``least_squares(y, b)``."""
+    With at least as many pairs as input codes (60 -> 299 codes on the
+    reference) factoring cannot store fewer numbers: this is the single
+    layer ``least_squares(y, b)``."""
     return _fit_closed_form(y, b)
 
 
 def fit_direct_map(x, z) -> MlpMap:
     """Least-squares map from raw image matrix x (D x n) to shapes z (p x n).
 
-    Its rank r is at most n, so with fewer samples than pixels it is the
-    factored ``(D, r, p)`` network: 1024-200-27000 on the voxel reference,
-    45 MB where the dense 27000 x 1024 layer took 221 MB."""
+    Its rank r is at most n, so with n*(D + p) < D*p it is the factored
+    ``(D, r, p)`` network: 1024-200-27000 on the voxel reference, 45 MB
+    where the dense 27000 x 1024 layer took 221 MB."""
     return _fit_closed_form(x, z)
 
 

@@ -139,7 +139,7 @@ class TestGen:
         cfg.write_text(SMALL_CFG.replace("view_count = 2", f"poses = {poses}"))
         out = tmp_path / "data"
         assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "poses must be finite" in capsys.readouterr().err
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
