@@ -1,6 +1,6 @@
 """Command-line front end: dataset generation, training, evaluation, tooling.
 
-Exit codes: 0 success, 1 invalid input or config, 2 numerical failure.
+Exit codes: 0 success, 1 invalid input, config or usage, 2 numerical failure.
 Diagnostics go to stderr; machine-readable results go to files (or stdout
 for ``inspect``).
 """
@@ -281,7 +281,10 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 means numerical failure
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except NumericalFailureError as exc:

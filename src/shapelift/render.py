@@ -8,6 +8,7 @@ point, and 0 where nothing projects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,13 +38,14 @@ def rotate_z(shape, pose: Pose):
 
     Point clouds rotate exactly; voxel grids inverse-map each target cell
     center with nearest-neighbor lookup, so cells whose source falls outside
-    the cube come back empty.  Yaw 0 returns the input unchanged.
+    the cube come back empty; the lookup tables are built once per (yaw,
+    resolution).  Yaw 0 returns the input unchanged.
     """
     if pose.yaw_deg == 0.0:
         return shape
-    theta = math.radians(pose.yaw_deg)
-    c, s = math.cos(theta), math.sin(theta)
     if isinstance(shape, PointCloud):
+        theta = math.radians(pose.yaw_deg)
+        c, s = math.cos(theta), math.sin(theta)
         dx = shape.points[:, 0] - 0.5
         dy = shape.points[:, 1] - 0.5
         pts = np.column_stack([
@@ -53,19 +55,29 @@ def rotate_z(shape, pose: Pose):
         ])
         return PointCloud(pts, correspondence_id=shape.correspondence_id)
     if isinstance(shape, VoxelGrid):
-        res = shape.resolution
-        centers = (np.arange(res) + 0.5) / res
-        tx, ty = np.meshgrid(centers, centers, indexing="ij")
-        sx = 0.5 + c * (tx - 0.5) + s * (ty - 0.5)
-        sy = 0.5 - s * (tx - 0.5) + c * (ty - 0.5)
-        jx = np.floor(sx * res).astype(np.int64)
-        jy = np.floor(sy * res).astype(np.int64)
-        valid = (jx >= 0) & (jx < res) & (jy >= 0) & (jy < res)
-        jx = np.clip(jx, 0, res - 1)
-        jy = np.clip(jy, 0, res - 1)
+        jx, jy, valid = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
         occ = shape.occupancy[jx, jy, :] & valid[:, :, None]
         return VoxelGrid(occ)
     raise InvalidInputError(f"cannot rotate {type(shape).__name__}")
+
+
+@functools.lru_cache(maxsize=32)
+def _voxel_rotation_table(yaw_deg: float, res: int):
+    """Read-only source cell ``(jx, jy)`` and in-cube mask per target cell."""
+    theta = math.radians(yaw_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    centers = (np.arange(res) + 0.5) / res
+    tx, ty = np.meshgrid(centers, centers, indexing="ij")
+    sx = 0.5 + c * (tx - 0.5) + s * (ty - 0.5)
+    sy = 0.5 - s * (tx - 0.5) + c * (ty - 0.5)
+    jx = np.floor(sx * res).astype(np.int64)
+    jy = np.floor(sy * res).astype(np.int64)
+    valid = (jx >= 0) & (jx < res) & (jy >= 0) & (jy < res)
+    jx = np.clip(jx, 0, res - 1)
+    jy = np.clip(jy, 0, res - 1)
+    for table in (jx, jy, valid):
+        table.flags.writeable = False
+    return jx, jy, valid
 
 
 def render_depth(shape, pose: Pose, width: int = 32, height: int = 32) -> np.ndarray:

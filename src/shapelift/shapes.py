@@ -376,8 +376,9 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
               correspondence_id: str = ""):
     """ASCII PLY with double-precision x, y, z plus optional extra properties.
 
-    Values print with 17 significant digits, enough to round-trip float64
-    exactly.  A nonempty correspondence_id is recorded as a comment.
+    Values print with ``%.17g``, enough to round-trip float64 exactly, and a
+    non-finite value raises ``InvalidInputError`` before the file is created.
+    A nonempty correspondence_id is recorded as a comment.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     extra = extra or {}
@@ -398,13 +399,20 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
     lines.extend(f"property double {n}" for n in names)
     lines.append("end_header")
     body = np.column_stack(cols)
-    lines.extend(" ".join(f"{v:.17g}" for v in row) for row in body)
+    if not np.isfinite(body).all():
+        raise InvalidInputError(f"{path}: cannot write a non-finite vertex value")
+    row = " ".join(["%.17g"] * len(names)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+        fh.write((row * len(body)) % tuple(body.ravel().tolist()))
 
 
 def read_ply(path):
-    """Parse our ASCII PLY profile; returns (points, extras, correspondence_id)."""
+    """Parse our ASCII PLY profile; returns (points, extras, correspondence_id).
+
+    Each vertex row holds one finite decimal or exponent token per property;
+    ``np.loadtxt`` parses them, so a spelling like ``1_0`` is a bad row.
+    """
     with open(path, "r", encoding="ascii") as fh:
         try:
             text = fh.read()
@@ -453,13 +461,14 @@ def read_ply(path):
         raise FileFormatError(f"{path}: unexpected end of file in vertex data")
     if len(rows) > count:
         raise FileFormatError(f"{path}: trailing data after vertex data")
-    try:
-        data = np.array([[float(v) for v in rows[j].split()] for j in range(count)])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad vertex row: {exc}") from exc
-    if count and data.shape[1] != len(names):
+    data = np.empty((0, len(names)))
+    if count:  # loadtxt warns on empty input
+        try:
+            data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad vertex row: {exc}") from exc
+    if data.shape[1] != len(names):
         raise FileFormatError(f"{path}: vertex rows do not match property count")
-    data = data.reshape(count, len(names))
     if not np.isfinite(data).all():
         raise FileFormatError(f"{path}: non-finite vertex value")
     extras = {n: data[:, 3 + k] for k, n in enumerate(names[3:])}

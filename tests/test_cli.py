@@ -316,6 +316,37 @@ class TestHeatmapCommand:
                                    atol=1e-12)
 
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_error_exit_1_writes_nothing(self, tmp_path, capsys):
+        truth_path = tmp_path / "truth.ply"
+        pred_path = tmp_path / "pred.ply"
+        shapes.write_ply(truth_path, [[-1e308, 0.0, 0.0]], correspondence_id="a")
+        shapes.write_ply(pred_path, [[1e308, 0.0, 0.0]], correspondence_id="a")
+        out = tmp_path / "heat.ply"
+        assert main(["heatmap", str(pred_path), str(truth_path), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv, message", [
+        (["render", "x.voxr", "--out", "imgs", "--bogus"], "unrecognized arguments"),
+        (["render", "x.voxr"], "required: --out"),
+        (["render", "x.voxr", "--out", "imgs", "--views", "two"], "invalid int value"),
+        (["bogus"], "invalid choice"),
+    ])
+    def test_usage_error_exit_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert message in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])
+    def test_help_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestInspect:
     def test_ssm_summary(self, workspace, tmp_path, capsys):
         root, cfg = workspace

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,26 @@ def symmetrized(grid):
     occ = grid.occupancy
     occ = occ | occ[::-1, :, :] | occ[:, ::-1, :] | occ[::-1, ::-1, :]
     return VoxelGrid(occ)
+
+
+def uncached_rotate_voxels(grid, pose):
+    """Reference voxel branch of ``rotate_z`` that builds its index tables on
+    every call; the cached tables must match it bit for bit."""
+    if pose.yaw_deg == 0.0:
+        return grid
+    theta = math.radians(pose.yaw_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    res = grid.resolution
+    centers = (np.arange(res) + 0.5) / res
+    tx, ty = np.meshgrid(centers, centers, indexing="ij")
+    sx = 0.5 + c * (tx - 0.5) + s * (ty - 0.5)
+    sy = 0.5 - s * (tx - 0.5) + c * (ty - 0.5)
+    jx = np.floor(sx * res).astype(np.int64)
+    jy = np.floor(sy * res).astype(np.int64)
+    valid = (jx >= 0) & (jx < res) & (jy >= 0) & (jy < res)
+    jx = np.clip(jx, 0, res - 1)
+    jy = np.clip(jy, 0, res - 1)
+    return VoxelGrid(grid.occupancy[jx, jy, :] & valid[:, :, None])
 
 
 class TestPose:
@@ -59,6 +81,32 @@ class TestRotate:
         grid = random_grid(4, res=12)
         rotated = render.rotate_z(grid, Pose(37.0))
         assert rotated.occupancy.sum(axis=(0, 1)).max() <= grid.resolution ** 2
+
+
+class TestVoxelRotationCache:
+    @pytest.mark.parametrize("res", [8, 30, 64])
+    def test_images_match_uncached_rotation(self, res):
+        grid = random_grid(5, res=res, fill=0.3)
+        for yaw in [22.5 * i for i in range(16)] + [13.7]:
+            pose = Pose(yaw)
+            for _ in range(2):  # the first call fills the cache, the second reads it
+                rotated = render.rotate_z(grid, pose)
+                image = render.render_depth(grid, pose)
+                reference = uncached_rotate_voxels(grid, pose)
+                assert np.array_equal(rotated.occupancy, reference.occupancy)
+                assert np.array_equal(image, render.render_depth(reference, Pose(0.0)))
+
+    def test_tables_are_read_only(self):
+        for table in render._voxel_rotation_table(45.0, 16):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_cache_stays_bounded(self):
+        bound = render._voxel_rotation_table.cache_info().maxsize
+        for i in range(3 * bound):
+            render.rotate_z(random_grid(6, res=8), Pose(1.0 + i))
+        assert render._voxel_rotation_table.cache_info().currsize == bound
 
 
 class TestRenderDepth:

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from shapelift import shapes
 from shapelift.errors import FileFormatError, InvalidInputError, InvalidSpecError
@@ -255,6 +257,65 @@ class TestPlyFormat:
         shapes.save_cloud(PointCloud(pts), path)
         path.write_text(path.read_text() + "\n  \n")
         assert np.array_equal(shapes.load_cloud(path).points, pts)
+
+    def test_golden_bytes(self, tmp_path):
+        pts = np.array([[-0.0, 5e-324, 1e308], [1.0 / 3.0, 0.5, -2.0]])
+        errors = np.array([0.0, 1.0 / 3.0])
+        path = tmp_path / "golden.ply"
+        shapes.write_ply(path, pts, extra={"error": errors}, correspondence_id="box:2")
+        body = np.column_stack([pts, errors])
+        expected = "\n".join(
+            ["ply", "format ascii 1.0", "comment correspondence box:2",
+             "element vertex 2", "property double x", "property double y",
+             "property double z", "property double error", "end_header"]
+            + [" ".join(f"{v:.17g}" for v in row) for row in body]) + "\n"
+        assert path.read_text() == expected
+        assert "-0 4.9406564584124654e-324 1e+308 0" in expected
+
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 20), st.just(3)),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_round_trip_bit_exact(self, tmp_path_factory, pts):
+        path = tmp_path_factory.mktemp("ply") / "cloud.ply"
+        shapes.save_cloud(PointCloud(pts), path)
+        back = shapes.load_cloud(path).points
+        assert back.shape == pts.shape
+        assert back.tobytes() == pts.tobytes()
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        # Six tokens over two rows: the right total, the wrong row shapes.
+        path = tmp_path / "ragged.ply"
+        shapes.save_cloud(PointCloud(np.zeros((2, 3))), path)
+        text = path.read_text().replace("0 0 0\n0 0 0\n", "1 2 3 4\n5 6\n")
+        path.write_text(text)
+        with pytest.raises(FileFormatError, match="bad vertex row"):
+            shapes.read_ply(path)
+
+    def test_zero_vertices_load_without_warning(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        shapes.save_cloud(PointCloud(np.zeros((0, 3))), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = shapes.load_cloud(path).points
+        assert pts.shape == (0, 3)
+
+    @pytest.mark.parametrize("token", ["1_0", "0x10", "1,5", "#1"])
+    def test_non_numeric_token_rejected(self, tmp_path, token):
+        path = tmp_path / "token.ply"
+        shapes.save_cloud(PointCloud(np.zeros((1, 3))), path)
+        path.write_text(path.read_text().replace("0 0 0", f"0 {token} 0"))
+        with pytest.raises(FileFormatError, match="bad vertex row"):
+            shapes.read_ply(path)
+
+    @pytest.mark.parametrize("where", ["points", "extra"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_write_rejects_non_finite(self, tmp_path, where, value):
+        pts = np.zeros((2, 3))
+        errors = np.zeros(2)
+        (pts if where == "points" else errors)[1, ...] = value
+        path = tmp_path / "bad.ply"
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            shapes.write_ply(path, pts, extra={"error": errors})
+        assert not path.exists()
 
 
 class TestVoxrFormat:
