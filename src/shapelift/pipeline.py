@@ -325,6 +325,7 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
             mode: str = "corresponded") -> HeatMap:
     """Per-point error over the ground-truth cloud.
@@ -332,6 +333,7 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
     corresponded: error_i = ||pred_i - truth_i|| (requires equal counts and
     a shared correspondence_id).  nearest: error_i = min_j ||pred_j -
     truth_i||, measured from each ground-truth point to the prediction.
+    An error that overflows float64 raises ``InvalidInputError``, not a warning.
     """
     if mode == "corresponded":
         if prediction.count != truth.count:
@@ -345,8 +347,7 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
                 f"{prediction.correspondence_id!r} vs {truth.correspondence_id!r}"
             )
         errors = np.linalg.norm(prediction.points - truth.points, axis=1)
-        return HeatMap(errors)
-    if mode == "nearest":
+    elif mode == "nearest":
         if prediction.count == 0:
             raise InvalidInputError("nearest mode needs a nonempty prediction")
         errors = np.empty(truth.count)
@@ -356,8 +357,12 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
             block = truth.points[start:start + chunk]
             d2 = ((block[:, None, :] - pred[None, :, :]) ** 2).sum(axis=2)
             errors[start:start + chunk] = np.sqrt(d2.min(axis=1))
-        return HeatMap(errors)
-    raise InvalidInputError(f"unknown heat-map mode {mode!r}")
+    else:
+        raise InvalidInputError(f"unknown heat-map mode {mode!r}")
+    if not np.isfinite(errors).all():
+        raise InvalidInputError("heat-map error is non-finite: a distance "
+                                "between the clouds overflows float64")
+    return HeatMap(errors)
 
 
 def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):

@@ -3,7 +3,8 @@
 Images are plain (height, width) float64 arrays with values in [0, 1],
 row-major, row 0 at the top (highest z).  The camera looks along +y, so a
 pixel shows ``1 - y`` of the nearest occupied cell center or frontmost
-point, and 0 where nothing projects.
+point, and 0 where nothing projects.  A voxel view is one gather and one
+``argmax`` through read-only tables cached per yaw and image size.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ def rotate_z(shape, pose: Pose):
 
     Point clouds rotate exactly; voxel grids inverse-map each target cell
     center with nearest-neighbor lookup, so cells whose source falls outside
-    the cube come back empty; the lookup tables are built once per (yaw,
-    resolution).  Yaw 0 returns the input unchanged.
+    the cube come back empty; the grid's z-runs are gathered in one step.
+    Yaw 0 returns the input unchanged.
     """
     if pose.yaw_deg == 0.0:
         return shape
@@ -55,15 +56,22 @@ def rotate_z(shape, pose: Pose):
         ])
         return PointCloud(pts, correspondence_id=shape.correspondence_id)
     if isinstance(shape, VoxelGrid):
-        jx, jy, valid = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
-        occ = shape.occupancy[jx, jy, :] & valid[:, :, None]
-        return VoxelGrid(occ)
+        rows = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
+        return VoxelGrid(_z_runs(shape.occupancy).take(rows[:, :-1], axis=0))
     raise InvalidInputError(f"cannot rotate {type(shape).__name__}")
+
+
+def _z_runs(occ: np.ndarray) -> np.ndarray:
+    """The grid's z-runs as rows ``x * res + y``, then an empty and a full run."""
+    res = occ.shape[0]
+    return np.concatenate([occ.reshape(res * res, res),
+                           np.zeros((1, res), bool), np.ones((1, res), bool)])
 
 
 @functools.lru_cache(maxsize=32)
 def _voxel_rotation_table(yaw_deg: float, res: int):
-    """Read-only source cell ``(jx, jy)`` and in-cube mask per target cell."""
+    """Read-only (res, res + 1) ``_z_runs`` rows: per target column (x, y) the
+    source nearest its rotated-back center (the empty run if outside), then the full run."""
     theta = math.radians(yaw_deg)
     c, s = math.cos(theta), math.sin(theta)
     centers = (np.arange(res) + 0.5) / res
@@ -73,35 +81,42 @@ def _voxel_rotation_table(yaw_deg: float, res: int):
     jx = np.floor(sx * res).astype(np.int64)
     jy = np.floor(sy * res).astype(np.int64)
     valid = (jx >= 0) & (jx < res) & (jy >= 0) & (jy < res)
-    jx = np.clip(jx, 0, res - 1)
-    jy = np.clip(jy, 0, res - 1)
-    for table in (jx, jy, valid):
-        table.flags.writeable = False
-    return jx, jy, valid
+    rows = np.column_stack([np.where(valid, jx * res + jy, res * res),
+                            np.full(res, res * res + 1)])
+    rows.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=32)
+def _pixel_table(width: int, height: int, res: int):
+    """Read-only flat ``x * res + z`` column of each pixel center's ray, and
+    the pixel value per first-hit y, with ``depth[res] = 0`` for a miss."""
+    ix = ((np.arange(width) + 0.5) / width * res).astype(np.int64)
+    iz = ((np.arange(height - 1, -1, -1) + 0.5) / height * res).astype(np.int64)
+    columns = ix[None, :] * res + iz[:, None]
+    depth = np.append(1.0 - (np.arange(res) + 0.5) / res, 0.0)
+    columns.flags.writeable = depth.flags.writeable = False
+    return columns, depth
 
 
 def render_depth(shape, pose: Pose, width: int = 32, height: int = 32) -> np.ndarray:
     """Orthographic depth image of the shape after applying the pose.
 
     Voxel grids are sampled by one ray per pixel center; the pixel takes
-    ``1 - (iy + 0.5)/res`` of the first occupied cell along +y.  Point
-    clouds splat each point into its pixel with value ``1 - y``, keeping the
-    per-pixel maximum (the frontmost point).
+    ``1 - (iy + 0.5)/res`` of the first occupied cell along +y (an ``argmax``
+    over the rotated columns, each ending in an occupied cell at y = res).
+    Point clouds splat each point into its pixel with value ``1 - y``,
+    keeping the per-pixel maximum (the frontmost point).
     """
     if width < 1 or height < 1:
         raise InvalidInputError(f"image size {width}x{height} must be positive")
+    if isinstance(shape, VoxelGrid):
+        rows = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
+        # argmax over axis 1 copies y last itself, as fast as doing it here.
+        first = _z_runs(shape.occupancy).take(rows, axis=0).argmax(axis=1)  # (x, z)
+        columns, depth = _pixel_table(width, height, shape.resolution)
+        return depth.take(first.take(columns))
     rotated = rotate_z(shape, pose)
-    if isinstance(rotated, VoxelGrid):
-        occ = rotated.occupancy
-        res = rotated.resolution
-        hit = occ.any(axis=1)
-        first = occ.argmax(axis=1)
-        value = np.where(hit, 1.0 - (first + 0.5) / res, 0.0)  # (x, z)
-        xp = (np.arange(width) + 0.5) / width
-        zp = (np.arange(height - 1, -1, -1) + 0.5) / height
-        ix = (xp * res).astype(np.int64)
-        iz = (zp * res).astype(np.int64)
-        return value[np.ix_(ix, iz)].T.copy()
     if isinstance(rotated, PointCloud):
         img = np.zeros((height, width))
         pts = rotated.points

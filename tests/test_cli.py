@@ -1,11 +1,15 @@
 import hashlib
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapelift
 from shapelift import shapes
 from shapelift.cli import main
 
@@ -325,6 +329,25 @@ class TestHeatmapCommand:
         out = tmp_path / "heat.ply"
         assert main(["heatmap", str(pred_path), str(truth_path), "--out", str(out)]) == 1
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["corresponded", "nearest"])
+    def test_overflow_reports_one_line(self, tmp_path, mode):
+        # A subprocess shows stderr as a user sees it, numpy warnings included.
+        truth_path = tmp_path / "truth.ply"
+        pred_path = tmp_path / "pred.ply"
+        shapes.write_ply(truth_path, [[-1e308, 0.0, 0.0]], correspondence_id="a")
+        shapes.write_ply(pred_path, [[1e308, 0.0, 0.0]], correspondence_id="a")
+        out = tmp_path / "heat.ply"
+        env = dict(os.environ, PYTHONPATH=str(Path(shapelift.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shapelift.cli", "heatmap", str(pred_path),
+             str(truth_path), "--mode", mode, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: heat-map error is non-finite: a distance between the clouds "
+            "overflows float64"]
         assert not out.exists()
 
 

@@ -66,6 +66,21 @@ class TestGenerateDataset:
         pipeline.generate_dataset(SMALL, b)
         assert tree_digest(a) == tree_digest(b)
 
+    # sha256 over every file name and byte, recorded before the broadcast
+    # rasterizer and the one-gather voxel renderer replaced the meshgrid and
+    # any/argmax versions.  Any change to a dataset file's bytes fails here.
+    @pytest.mark.parametrize("manifest, digest", [
+        (SMALL, "96c69120aa83d0dfef7a2bf8dd3e239eceb8d34f674028009dd2af1e680117ec"),
+        (dataclasses.replace(SMALL, kinds=shapes.ALL_KINDS, resolution=16, view_count=3),
+         "5bb7be3e3e78422272f6ce877b66e8e63410fd8980ee4462f94500e94342dbe8"),
+        (dataclasses.replace(SMALL, representation="cloud", point_count=60,
+                             poses=(-45.0, 0.0, 45.0), view_count=3),
+         "b1775104fecd88d091650256fc35ff1acd242a716cac0f7d50e242404d1e695a"),
+    ], ids=["voxel", "voxel_all_kinds", "cloud"])
+    def test_golden_digest(self, tmp_path, manifest, digest):
+        pipeline.generate_dataset(manifest, tmp_path / "data")
+        assert tree_digest(tmp_path / "data") == digest
+
     def test_threaded_generation_matches_serial(self, tmp_path, small_dataset):
         threaded = tmp_path / "threaded"
         pipeline.generate_dataset(SMALL, threaded, threads=4)

@@ -44,6 +44,21 @@ def uncached_rotate_voxels(grid, pose):
     return VoxelGrid(grid.occupancy[jx, jy, :] & valid[:, :, None])
 
 
+def any_argmax_render(grid, pose, width, height):
+    """Reference voxel branch of ``render_depth``: rotate, then find hits and
+    first hits in two reductions and sample the pixels through ``np.ix_``."""
+    occ = uncached_rotate_voxels(grid, pose).occupancy
+    res = grid.resolution
+    hit = occ.any(axis=1)
+    first = occ.argmax(axis=1)
+    value = np.where(hit, 1.0 - (first + 0.5) / res, 0.0)  # (x, z)
+    xp = (np.arange(width) + 0.5) / width
+    zp = (np.arange(height - 1, -1, -1) + 0.5) / height
+    ix = (xp * res).astype(np.int64)
+    iz = (zp * res).astype(np.int64)
+    return value[np.ix_(ix, iz)].T.copy()
+
+
 class TestPose:
     def test_normalizes_to_half_open_range(self):
         assert Pose(-45.0).yaw_deg == 315.0
@@ -96,17 +111,43 @@ class TestVoxelRotationCache:
                 assert np.array_equal(rotated.occupancy, reference.occupancy)
                 assert np.array_equal(image, render.render_depth(reference, Pose(0.0)))
 
+    @pytest.mark.parametrize("res", [8, 30, 64])
+    def test_images_match_any_argmax_renderer(self, res):
+        rng = np.random.default_rng(res)
+        grids = {
+            "empty": VoxelGrid(np.zeros((res,) * 3, bool)),
+            "full": VoxelGrid(np.ones((res,) * 3, bool)),
+            "random": VoxelGrid(rng.random((res,) * 3) < 0.2),
+            # A grid read from a VOXR file is Fortran-ordered.
+            "fortran": VoxelGrid(np.asfortranarray(rng.random((res,) * 3) < 0.2)),
+        }
+        yaws = [0.0, 13.7, 180.0, -45.0] + [22.5 * i for i in range(16)]
+        for name, grid in grids.items():
+            for yaw in yaws:
+                for width, height in [(1, 1), (17, 40), (32, 32), (100, 100)]:
+                    image = render.render_depth(grid, Pose(yaw), width, height)
+                    reference = any_argmax_render(grid, Pose(yaw), width, height)
+                    assert image.shape == (height, width)
+                    assert image.dtype == np.float64
+                    assert np.array_equal(image, reference), (name, yaw, width, height)
+
     def test_tables_are_read_only(self):
-        for table in render._voxel_rotation_table(45.0, 16):
+        rows = render._voxel_rotation_table(45.0, 16)
+        assert rows.shape == (16, 17)
+        for table in (rows, *render._pixel_table(17, 40, 16)):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
-                table[0, 0] = 0
+                table[0] = 0
 
     def test_cache_stays_bounded(self):
         bound = render._voxel_rotation_table.cache_info().maxsize
         for i in range(3 * bound):
             render.rotate_z(random_grid(6, res=8), Pose(1.0 + i))
         assert render._voxel_rotation_table.cache_info().currsize == bound
+        bound = render._pixel_table.cache_info().maxsize
+        for i in range(3 * bound):
+            render.render_depth(random_grid(6, res=8), Pose(0.0), 1 + i, 2)
+        assert render._pixel_table.cache_info().currsize == bound
 
 
 class TestRenderDepth:

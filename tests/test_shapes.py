@@ -22,7 +22,44 @@ def centered_ellipsoid(rx=0.3, ry=0.3, rz=0.3):
                                    "rx": rx, "ry": ry, "rz": rz})
 
 
+def meshgrid_inside(spec, x, y, z):
+    """Reference point-in-solid test on full coordinate grids."""
+    if spec.kind == "composite":
+        a, b = spec.children
+        return meshgrid_inside(a, x, y, z) | meshgrid_inside(b, x, y, z)
+    p = spec.params
+    dx, dy, dz = x - p["cx"], y - p["cy"], z - p["cz"]
+    if spec.kind == "box":
+        return (np.abs(dx) <= p["hx"]) & (np.abs(dy) <= p["hy"]) & (np.abs(dz) <= p["hz"])
+    if spec.kind == "ellipsoid":
+        return ((dx / p["rx"]) ** 2 + (dy / p["ry"]) ** 2 + (dz / p["rz"]) ** 2) <= 1.0
+    if spec.kind == "cylinder":
+        return (dx * dx + dy * dy <= p["radius"] ** 2) & (np.abs(dz) <= p["half_height"])
+    ring = np.sqrt(dx * dx + dy * dy) - p["major"]
+    return ring * ring + dz * dz <= p["minor"] ** 2
+
+
+def meshgrid_rasterize(spec, res):
+    """Reference rasterizer that evaluates every solid on three full
+    meshgrids of cell centers; ``generate_voxel_shape`` must match it bit
+    for bit."""
+    centers = (np.arange(res) + 0.5) / res
+    x, y, z = np.meshgrid(centers, centers, centers, indexing="ij")
+    return meshgrid_inside(spec, x, y, z)
+
+
 class TestVoxelGeneration:
+    @pytest.mark.parametrize("res", [8, 20, 30, 64])
+    def test_matches_meshgrid_rasterizer(self, res):
+        rng = np.random.default_rng(res)
+        specs = [centered_box(), centered_ellipsoid()]
+        for kind in shapes.ALL_KINDS:
+            specs += [shapes.sample_spec(rng, (kind,), seed=i) for i in range(6)]
+        assert {spec.kind for spec in specs} == set(shapes.ALL_KINDS)
+        for spec in specs:
+            grid = shapes.generate_voxel_shape(spec, res)
+            assert np.array_equal(grid.occupancy, meshgrid_rasterize(spec, res))
+
     def test_box_exact_cell_count(self):
         # Half-extent 1/6 spans [1/3, 2/3]: exactly cells 10..19 per axis at
         # resolution 30.
