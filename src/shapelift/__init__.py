@@ -15,7 +15,7 @@ from .errors import (
     InvalidSpecError,
     NumericalFailureError,
 )
-from .linalg import SvdResult, least_squares, pseudo_inverse, svd
+from .linalg import SvdResult, least_squares, svd
 from .mapping import (
     MlpMap,
     TrainSchedule,
@@ -82,7 +82,6 @@ __all__ = [
     "mlp_train",
     "predict",
     "pretrain",
-    "pseudo_inverse",
     "render_depth",
     "rotate_z",
     "svd",

@@ -26,7 +26,7 @@ RANK_RTOL = 1e-10
 # eps * (sigma_1 / sigma_r)**2; at 1e-3 that is ~2e-10.
 GRAM_MIN_RATIO = 1e-3
 
-# Rows per matrix product in `leading_svd`'s Rayleigh-Ritz step.
+# Rows per product in `leading_svd`'s Rayleigh-Ritz step; columns per `_pin_signs` pass.
 _RITZ_BLOCK = 64
 
 
@@ -123,13 +123,18 @@ def leading_svd(m, k: int) -> SvdResult:
     # taken in fixed blocks of rows so that row i comes out bit-identical for
     # every k (BLAS picks its kernel by matrix size), which keeps the
     # leading columns of a smaller-k result a prefix of a larger-k one.
+    # The Ritz values are taken per block too: no temporary of full size.
     lead = vecs.T[::-1]
     other = a if wide else a.T
-    stop = min(lead.shape[0], -(-k // _RITZ_BLOCK) * _RITZ_BLOCK)
-    mapped = np.empty((stop, other.shape[1]))
-    for i in range(0, stop, _RITZ_BLOCK):
-        np.matmul(lead[i:i + _RITZ_BLOCK], other, out=mapped[i:i + _RITZ_BLOCK])
-    sigma = np.linalg.norm(mapped[:k], axis=1)
+    mapped = np.empty((k, other.shape[1]))
+    sigma = np.empty(k)
+    for i in range(0, k, _RITZ_BLOCK):
+        rows, block = lead[i:i + _RITZ_BLOCK], mapped[i:i + _RITZ_BLOCK]
+        if len(rows) == len(block):
+            np.matmul(rows, other, out=block)
+        else:  # the same product as for a larger k, cut to the rows kept
+            block[...] = (rows @ other)[:len(block)]
+        sigma[i:i + _RITZ_BLOCK] = np.linalg.norm(block, axis=1)
     cut = RANK_RTOL * sigma[0]
     rank = int(np.count_nonzero(sigma > cut))
     kept = sigma[:rank]
@@ -149,16 +154,17 @@ def _pin_signs(u: np.ndarray, v: np.ndarray):
     """Make the largest-magnitude entry of each column of u non-negative.
 
     The first occurrence wins on ties, and the matching column of v is
-    flipped alongside; both are changed in place.
+    flipped alongside; both change in place, one block of columns at a time.
     """
-    if u.shape[1]:
-        lead = np.argmax(np.abs(u), axis=0)
-        signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
-        u *= signs
-        v *= signs
+    for j in range(0, u.shape[1], _RITZ_BLOCK):
+        cols = slice(j, j + _RITZ_BLOCK)
+        lead = np.argmax(np.abs(u[:, cols]), axis=0)
+        signs = np.where(u[lead, np.arange(j, j + len(lead))] < 0.0, -1.0, 1.0)
+        u[:, cols] *= signs
+        v[:, cols] *= signs
 
 
-def pseudo_inverse(m) -> np.ndarray:
+def _pseudo_inverse(m) -> np.ndarray:
     """Moore-Penrose pseudo-inverse built on the rank-truncated `svd`.
 
     Singular values treated as zero invert to zero, so ``diag(2, 0)`` maps
@@ -191,4 +197,4 @@ def least_squares(a, b) -> np.ndarray:
     in the row space of ``a``).
     """
     a2, b2 = _sample_pair(a, b)
-    return b2 @ pseudo_inverse(a2)
+    return b2 @ _pseudo_inverse(a2)

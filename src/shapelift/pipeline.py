@@ -19,6 +19,7 @@ summaries, never in CSVs).
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,24 @@ def _map_ordered(fn, items, threads: int = 1):
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def _column_matrix(read, items, threads: int = 1) -> np.ndarray:
+    """``read(item)`` of each item, written straight into one float64 column matrix."""
+    items = list(items)
+    if not items:
+        raise InvalidInputError("cannot load an empty split")
+    first = read(items[0])
+    matrix = np.empty((len(first), len(items)))
+
+    def fill(j):
+        column = first if j == 0 else read(items[j])
+        if column.shape != first.shape:
+            raise InvalidInputError(f"{items[j]!r}: {column.size} values, not {first.size}")
+        matrix[:, j] = column
+
+    _map_ordered(fill, range(len(items)), threads)
+    return matrix
 
 
 def _atomic_write_text(path, text: str):
@@ -189,28 +208,26 @@ def load_unlabeled_images(data_dir, manifest: DatasetManifest, threads: int = 1)
     files = [_image_filename(sample_id, view)
              for sample_id in _id_blocks(manifest)[SPLIT_UNLABELED_2D]
              for view in range(len(manifest.yaws))]
-    cols = _map_ordered(lambda f: render.load_pgm(pool_dir / f).ravel(), files, threads)
-    return np.column_stack(cols)
+    return _column_matrix(lambda f: render.load_pgm(pool_dir / f).ravel(), files, threads)
 
 
 def load_unlabeled_shapes(data_dir, manifest: DatasetManifest, threads: int = 1):
     """Shape pool as a (shape_dim, n) column matrix, by sample id."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_3D
-    cols = _map_ordered(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
-                        _id_blocks(manifest)[SPLIT_UNLABELED_3D], threads)
-    return np.column_stack(cols)
+    return _column_matrix(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
+                          _id_blocks(manifest)[SPLIT_UNLABELED_3D], threads)
 
 
 def _fit_pool(pool: np.ndarray, k: int, label: str) -> subspace.SubspaceModel:
     # A pool smaller than the requested k shrinks the subspace (with a
     # warning) instead of failing; rank deficiency inside fit_subspace
-    # shrinks further on its own.
+    # shrinks further on its own.  The pool is ours to drop: center it in place.
     cap = min(pool.shape)
     if k > cap:
         logger.warning("%s pool supports at most k=%d; shrinking requested k=%d",
                        label, cap, k)
         k = cap
-    return subspace.fit_subspace(pool, k)
+    return subspace.fit_subspace(pool, k, _overwrite=True)
 
 
 def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
@@ -219,14 +236,11 @@ def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
     Reads only the two unlabeled splits, whose files the manifest names; the
     paired splits are never opened, so their presence or absence cannot
     change the result.  A k larger than a pool supports is shrunk with a
-    warning.
+    warning.  Each pool is loaded, fitted and dropped before the next.
     """
     manifest = read_dataset_manifest(data_dir)
-    images = load_unlabeled_images(data_dir, manifest, threads)
-    shape_vecs = load_unlabeled_shapes(data_dir, manifest, threads)
-    img_model = _fit_pool(images, k_2d, "image")
-    shape_model = _fit_pool(shape_vecs, k_3d, "shape")
-    return img_model, shape_model
+    return (_fit_pool(load_unlabeled_images(data_dir, manifest, threads), k_2d, "image"),
+            _fit_pool(load_unlabeled_shapes(data_dir, manifest, threads), k_3d, "shape"))
 
 
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):
@@ -242,15 +256,16 @@ def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "
         raise InvalidInputError(f"unknown pair policy {policy!r}")
     split_dir = Path(data_dir) / split
     n_views = len(manifest.yaws)
-    x_cols, z_cols, pair_ids = [], [], []
-    for ordinal, sample_id in enumerate(_id_blocks(manifest)[split]):
-        z = _shape_vector(manifest, split_dir, sample_id)
-        for view in range(n_views) if policy == "all" else (ordinal % n_views,):
-            image = render.load_pgm(split_dir / _image_filename(sample_id, view))
-            x_cols.append(image.ravel())
-            z_cols.append(z)
-            pair_ids.append(f"{sample_id:05d}_v{view}")
-    return np.column_stack(x_cols), np.column_stack(z_cols), pair_ids
+    pairs = [(sample_id, view)
+             for ordinal, sample_id in enumerate(_id_blocks(manifest)[split])
+             for view in (range(n_views) if policy == "all" else (ordinal % n_views,))]
+    # The views of one shape are adjacent, so each shape file is read once.
+    shape = functools.lru_cache(maxsize=1)(
+        functools.partial(_shape_vector, manifest, split_dir))
+    z = _column_matrix(lambda pair: shape(pair[0]), pairs)
+    x = _column_matrix(
+        lambda pair: render.load_pgm(split_dir / _image_filename(*pair)).ravel(), pairs)
+    return x, z, [f"{sample_id:05d}_v{view}" for sample_id, view in pairs]
 
 
 def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
@@ -309,7 +324,7 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
         raise InvalidInputError("cannot evaluate an empty prediction set")
     dim = pred.shape[0]
     diff = pred - truth
-    per_sample = np.sqrt((diff * diff).sum(axis=0) / dim)
+    per_sample = np.sqrt(np.square(diff, out=diff).sum(axis=0) / dim)
     ids = list(sample_ids) if sample_ids is not None else [
         str(i) for i in range(pred.shape[1])
     ]
@@ -351,7 +366,7 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
         if prediction.count == 0:
             raise InvalidInputError("nearest mode needs a nonempty prediction")
         errors = np.empty(truth.count)
-        chunk = 1024
+        chunk = max(1, (1 << 19) // prediction.count)  # about 2**19 pairs per chunk
         pred = prediction.points
         for start in range(0, truth.count, chunk):
             block = truth.points[start:start + chunk]

@@ -10,9 +10,9 @@ linear ``MlpMap``, and the decoder-times-encoder product
 checkable form of the classic equivalence between linear autoencoders and
 PCA.
 
-``save_ssm``/``load_ssm`` store a fitted model in the ``.ssm`` file, the
-shared ``_fileio`` container with header {dim, format_version, k} and the
-mean, the column-major basis and the singular values as payload.
+``save_ssm``/``load_ssm`` store a model, whose basis is column-major both as
+fitted and as loaded, in the ``.ssm`` file: the shared ``_fileio`` container
+with header {dim, format_version, k} and the mean, basis and sigma as payload.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ PCA_EQUIVALENCE_SCHEDULE = TrainSchedule(((0.05, 20000),), batch_size=1, seed=11
 
 @dataclass(frozen=True)
 class SubspaceModel:
-    """mean + orthonormal basis (dim x k) + descending singular values (k,).
+    """mean + column-major orthonormal basis (dim x k) + descending singular values (k,).
 
     ``k_requested`` records the dimension asked of the fit; when the data's
     effective rank fell short, ``k < k_requested`` and ``shrunk`` is True.
@@ -87,14 +87,14 @@ class SubspaceModel:
         return self.mean[:, None] + self.basis @ arr
 
 
-def fit_subspace(samples, k: int) -> SubspaceModel:
+def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
     """Fit mean and the first k left singular vectors of the centered data.
 
     The vectors and singular values come from `linalg.leading_svd`, so the
     singular values are Ritz values, equal to the SVD's to about
     eps * sigma_1.  If the centered matrix has effective rank r < k the
     basis keeps only r columns and the model is flagged shrunk.  Requires
-    n >= 2 samples and k <= min(dim, n).
+    n >= 2 samples and k <= min(dim, n); ``samples`` itself is not changed.
     """
     x = _as_matrix(samples, "samples")
     dim, n = x.shape
@@ -105,12 +105,12 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
             f"k={k} outside [1, min(dim={dim}, n={n})]"
         )
     mean = x.mean(axis=1)
-    res = linalg.leading_svd(x - mean[:, None], k)
+    res = linalg.leading_svd(np.subtract(x, mean[:, None], out=x if _overwrite else None), k)
     if res.rank < k:
         logger.warning("requested k=%d but effective rank is %d; basis shrunk", k, res.rank)
     return SubspaceModel(
         mean=mean,
-        basis=np.ascontiguousarray(res.u),
+        basis=np.asfortranarray(res.u),
         singular_values=res.sigma,
         k_requested=k,
     )
@@ -149,9 +149,9 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
 
 
 def save_ssm(model: SubspaceModel, path):
-    """Write ``model`` as a ``.ssm`` file.  A column-major basis, as ``load_ssm``
-    returns it, is not copied; a row-major one, as ``fit_subspace`` returns
-    it, goes through one transposing copy."""
+    """Write ``model`` as a ``.ssm`` file.  A column-major basis, as
+    ``fit_subspace`` and ``load_ssm`` return it, is written without a copy;
+    a row-major one goes through one transposing copy."""
     header = {"dim": model.dim, "k": model.k, "format_version": SSM_FORMAT_VERSION}
     write_container(path, header, [model.mean, model.basis, model.singular_values],
                     order="F")

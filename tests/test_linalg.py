@@ -167,6 +167,61 @@ class TestLeadingSvd:
             linalg.leading_svd([[np.nan, 1.0]], 1)
 
 
+def pin_signs_whole(u, v):
+    """`_pin_signs` as one pass over the whole of ``|u|``."""
+    if u.shape[1]:
+        lead = np.argmax(np.abs(u), axis=0)
+        signs = np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
+        u *= signs
+        v *= signs
+
+
+def leading_svd_whole(a, k):
+    """The Gram route of `leading_svd` with whole-array passes: a buffer of
+    whole Ritz blocks, one norm over it and `pin_signs_whole`."""
+    wide = a.shape[0] <= a.shape[1]
+    _, vecs = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    lead = vecs.T[::-1]
+    other = a if wide else a.T
+    block = linalg._RITZ_BLOCK
+    stop = min(lead.shape[0], -(-k // block) * block)
+    mapped = np.empty((stop, other.shape[1]))
+    for i in range(0, stop, block):
+        np.matmul(lead[i:i + block], other, out=mapped[i:i + block])
+    sigma = np.linalg.norm(mapped[:k], axis=1)
+    rank = int(np.count_nonzero(sigma > linalg.RANK_RTOL * sigma[0]))
+    mapped = mapped[:rank] / sigma[:rank, None]
+    u, v = (lead[:rank].T, mapped.T) if wide else (mapped.T, lead[:rank].T)
+    pin_signs_whole(u, v)
+    return u, sigma[:rank], v
+
+
+class TestBlockedPasses:
+    @pytest.mark.parametrize("shape", [(700, 300), (300, 700)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("k", [63, 64, 65, 299])
+    def test_leading_svd_matches_whole_array_passes(self, shape, k):
+        a = centered_pool(60, *shape)
+        res = linalg.leading_svd(a, k)
+        u, sigma, v = leading_svd_whole(a, k)
+        assert res.rank == len(sigma) == min(k, 299)
+        assert np.array_equal(res.sigma, sigma)
+        assert np.array_equal(res.u, u)
+        assert np.array_equal(res.v, v)
+
+    @pytest.mark.parametrize("shape", [(500, 63), (500, 64), (500, 65), (500, 299),
+                                       (65, 130)])
+    def test_pin_signs_matches_whole_array_pass(self, shape):
+        rng = np.random.default_rng(shape[1])
+        # Small integers make ties in |u| common: the first one must win.
+        for u in (rng.standard_normal(shape), rng.integers(-3, 4, shape).astype(float)):
+            v = rng.standard_normal((40, shape[1]))
+            u_whole, v_whole = u.copy(), v.copy()
+            linalg._pin_signs(u, v)
+            pin_signs_whole(u_whole, v_whole)
+            assert np.array_equal(u, u_whole)
+            assert np.array_equal(v, v_whole)
+
+
 class TestLeastSquares:
     def test_invertible_square(self):
         x = linalg.least_squares(np.eye(3), 2.0 * np.eye(3))
@@ -208,28 +263,28 @@ class TestLeastSquares:
         a[3] = a[0] + a[1]  # force rank deficiency
         b = rng.standard_normal((2, 6))
         x = linalg.least_squares(a, b)
-        null_proj = np.eye(4) - a @ linalg.pseudo_inverse(a)
+        null_proj = np.eye(4) - a @ linalg._pseudo_inverse(a)
         assert np.abs(x @ null_proj).max() <= 1e-10
 
 
 class TestPseudoInverse:
     def test_identity(self):
-        np.testing.assert_allclose(linalg.pseudo_inverse(np.eye(3)), np.eye(3),
+        np.testing.assert_allclose(linalg._pseudo_inverse(np.eye(3)), np.eye(3),
                                    atol=1e-12)
 
     def test_zero_singular_value_maps_to_zero(self):
-        got = linalg.pseudo_inverse(np.diag([2.0, 0.0]))
+        got = linalg._pseudo_inverse(np.diag([2.0, 0.0]))
         np.testing.assert_allclose(got, np.diag([0.5, 0.0]), atol=1e-12)
 
     def test_hand_computed_column(self):
         # A = [[1], [1]]: A+ = (A^T A)^-1 A^T = (1/2) [1, 1].
-        got = linalg.pseudo_inverse([[1.0], [1.0]])
+        got = linalg._pseudo_inverse([[1.0], [1.0]])
         np.testing.assert_allclose(got, [[0.5, 0.5]], atol=1e-12)
 
     @given(st.integers(0, 10**9), st.integers(1, 12), st.integers(1, 12))
     def test_penrose_conditions(self, seed, m, n):
         a = random_matrix(seed, m, n)
-        p = linalg.pseudo_inverse(a)
+        p = linalg._pseudo_inverse(a)
         scale = max(np.linalg.norm(a), 1.0)
         assert np.linalg.norm(a @ p @ a - a) / scale <= 1e-8
         pscale = max(np.linalg.norm(p), 1.0)
@@ -241,4 +296,4 @@ class TestPseudoInverse:
 
     def test_propagates_invalid_input(self):
         with pytest.raises(InvalidInputError):
-            linalg.pseudo_inverse([[np.nan]])
+            linalg._pseudo_inverse([[np.nan]])

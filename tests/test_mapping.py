@@ -190,7 +190,7 @@ class TestFactoredMap:
         for fit in (mp.fit_linear_map, mp.fit_direct_map):
             m = fit(x, z)
             assert m.layer_sizes == (in_d, out_d)
-            assert np.array_equal(m.weights[0], z @ linalg.pseudo_inverse(x))
+            assert np.array_equal(m.weights[0], z @ linalg._pseudo_inverse(x))
 
     def test_rank_deficient_input_factors_at_its_rank(self):
         rng = np.random.default_rng(42)

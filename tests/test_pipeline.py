@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from shapelift import mapping as mp
-from shapelift import config, pipeline, render, shapes, subspace
+from shapelift import config, linalg, pipeline, render, shapes, subspace
 from shapelift.config import (
     DatasetManifest,
     ExperimentConfig,
     load_experiment,
     load_manifest,
+    with_mapping,
     write_manifest,
 )
 from shapelift.errors import InvalidInputError
@@ -180,6 +181,38 @@ class TestGenerateDataset:
                               pipeline.load_unlabeled_shapes(small_dataset, SMALL))
 
 
+class TestColumnMatrix:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_column_stack(self, threads):
+        cols = list(np.random.default_rng(50).standard_normal((7, 13)))
+        got = pipeline._column_matrix(cols.__getitem__, range(7), threads)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, np.column_stack(cols))
+
+    def test_empty_split_raises_value_error_as_column_stack_does(self):
+        with pytest.raises(ValueError):
+            np.column_stack([])
+        with pytest.raises(ValueError):
+            pipeline._column_matrix(lambda item: np.zeros(3), [])
+
+    def test_column_of_another_length_is_rejected(self):
+        # Writing into the matrix would broadcast a one-value column.
+        cols = [np.zeros(3), np.zeros(1)]
+        with pytest.raises(InvalidInputError, match="1 values"):
+            pipeline._column_matrix(cols.__getitem__, range(2))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_missing_pool_file_is_an_os_error(self, small_dataset, tmp_path, threads):
+        root = tmp_path / "gap"
+        shutil.copytree(small_dataset, root)
+        (root / "unlabeled_2d" / "img_00009_v1.pgm").unlink()
+        (root / "unlabeled_3d" / "shp_00020.voxr").unlink()
+        with pytest.raises(OSError, match="img_00009_v1.pgm"):
+            pipeline.load_unlabeled_images(root, SMALL, threads)
+        with pytest.raises(OSError, match="shp_00020.voxr"):
+            pipeline.load_unlabeled_shapes(root, SMALL, threads)
+
+
 class TestPretrain:
     def test_matches_direct_fit_oracle(self, small_dataset):
         manifest = pipeline.read_dataset_manifest(small_dataset)
@@ -198,6 +231,21 @@ class TestPretrain:
         assert shape_model.k <= 16
         assert any("shrink" in r.message for r in caplog.records)
 
+    def test_traced_peak_holds_one_pool_and_its_basis(self, tmp_path, traced_peak):
+        # The image pool is fitted and dropped first; the shape pool is
+        # centered in place and the basis is the Ritz step's own buffer, so
+        # the peak is the pool, the basis and one Ritz block of temporaries.
+        manifest = dataclasses.replace(
+            SMALL, kinds=shapes.ALL_KINDS, resolution=20, unlabeled_2d=4,
+            unlabeled_3d=200, paired_train=1, paired_test=1, view_count=1, image_size=8)
+        root = tmp_path / "pool"
+        pipeline.generate_dataset(manifest, root)
+        (_, shape_model), peak = traced_peak(lambda: pipeline.pretrain(root, 2, 200))
+        pool_bytes = manifest.shape_dim * manifest.unlabeled_3d * 8
+        block_bytes = linalg._RITZ_BLOCK * manifest.shape_dim * 8
+        assert shape_model.k == 199
+        assert peak <= 1.25 * (pool_bytes + shape_model.basis.nbytes + block_bytes)
+
     def test_identical_pool_is_rank_zero(self, tmp_path):
         # One distinct shape repeated: centered pool is identically zero.
         manifest = dataclasses.replace(SMALL, kinds=("box",), unlabeled_3d=3)
@@ -208,6 +256,77 @@ class TestPretrain:
         model = subspace.fit_subspace(same, 2)
         assert model.k == 0
         assert model.shrunk
+
+
+class TestGoldenArtifacts:
+    CONFIG = ExperimentConfig(k_2d=3, k_3d=6, mlp_hidden=(5,), pair_policy="all",
+                              schedule=TrainSchedule(((0.01, 30),), batch_size=4, seed=3))
+
+    # sha256 of every model, map and report that the pretrain, fit and eval
+    # stages and compare_methods write.  Every file but compare.csv was
+    # recorded before the pools were centered in place and the fitted basis
+    # kept column-major.  compare.csv was recorded after: before, the compare
+    # route alone encoded and decoded through a row-major basis, and on these
+    # small problems BLAS rounds that differently in the last bit (voxel
+    # lowdim and cloud mlp test RMSE), so it disagreed with eval_*.csv.
+    @pytest.mark.parametrize("manifest, digests", [
+        (SMALL, {
+            "compare.csv": "a570a2823674e2aa731dc117ba42c6a5ff168aba4c6d4837a58ae3d5ca919dca",
+            "eval_direct.csv": "0209efaeb68e16e3e2c4a4b28d053ffcc1043c166c542ea9b2b58b4af5ce8272",
+            "eval_lowdim.csv": "a8c55eca7b0a9acf812749d65315c858a5f4e9cae68ef2b8d02a8dd836fde125",
+            "eval_mlp.csv": "cf7482c3206c4d3012d44819ac03e4f0a20bb820a5430ce01b4867f4c6fd5a27",
+            "image_model.ssm": "38535823bbc594726361f62aeaa73fbc83fd1510ecb975e27ab85b1dd2cf1265",
+            "mapping_direct.map":
+                "4ee598714d8e2eb75ca948b49aa2152b33f36b4969061366791fb408e68c26f1",
+            "mapping_lowdim.map":
+                "e105369f199e69131442251eab138f3438edbdc2894ffd26203f0c3b71054439",
+            "mapping_mlp.map": "bbc238c44711dc8b29a971a271300eca26dfb4af8261c44a13b58005d0822288",
+            "shape_model.ssm": "9d14cb4d12539d26b3f6cd673ba8897f8001a62c91794b478b0375ca01dfe734",
+        }),
+        (dataclasses.replace(SMALL, representation="cloud", point_count=60,
+                             poses=(-45.0, 0.0, 45.0), view_count=3), {
+            "compare.csv": "3807cc237d00e11714d4f5b3b7edadfd6c740ee57730d4023026082ebfedf416",
+            "eval_direct.csv": "73b00c90da9f988e62bcd46cb2a13f7b9ae37c6b542deb6abe62e7b9d9b7680b",
+            "eval_lowdim.csv": "c3d09ed98770890edfea3151f2f24e588549bd5a79db9ddb4dca8f252af86d55",
+            "eval_mlp.csv": "2b209003d8635474ae73e7596070294d0c1c7b223dac0e4171420f1ef60a2d15",
+            "image_model.ssm": "51d3c8654757edda752fabc92fa24b5055bb7e09ae25fafe9dbee62b54cd9c05",
+            "mapping_direct.map":
+                "d6eaebf2dfd04b1a614bd28a81491583202f44f150a71c613bfea876a21b9ffa",
+            "mapping_lowdim.map":
+                "9ee3b69a7536204d11ed975257e33bc94b10410a5737eb1d17b805030476188b",
+            "mapping_mlp.map": "997f44164e38cffaa47874b0c196a75ce7fe510103ffd124c3cd1143e72b0535",
+            "shape_model.ssm": "2b4e708e39cef0600859f063f6796648534f43ddda2fe6bf85b4c615d86eab64",
+        }),
+    ], ids=["voxel", "cloud"])
+    def test_artifact_digests(self, tmp_path, manifest, digests):
+        data, out = tmp_path / "data", tmp_path / "out"
+        out.mkdir()
+        pipeline.generate_dataset(manifest, data)
+        # As the CLI does: pretrain saves the models, fit and eval load them.
+        fitted = pipeline.pretrain(data, self.CONFIG.k_2d, self.CONFIG.k_3d)
+        for model, name in zip(fitted, ("image_model.ssm", "shape_model.ssm")):
+            subspace.save_ssm(model, out / name)
+        models = (subspace.load_ssm(out / "image_model.ssm"),
+                  subspace.load_ssm(out / "shape_model.ssm"))
+        staged = {}
+        for method in ("lowdim", "direct", "mlp"):
+            cfg = with_mapping(self.CONFIG, method)
+            x, z, _ = pipeline.load_paired(data, manifest, pipeline.SPLIT_PAIRED_TRAIN,
+                                           cfg.pair_policy)
+            mp.save_map(pipeline.fit_mapping(cfg, models, x, z), out / f"mapping_{method}.map")
+            x, z, ids = pipeline.load_paired(data, manifest, pipeline.SPLIT_PAIRED_TEST,
+                                             cfg.pair_policy)
+            pred = pipeline.predict(cfg, models, mp.load_map(out / f"mapping_{method}.map"), x)
+            report = pipeline.evaluate_rmse(pred, z, ids)
+            pipeline.write_evaluation_csv(report, out / f"eval_{method}.csv")
+            staged[method] = report.average_rmse
+        result = pipeline.compare_methods(self.CONFIG, data)
+        pipeline.write_comparison_csv(result, out / "compare.csv")
+        # The in-memory route reproduces the staged one exactly.
+        assert {row.method: row.test_rmse for row in result.rows} == staged
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.iterdir())}
+        assert got == digests
 
 
 class TestFitMapping:
@@ -334,6 +453,26 @@ class TestHeatmap:
             corr = pipeline.heatmap(pred, truth, "corresponded").errors
             near = pipeline.heatmap(pred, truth, "nearest").errors
             assert (near <= corr + 1e-12).all()
+
+    @pytest.mark.parametrize("count", [1, 1023, 1025, 3000])
+    def test_nearest_matches_fixed_chunk_loop(self, count):
+        rng = np.random.default_rng(count)
+        pred = PointCloud(rng.random((count, 3)))
+        truth = PointCloud(rng.random((count, 3)))
+        expected = np.empty(count)
+        for start in range(0, count, 1024):
+            block = truth.points[start:start + 1024]
+            d2 = ((block[:, None, :] - pred.points[None, :, :]) ** 2).sum(axis=2)
+            expected[start:start + 1024] = np.sqrt(d2.min(axis=1))
+        assert np.array_equal(pipeline.heatmap(pred, truth, "nearest").errors, expected)
+
+    def test_nearest_peak_does_not_grow_with_prediction(self, traced_peak):
+        rng = np.random.default_rng(46)
+        pred = PointCloud(rng.random((8000, 3)))
+        truth = PointCloud(rng.random((8000, 3)))
+        hm, peak = traced_peak(lambda: pipeline.heatmap(pred, truth, "nearest"))
+        assert hm.errors.shape == (8000,)
+        assert peak < 48 * 2 ** 20
 
     def test_corresponded_requires_matched_family(self):
         rng = np.random.default_rng(45)

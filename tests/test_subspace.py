@@ -27,7 +27,7 @@ def random_data(seed, dim, n):
 
 
 def large_model(seed):
-    """An 8000 x 250 model with a row-major basis, as ``fit_subspace`` gives."""
+    """An 8000 x 250 model with a row-major basis, the layout ``save_ssm`` copies."""
     rng = np.random.default_rng(seed)
     return subspace.SubspaceModel(
         mean=rng.standard_normal(8000),
@@ -103,6 +103,23 @@ class TestFitSubspace:
         model = subspace.fit_subspace(random_data(23, 2000, 120), 120)
         assert model.k == 119
         assert model.shrunk
+
+    @pytest.mark.parametrize("dim, n", [(300, 40), (40, 300)], ids=["tall", "wide"])
+    def test_leaves_samples_unchanged_and_keeps_basis_column_major(self, dim, n):
+        data = random_data(24, dim, n)
+        before = data.copy()
+        model = subspace.fit_subspace(data, 20)
+        assert np.array_equal(data, before)
+        assert model.basis.flags.f_contiguous
+
+    def test_overwrite_centers_in_place_with_the_same_model(self):
+        data = random_data(25, 300, 40)
+        want = subspace.fit_subspace(data, 20)
+        got = subspace.fit_subspace(data, 20, _overwrite=True)
+        assert np.array_equal(data, random_data(25, 300, 40) - want.mean[:, None])
+        for a, b in ((got.mean, want.mean), (got.basis, want.basis),
+                     (got.singular_values, want.singular_values)):
+            assert np.array_equal(a, b)
 
     def test_nested_subspaces_share_prefix(self):
         data = random_data(21, 12, 9)
@@ -323,6 +340,14 @@ class TestSsmFormat:
         expected = (header.encode("ascii") + model.mean.tobytes()
                     + model.basis.tobytes(order="F") + model.singular_values.tobytes())
         assert path.read_bytes() == expected
+
+    def test_save_writes_a_fitted_basis_without_copying(self, tmp_path, traced_peak):
+        model = subspace.fit_subspace(random_data(36, 8000, 120), 100)
+        path = tmp_path / "fitted.ssm"
+        _, peak = traced_peak(lambda: subspace.save_ssm(model, path))
+        assert peak < 0.1 * model.basis.nbytes
+        assert subspace.load_ssm(path).basis.tobytes(order="F") == \
+            model.basis.tobytes(order="F")
 
     def test_load_reads_straight_into_arrays(self, tmp_path, traced_peak):
         model = large_model(35)
