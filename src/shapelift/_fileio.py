@@ -5,10 +5,10 @@ manifest go through ``atomic_open``, so a reader never sees one of them
 half-written under its final name.
 
 ``.ssm`` and ``.map`` files are one container, written by
-``write_container`` and read by ``read_container``: a JSON object with
-sorted keys and a ``format_version`` on the first line, then little-endian
-float64 arrays with nothing after them, moved between memory and the file
-with no intermediate ``bytes`` copy.
+``write_container``, checked by ``check_container`` and read by
+``read_container``: a JSON object with sorted keys and a ``format_version``
+on the first line, then little-endian float64 arrays with nothing after
+them, moved between memory and the file with no intermediate ``bytes`` copy.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ def read_header(fh, path, what: str) -> dict:
     return header
 
 
-def read_container(path, what: str, version: int, fields: dict, shapes,
-                   order: str = "C"):
-    """Read a ``write_container`` file; returns (converted fields, arrays).
+def check_container(fh, path, what: str, version: int, fields: dict, shapes):
+    """Check a ``write_container`` file's header and size; returns (converted
+    fields, array shapes), with ``fh`` left at the start of the arrays.
 
     ``format_version`` is checked first, as an integer: any other version
     is "unsupported format version", whatever its other fields hold.
@@ -86,49 +86,53 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
     ``ValueError`` or ``TypeError`` on a wrong-typed value; that, or a
     missing field, is "bad <what> header".  ``shapes(converted)`` returns
     the declared array shapes, raising ``InvalidInputError`` on sizes the
-    format does not allow.
+    format does not allow.  The bytes left in the file must be exactly what
+    the shapes need: a shorter file raises "unexpected end of file" and a
+    longer one "trailing data".  Nothing is allocated for the arrays, so a
+    header that claims a huge size cannot make the reader ask for that much
+    memory, and a caller that needs only the header reads nothing more.
     """
-    with open(path, "rb") as fh:
-        header = read_header(fh, path, what)
-        try:
-            found = header_int(header["format_version"])
-        except (KeyError, TypeError) as exc:
-            raise FileFormatError(f"{path}: bad {what} header") from exc
-        if found != version:
-            raise FileFormatError(f"{path}: unsupported format version {found}")
-        try:
-            converted = {key: conv(header[key]) for key, conv in fields.items()}
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FileFormatError(f"{path}: bad {what} header") from exc
-        try:
-            sizes = shapes(converted)
-        except InvalidInputError as exc:
-            raise FileFormatError(f"{path}: {exc}") from exc
-        return converted, read_f8_arrays(fh, sizes, path, order)
-
-
-def read_f8_arrays(fh, shapes, path, order: str = "C") -> list:
-    """Read the rest of ``fh`` as little-endian float64 arrays of ``shapes``.
-
-    The bytes left in the file must be exactly what the shapes need: a
-    shorter file raises "unexpected end of file" and a longer one "trailing
-    data", both before any array is allocated, so a header that claims a
-    huge size cannot make the reader ask for that much memory.  Each array
-    is then allocated in ``order`` ("C" row-major, "F" column-major) and
-    filled by ``readinto`` in that order, with no intermediate ``bytes``
-    copy.  The arrays come back native float64, writable and owning their
-    memory.
-    """
-    need = 8 * sum(math.prod(shape) for shape in shapes)
+    header = read_header(fh, path, what)
+    try:
+        found = header_int(header["format_version"])
+    except (KeyError, TypeError) as exc:
+        raise FileFormatError(f"{path}: bad {what} header") from exc
+    if found != version:
+        raise FileFormatError(f"{path}: unsupported format version {found}")
+    try:
+        converted = {key: conv(header[key]) for key, conv in fields.items()}
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FileFormatError(f"{path}: bad {what} header") from exc
+    try:
+        sizes = shapes(converted)
+    except InvalidInputError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    need = 8 * sum(math.prod(shape) for shape in sizes)
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if left < need:
         raise FileFormatError(f"{path}: unexpected end of file")
     if left > need:
         raise FileFormatError(f"{path}: trailing data")
-    arrays = []
-    for shape in shapes:
-        arr = np.empty(shape, dtype="<f8", order=order)
-        if fh.readinto(arr.ravel(order)) != arr.nbytes:
-            raise FileFormatError(f"{path}: unexpected end of file")
-        arrays.append(arr.astype(np.float64, copy=False))
-    return arrays
+    return converted, sizes
+
+
+def read_container(path, what: str, version: int, fields: dict, shapes,
+                   order: str = "C"):
+    """Read a ``write_container`` file; returns (converted fields, arrays).
+
+    The file passes ``check_container`` first, so loading a file and only
+    checking it reject the same files with the same messages.  Each array
+    is then allocated in ``order`` ("C" row-major, "F" column-major) and
+    filled by ``readinto`` in that order, with no intermediate ``bytes``
+    copy.  The arrays come back native float64, writable and owning their
+    memory.
+    """
+    with open(path, "rb") as fh:
+        converted, sizes = check_container(fh, path, what, version, fields, shapes)
+        arrays = []
+        for shape in sizes:
+            arr = np.empty(shape, dtype="<f8", order=order)
+            if fh.readinto(arr.ravel(order)) != arr.nbytes:
+                raise FileFormatError(f"{path}: unexpected end of file")
+            arrays.append(arr.astype(np.float64, copy=False))
+        return converted, arrays

@@ -34,14 +34,34 @@ def _note(message: str):
     print(message, file=sys.stderr)
 
 
-def _load_models(out_dir: Path):
-    img_path = out_dir / IMAGE_MODEL_FILE
-    shape_path = out_dir / SHAPE_MODEL_FILE
-    if not img_path.exists() or not shape_path.exists():
+def _load_models(out_dir: Path, method: str):
+    """The pretrained (image, shape) models for ``method``, and their (k_2d, k_3d).
+
+    Every method needs both ``.ssm`` files in ``out_dir``, and each must pass
+    the header and size checks of ``subspace.load_ssm``.  A direct map uses
+    neither model, so for it only those checks run: no array is read, the
+    models come back as None and the k are the headers'.
+    """
+    paths = (out_dir / IMAGE_MODEL_FILE, out_dir / SHAPE_MODEL_FILE)
+    if not all(path.exists() for path in paths):
         raise InvalidInputError(
             f"no pretrained models in {out_dir}; run the pretrain subcommand first"
         )
-    return subspace.load_ssm(img_path), subspace.load_ssm(shape_path)
+    if method == "direct":
+        return None, tuple(subspace._check_ssm(path)["k"] for path in paths)
+    models = tuple(subspace.load_ssm(path) for path in paths)
+    return models, tuple(model.k for model in models)
+
+
+def _worker_cap(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _map_path(out_dir: Path, method: str) -> Path:
@@ -71,8 +91,7 @@ def _cmd_fit(args) -> int:
     config = with_mapping(load_experiment(resolve_config_path(args.config)), args.method)
     manifest = pipeline.read_dataset_manifest(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    models = _load_models(out_dir)
+    models, _ = _load_models(out_dir, config.mapping)
     x, z, _ = pipeline.load_paired(args.data, manifest, pipeline.SPLIT_PAIRED_TRAIN,
                                    config.pair_policy)
     map_obj = pipeline.fit_mapping(config, models, x, z)
@@ -85,7 +104,7 @@ def _cmd_eval(args) -> int:
     config = with_mapping(load_experiment(resolve_config_path(args.config)), args.method)
     manifest = pipeline.read_dataset_manifest(args.data)
     out_dir = Path(args.out)
-    models = _load_models(out_dir)
+    models, (k_2d, k_3d) = _load_models(out_dir, config.mapping)
     map_file = _map_path(out_dir, config.mapping)
     if not map_file.exists():
         raise InvalidInputError(f"no mapping file {map_file}; run fit first")
@@ -96,8 +115,8 @@ def _cmd_eval(args) -> int:
     predictions = pipeline.predict(config, models, map_obj, x)
     report = pipeline.evaluate_rmse(
         predictions, z, sample_ids=pair_ids,
-        config_echo={"mapping": config.mapping, "k_2d": models[0].k,
-                     "k_3d": models[1].k, "pair_policy": config.pair_policy},
+        config_echo={"mapping": config.mapping, "k_2d": k_2d, "k_3d": k_3d,
+                     "pair_policy": config.pair_policy},
     )
     pipeline.write_evaluation_csv(report, out_dir / f"eval_{config.mapping}.csv")
     pipeline.write_evaluation_summary(report, out_dir / f"eval_{config.mapping}.txt")
@@ -221,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="config file with [dataset]")
     p.add_argument("--out", required=True, help="dataset output directory")
     p.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (default 1)")
+    p.add_argument("--threads", type=_worker_cap, default=1,
+                   help="worker cap, at least 1 (default 1)")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("pretrain", help="fit both subspaces from unlabeled pools")
@@ -248,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_worker_cap, default=1,
+                   help="worker cap, at least 1 (default 1)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("render", help="render depth views of a shape file")

@@ -89,21 +89,38 @@ def _map_ordered(fn, items, threads: int = 1):
         return list(pool.map(fn, items))
 
 
+# Columns per fill block: a (block, dim) buffer per worker; more columns
+# were no faster on the voxel pool and cost memory.
+_FILL_BLOCK = 64
+
+
 def _column_matrix(read, items, threads: int = 1) -> np.ndarray:
-    """``read(item)`` of each item, written straight into one float64 column matrix."""
+    """``read(item)`` of each item as the columns of one row-major float64 matrix.
+
+    Up to ``_FILL_BLOCK`` columns are read into the rows of a block-local
+    buffer, which is then written transposed into the matrix: a strided
+    write per block instead of per column, and the same bytes.  ``threads``
+    workers fill whole blocks, each holding at most one buffer.  An empty
+    split or a column of another length is an ``InvalidInputError``; a
+    missing file is ``read``'s own ``OSError``.
+    """
     items = list(items)
     if not items:
         raise InvalidInputError("cannot load an empty split")
     first = read(items[0])
     matrix = np.empty((len(first), len(items)))
 
-    def fill(j):
-        column = first if j == 0 else read(items[j])
-        if column.shape != first.shape:
-            raise InvalidInputError(f"{items[j]!r}: {column.size} values, not {first.size}")
-        matrix[:, j] = column
+    def fill(start):
+        stop = min(start + _FILL_BLOCK, len(items))
+        block = np.empty((stop - start, len(first)))
+        for j in range(start, stop):
+            column = first if j == 0 else read(items[j])
+            if column.shape != first.shape:
+                raise InvalidInputError(f"{items[j]!r}: {column.size} values, not {first.size}")
+            block[j - start] = column
+        matrix[:, start:stop] = block.T
 
-    _map_ordered(fill, range(len(items)), threads)
+    _map_ordered(fill, range(0, len(items), _FILL_BLOCK), threads)
     return matrix
 
 
@@ -273,11 +290,11 @@ def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
 
     lowdim and mlp operate in code space through the pretrained models;
     direct regresses raw pixels to raw shape vectors and touches neither
-    model nor k.
+    model nor k, so for it ``models`` may be None.
     """
-    img_model, shape_model = models
     if config.mapping == "direct":
         return mp.fit_direct_map(x, z)
+    img_model, shape_model = models
     y = img_model.encode(x)
     b = shape_model.encode(z)
     if config.mapping == "lowdim":
@@ -294,8 +311,9 @@ def predict(config: ExperimentConfig, models, map_obj: mp.MlpMap,
 
     lowdim and mlp maps run between the code spaces of the pretrained
     models: encode, network, decode.  A direct map takes pixels to shape
-    coordinates itself.  The method cannot be read off the map, because a
-    code-space map at full k can have the same layer sizes as a direct map.
+    coordinates itself, so for it ``models`` may be None.  The method
+    cannot be read off the map, because a code-space map at full k can have
+    the same layer sizes as a direct map.
     """
     if config.mapping == "direct":
         return mp.mlp_forward(map_obj, x)

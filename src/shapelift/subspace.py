@@ -13,6 +13,7 @@ PCA.
 ``save_ssm``/``load_ssm`` store a model, whose basis is column-major both as
 fitted and as loaded, in the ``.ssm`` file: the shared ``_fileio`` container
 with header {dim, format_version, k} and the mean, basis and sigma as payload.
+``_check_ssm`` makes the same checks on a file without reading its payload.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from ._fileio import header_int, read_container, write_container
+from ._fileio import check_container, header_int, read_container, write_container
 from .errors import InvalidInputError
 from .linalg import _as_matrix
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
@@ -164,12 +165,23 @@ def _ssm_shapes(header: dict) -> list:
     return [(dim,), (dim, k), (k,)]
 
 
+# What, version, header fields and array shapes, as the container reads them.
+_SSM_FORMAT = ("subspace-model", SSM_FORMAT_VERSION, {"dim": header_int, "k": header_int},
+               _ssm_shapes)
+
+
+def _check_ssm(path) -> dict:
+    """Return a ``.ssm`` file's {dim, k} after the checks ``load_ssm`` makes,
+    reading only its header: a bad header, a short file or trailing bytes
+    raise the same ``FileFormatError``."""
+    with open(path, "rb") as fh:
+        return check_container(fh, path, *_SSM_FORMAT)[0]
+
+
 def load_ssm(path) -> SubspaceModel:
     """Read a ``.ssm`` file straight into float64 arrays, the basis
     column-major as stored; a bad header, a short file or trailing bytes
     raise ``FileFormatError``."""
-    header, (mean, basis, sigma) = read_container(
-        path, "subspace-model", SSM_FORMAT_VERSION,
-        {"dim": header_int, "k": header_int}, _ssm_shapes, order="F")
+    header, (mean, basis, sigma) = read_container(path, *_SSM_FORMAT, order="F")
     return SubspaceModel(mean=mean, basis=basis, singular_values=sigma,
                          k_requested=header["k"])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import shapelift
-from shapelift import shapes
+from shapelift import shapes, subspace
 from shapelift.cli import main
 
 SMALL_CFG = """[dataset]
@@ -249,6 +249,14 @@ class TestPretrainFitEval:
         assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
                      "--out", str(tmp_path / "nothing")]) == 1
 
+    def test_failed_fit_leaves_no_directory(self, workspace, tmp_path, capsys):
+        root, cfg = workspace
+        out = tmp_path / "new_dir"
+        assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(out), "--method", "lowdim"]) == 1
+        assert "no pretrained models" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numerical_failure_exit_2(self, workspace, tmp_path):
         root, cfg = workspace
@@ -261,6 +269,90 @@ class TestPretrainFitEval:
         rc = main(["fit", "--config", str(bad_cfg), "--data", str(root / "data"),
                    "--out", str(art), "--method", "mlp"])
         assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def staged(workspace, tmp_path_factory):
+    """An artifact directory after pretrain and fit --method direct."""
+    root, cfg = workspace
+    art = tmp_path_factory.mktemp("staged") / "art"
+    args = ["--config", str(cfg), "--data", str(root / "data"), "--out", str(art)]
+    assert main(["pretrain"] + args) == 0
+    assert main(["fit"] + args + ["--method", "direct"]) == 0
+    return art
+
+
+def _direct_stage(workspace, art, stage: str) -> int:
+    root, cfg = workspace
+    return main([stage, "--config", str(cfg), "--data", str(root / "data"),
+                 "--out", str(art), "--method", "direct"])
+
+
+class TestDirectStages:
+    """fit/eval --method direct check both models but read neither payload."""
+
+    def test_read_no_model_payload(self, workspace, staged, tmp_path, monkeypatch):
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        loaded = []
+        load_ssm = subspace.load_ssm
+        monkeypatch.setattr(subspace, "load_ssm",
+                            lambda path: loaded.append(Path(path).name) or load_ssm(path))
+        for stage in ("fit", "eval"):
+            assert _direct_stage(workspace, art, stage) == 0
+        assert loaded == []
+        assert (art / "eval_direct.csv").is_file()
+        # The spy sees the stages that do use the models.
+        root, cfg = workspace
+        assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(art), "--method", "lowdim"]) == 0
+        assert loaded == ["image_model.ssm", "shape_model.ssm"]
+
+    @pytest.mark.parametrize("model", ["image_model.ssm", "shape_model.ssm"])
+    @pytest.mark.parametrize("damage, message", [
+        ("missing", "no pretrained models in"),
+        ("null_dim", "bad subspace-model header"),
+        ("truncated", "unexpected end of file"),
+        ("trailing", "trailing data"),
+    ])
+    @pytest.mark.parametrize("stage", ["fit", "eval"])
+    def test_same_rejections(self, workspace, staged, tmp_path, capsys, stage, damage,
+                             message, model):
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        path = art / model
+        good = path.read_bytes()
+        if damage == "missing":
+            path.unlink()
+        elif damage == "null_dim":
+            path.write_bytes(BAD_TYPE_HEADERS["null_dim.ssm"])
+        elif damage == "truncated":
+            path.write_bytes(good[:-8])
+        else:
+            path.write_bytes(good + bytes(8))
+        before = tree_digest(art)
+        capsys.readouterr()
+        assert _direct_stage(workspace, art, stage) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err
+        if damage != "missing":
+            assert model in err
+        assert tree_digest(art) == before
+
+    def test_eval_echoes_the_models_k(self, workspace, staged, tmp_path):
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        root, cfg = workspace
+        args = ["--config", str(cfg), "--data", str(root / "data"), "--out", str(art)]
+        assert main(["fit"] + args + ["--method", "lowdim"]) == 0
+        for method in ("lowdim", "direct"):
+            assert main(["eval"] + args + ["--method", method]) == 0
+
+        def echo(method):
+            lines = (art / f"eval_{method}.txt").read_text().splitlines()
+            return [line for line in lines if line.startswith("config k_")]
+
+        assert echo("direct") == echo("lowdim") == ["config k_2d: 6", "config k_3d: 8"]
 
 
 class TestRenderCommand:
@@ -363,6 +455,20 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert message in err
+
+    @pytest.mark.parametrize("command, threads", [("gen", "-3"), ("compare", "0")])
+    def test_threads_below_one_exit_1_writes_nothing(self, workspace, tmp_path, capsys,
+                                                     command, threads):
+        root, cfg = workspace
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out), "--threads", threads]
+        if command == "compare":
+            argv += ["--data", str(root / "data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument --threads: must be at least 1, got {threads}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])
     def test_help_exit_0(self, argv, capsys):

@@ -189,6 +189,25 @@ class TestColumnMatrix:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got, np.column_stack(cols))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+    def test_matches_column_stack_across_block_edges(self, n, threads):
+        assert pipeline._FILL_BLOCK == 64
+        cols = list(np.random.default_rng(n).standard_normal((n, 11)))
+        got = pipeline._column_matrix(cols.__getitem__, range(n), threads)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == np.column_stack(cols).tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fill_peak_is_the_matrix_plus_one_block_per_worker(self, traced_peak,
+                                                               threads):
+        dim, n = 3000, 300
+        cols = list(np.random.default_rng(51).standard_normal((n, dim)))
+        matrix, peak = traced_peak(
+            lambda: pipeline._column_matrix(cols.__getitem__, range(n), threads))
+        block_bytes = pipeline._FILL_BLOCK * dim * 8
+        assert peak <= matrix.nbytes + threads * block_bytes + 64 * 1024
+
     def test_empty_split_raises_value_error_as_column_stack_does(self):
         with pytest.raises(ValueError):
             np.column_stack([])

@@ -349,6 +349,31 @@ class TestSsmFormat:
         assert subspace.load_ssm(path).basis.tobytes(order="F") == \
             model.basis.tobytes(order="F")
 
+    def test_check_reads_only_the_header(self, tmp_path, traced_peak):
+        model = large_model(37)
+        path = tmp_path / "big.ssm"
+        subspace.save_ssm(model, path)
+        header, peak = traced_peak(lambda: subspace._check_ssm(path))
+        assert header == {"dim": model.dim, "k": model.k}
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("payload", [
+        b'{"dim": 2, "format_version": 1, "k": 1}\n' + bytes(8 * 5 - 8),
+        b'{"dim": 2, "format_version": 1, "k": 1}\n' + bytes(8 * 5 + 1),
+        b'{"dim": null, "format_version": 1, "k": 1}\n' + bytes(8 * 5),
+        b'{"dim": 2, "format_version": 2, "k": 1}\n' + bytes(8 * 5),
+        b'{"dim": 0, "format_version": 1, "k": 0}\n',
+        b"[1]\n",
+    ], ids=["truncated", "trailing", "null_dim", "version", "zero_dim", "list"])
+    def test_check_rejects_what_load_rejects(self, tmp_path, payload):
+        path = tmp_path / "model.ssm"
+        path.write_bytes(payload)
+        with pytest.raises(FileFormatError) as loading:
+            subspace.load_ssm(path)
+        with pytest.raises(FileFormatError) as checking:
+            subspace._check_ssm(path)
+        assert str(checking.value) == str(loading.value)
+
     def test_load_reads_straight_into_arrays(self, tmp_path, traced_peak):
         model = large_model(35)
         path = tmp_path / "big.ssm"
