@@ -18,6 +18,7 @@ from . import mapping as mp
 from . import pipeline, render, shapes, subspace
 from ._fileio import read_header
 from .config import (
+    MAPPING_METHODS,
     load_experiment,
     load_manifest,
     resolve_config_path,
@@ -254,14 +255,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="artifact directory (models live here)")
-    p.add_argument("--method", choices=["lowdim", "direct", "mlp"], default=None)
+    p.add_argument("--method", choices=MAPPING_METHODS, default=None)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("eval", help="evaluate the fitted mapping on the test split")
     p.add_argument("--config", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=["lowdim", "direct", "mlp"], default=None)
+    p.add_argument("--method", choices=MAPPING_METHODS, default=None)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compare", help="run all three mappings on identical splits")

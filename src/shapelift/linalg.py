@@ -6,7 +6,8 @@ a fixed per-column sign convention so repeated calls on the same input are
 bit-identical.  ``svd`` is the full thin SVD; ``leading_svd`` finds only the
 leading k triplets from the Gram matrix on the matrix's small side and
 falls back to ``svd`` when that would lose accuracy.  All functions are
-pure and safe to call concurrently.
+pure and safe to call concurrently.  ``_columns`` holds the package's one
+rule for an input that is a vector or a matrix of columns.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ class SvdResult:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.sigma)
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -56,6 +60,21 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+def _columns(x, rows, name: str) -> tuple:
+    """``(matrix, was_vector)``: a vector as one column (a view), a matrix as is.
+
+    The length or row count must be ``rows`` (``None``: any); a scalar, a 3-D
+    array or a wrong length raises one ``InvalidInputError``."""
+    arr = np.asarray(x, dtype=np.float64)
+    m = arr[:, None] if arr.ndim == 1 else arr
+    if m.ndim != 2 or rows not in (None, m.shape[0]):
+        raise InvalidInputError(
+            f"{name} must be a vector or a ({'d' if rows is None else rows}, n) "
+            f"matrix, got shape {arr.shape}"
+        )
+    return m, arr.ndim == 1
 
 
 def svd(m) -> SvdResult:
@@ -83,7 +102,7 @@ def svd(m) -> SvdResult:
     u = u[:, :rank]
     v = vt[:rank].T
     _pin_signs(u, v)
-    return SvdResult(u=u, sigma=s[:rank].copy(), v=v, rank=rank)
+    return SvdResult(u=u, sigma=s[:rank].copy(), v=v)
 
 
 def leading_svd(m, k: int) -> SvdResult:
@@ -142,12 +161,12 @@ def leading_svd(m, k: int) -> SvdResult:
             or (rank and kept[-1] < GRAM_MIN_RATIO * sigma[0])):
         res = svd(a)
         r = min(k, res.rank)
-        return SvdResult(u=res.u[:, :r], sigma=res.sigma[:r], v=res.v[:, :r], rank=r)
+        return SvdResult(u=res.u[:, :r], sigma=res.sigma[:r], v=res.v[:, :r])
     mapped = mapped[:rank]
     mapped /= kept[:, None]
     u, v = (lead[:rank].T, mapped.T) if wide else (mapped.T, lead[:rank].T)
     _pin_signs(u, v)
-    return SvdResult(u=u, sigma=kept, v=v, rank=rank)
+    return SvdResult(u=u, sigma=kept, v=v)
 
 
 def _pin_signs(u: np.ndarray, v: np.ndarray):

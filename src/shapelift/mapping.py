@@ -21,7 +21,8 @@ stored as it is.
 
 ``mlp_train``'s SGD loop, with its divergence checks, is the only training
 loop in the package: ``subspace.train_linear_autoencoder`` runs it full
-batch on a ``(dim, k, dim)`` linear network.
+batch on a ``(dim, k, dim)`` linear network.  ``_layers`` is the only layer
+loop, run by ``mlp_forward`` and ``mlp_gradients`` alike.
 
 ``save_map``/``load_map`` store a network in the ``.map`` file, the shared
 ``_fileio`` container with header {activation, format_version,
@@ -37,7 +38,7 @@ import numpy as np
 
 from ._fileio import header_int, header_str, read_container, write_container
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import _as_matrix, _sample_pair, least_squares, svd
+from .linalg import _as_matrix, _columns, _sample_pair, least_squares, svd
 
 MAP_FORMAT_VERSION = 1
 
@@ -154,34 +155,32 @@ def fit_direct_map(x, z) -> MlpMap:
     return _fit_closed_form(x, z)
 
 
-def _batched(x, first_dim: int, name: str):
-    arr = np.asarray(x, dtype=np.float64)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != first_dim:
-        raise InvalidInputError(
-            f"{name} has leading dimension {arr.shape[0]}, expected {first_dim}"
-        )
-    return arr, squeeze
+def _layers(m: MlpMap, x: np.ndarray) -> list:
+    """``[x, h_1, ..., output]`` for the columns ``x`` (only read): each layer is
+    ``w @ h`` with the bias added, and tanh on hidden layers, in place, which
+    gives the bits of the out-of-place form."""
+    acts = [x]
+    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
+        h = w @ acts[-1]
+        h += b[:, None]  # in place: no second output-sized temporary
+        if l < len(m.weights) - 1 and m.activation == "tanh":
+            np.tanh(h, out=h)
+        acts.append(h)
+    return acts
 
 
 def mlp_forward(m: MlpMap, code) -> np.ndarray:
-    """Forward pass; accepts a vector or a (dim, batch) matrix of columns."""
-    h, squeeze = _batched(code, m.layer_sizes[0], "input")
-    last = len(m.weights) - 1
-    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = w @ h
-        h += b[:, None]  # in place: no second output-sized temporary
-        if l < last and m.activation == "tanh":
-            h = np.tanh(h)
-    return h[:, 0] if squeeze else h
+    """Forward pass of a vector or (dim, batch) columns; a vector gives the
+    bits of its single column."""
+    x, vector = _columns(code, m.layer_sizes[0], "input")
+    out = _layers(m, x)[-1]
+    return out[:, 0] if vector else out
 
 
 def mlp_gradients(m: MlpMap, batch_in, batch_target) -> MlpGradients:
     """Analytic gradients of the batch MSE ``mean_i ||f(x_i) - t_i||^2``."""
-    x, _ = _batched(batch_in, m.layer_sizes[0], "batch_in")
-    t, _ = _batched(batch_target, m.layer_sizes[-1], "batch_target")
+    x, _ = _columns(batch_in, m.layer_sizes[0], "batch_in")
+    t, _ = _columns(batch_target, m.layer_sizes[-1], "batch_target")
     if x.shape[1] != t.shape[1]:
         raise InvalidInputError(
             f"batch sizes differ: {x.shape[1]} inputs vs {t.shape[1]} targets"
@@ -191,14 +190,7 @@ def mlp_gradients(m: MlpMap, batch_in, batch_target) -> MlpGradients:
     # Every operation below is done in place on an array this call created,
     # in the same order as its out-of-place form, so the results are
     # bit-identical to it; acts[0] is the caller's input and is only read.
-    acts = [x]
-    h = x
-    for l, (w, b) in enumerate(zip(m.weights, m.biases)):
-        h = w @ h
-        h += b[:, None]
-        if l < last and m.activation == "tanh":
-            np.tanh(h, out=h)
-        acts.append(h)
+    acts = _layers(m, x)
     err = acts[-1]  # the output is not needed after this point
     err -= t
     loss = float((err * err).sum() / nb)

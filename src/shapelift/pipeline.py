@@ -32,6 +32,7 @@ from . import mapping as mp
 from . import render, shapes, subspace
 from ._fileio import atomic_open
 from .config import (
+    MAPPING_METHODS,
     DatasetManifest,
     ExperimentConfig,
     load_manifest,
@@ -39,6 +40,7 @@ from .config import (
     write_manifest,
 )
 from .errors import InvalidInputError
+from .linalg import _columns
 
 logger = logging.getLogger(__name__)
 
@@ -326,14 +328,11 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     """Root-mean-square error per sample column, averaged over the split.
 
     Each sample's RMSE is sqrt(||x_hat - x||^2 / dim); the report average
-    is the plain mean of the per-sample values.
+    is the plain mean of the per-sample values.  Both take one vector or
+    (dim, n) columns (``linalg._columns``), of one shape.
     """
-    pred = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(ground_truths, dtype=np.float64)
-    if pred.ndim == 1:
-        pred = pred[:, None]
-    if truth.ndim == 1:
-        truth = truth[:, None]
+    pred, _ = _columns(predictions, None, "predictions")
+    truth, _ = _columns(ground_truths, None, "ground truths")
     if pred.shape != truth.shape:
         raise InvalidInputError(
             f"prediction shape {pred.shape} does not match ground truth {truth.shape}"
@@ -418,7 +417,7 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
     x_test, z_test, _ = load_paired(data_dir, manifest, SPLIT_PAIRED_TEST,
                                     config.pair_policy)
     rows = []
-    for method in ("lowdim", "direct", "mlp"):
+    for method in MAPPING_METHODS:
         method_config = with_mapping(config, method)
         map_obj = fit_mapping(method_config, models, x_train, z_train)
         train_report = evaluate_rmse(predict(method_config, models, map_obj, x_train),

@@ -170,10 +170,10 @@ def load_pgm(path) -> np.ndarray:
     pos += 1
     if tokens[0] != b"P5":
         raise FileFormatError(f"{path}: not a binary PGM file")
-    try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad PGM header") from exc
+    # Plain ASCII digits, optionally negative: int() alone would take b"3_2" or b"+3".
+    if not all(t.removeprefix(b"-").isdigit() for t in tokens[1:]):
+        raise FileFormatError(f"{path}: bad PGM header")
+    w, h, maxval = (int(t) for t in tokens[1:])
     if w < 1 or h < 1:
         raise FileFormatError(f"{path}: image size {w}x{h} must be at least 1x1")
     if maxval != 255:

@@ -502,10 +502,9 @@ def load_voxr(path) -> VoxelGrid:
         tok = header.split()
         if len(tok) != 2 or tok[0] != b"VOXR":
             raise FileFormatError(f"{path}: not a VOXR file")
-        try:
-            res = int(tok[1])
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad resolution field") from exc
+        if not tok[1].removeprefix(b"-").isdigit():  # no "0_8" or "+8"
+            raise FileFormatError(f"{path}: bad resolution field")
+        res = int(tok[1])
         if res < 1:
             raise FileFormatError(f"{path}: resolution must be >= 1, got {res}")
         n_cells = res ** 3

@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from ._fileio import check_container, header_int, read_container, write_container
 from .errors import InvalidInputError
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _columns
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
 logger = logging.getLogger(__name__)
@@ -64,28 +64,28 @@ class SubspaceModel:
         return self.k < self.k_requested
 
     def encode(self, x) -> np.ndarray:
-        """Project onto the basis: basis.T @ (x - mean); vector or columns."""
-        arr = np.asarray(x, dtype=np.float64)
-        lead = arr.shape[0] if arr.ndim else -1
-        if arr.ndim not in (1, 2) or lead != self.dim:
-            raise InvalidInputError(
-                f"input dimension {lead} does not match model dimension {self.dim}"
-            )
-        if arr.ndim == 1:
-            return self.basis.T @ (arr - self.mean)
-        return self.basis.T @ (arr - self.mean[:, None])
+        """Project onto the basis: basis.T @ (x - mean); a vector or (dim, n)
+        columns, a vector giving the bits of its single column."""
+        arr, vector = _columns(x, self.dim, "input")
+        codes = self.basis.T @ (arr - self.mean[:, None])
+        return codes[:, 0] if vector else codes
 
     def decode(self, code) -> np.ndarray:
-        """Map codes back: mean + basis @ code; vector or columns."""
-        arr = np.asarray(code, dtype=np.float64)
-        lead = arr.shape[0] if arr.ndim else -1
-        if arr.ndim not in (1, 2) or lead != self.k:
-            raise InvalidInputError(
-                f"code dimension {lead} does not match model dimension {self.k}"
-            )
-        if arr.ndim == 1:
-            return self.mean + self.basis @ arr
-        return self.mean[:, None] + self.basis @ arr
+        """Map codes back: mean + basis @ code; vector or columns as ``encode``."""
+        arr, vector = _columns(code, self.k, "code")
+        out = self.mean[:, None] + self.basis @ arr
+        return out[:, 0] if vector else out
+
+
+def _pool(samples, k: int) -> np.ndarray:
+    """``samples`` as a finite (dim, n) matrix with n >= 2 and 1 <= k <= min(dim, n)."""
+    x = _as_matrix(samples, "samples")
+    dim, n = x.shape
+    if n < 2:
+        raise InvalidInputError(f"need at least 2 samples, got {n}")
+    if not 1 <= k <= min(dim, n):
+        raise InvalidInputError(f"k={k} outside [1, min(dim={dim}, n={n})]")
+    return x
 
 
 def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
@@ -97,14 +97,7 @@ def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
     basis keeps only r columns and the model is flagged shrunk.  Requires
     n >= 2 samples and k <= min(dim, n); ``samples`` itself is not changed.
     """
-    x = _as_matrix(samples, "samples")
-    dim, n = x.shape
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {n}")
-    if not 1 <= k <= min(dim, n):
-        raise InvalidInputError(
-            f"k={k} outside [1, min(dim={dim}, n={n})]"
-        )
+    x = _pool(samples, k)
     mean = x.mean(axis=1)
     res = linalg.leading_svd(np.subtract(x, mean[:, None], out=x if _overwrite else None), k)
     if res.rank < k:
@@ -136,12 +129,8 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
     epoch's loss is not finite, or "... at epoch N (final weights)" if the
     last step leaves the final weights' loss non-finite.
     """
-    x = _as_matrix(samples, "samples")
+    x = _pool(samples, k)
     dim, n = x.shape
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 samples, got {n}")
-    if not 1 <= k <= min(dim, n):
-        raise InvalidInputError(f"k={k} outside [1, min(dim={dim}, n={n})]")
     rng = np.random.default_rng(schedule.seed)
     weights = [init_scale * glorot_uniform(rng, k, dim),
                init_scale * glorot_uniform(rng, dim, k)]

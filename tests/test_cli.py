@@ -49,6 +49,15 @@ NON_POSITIVE_SIZE_FILES = {
         + bytes(8),
 }
 
+# Integer header fields that Python's int() takes but the formats do not:
+# (file bytes, a fragment of the error).
+PYTHON_ONLY_INT_FILES = {
+    "underscore.pgm": (b"P5\n3_2 1\n255\n" + bytes(32), "bad PGM header"),
+    "plus.pgm": (b"P5\n32 1\n+255\n" + bytes(32), "bad PGM header"),
+    "underscore.voxr": (b"VOXR 0_8\n" + bytes(64), "bad resolution field"),
+    "plus.voxr": (b"VOXR +8\n" + bytes(64), "bad resolution field"),
+}
+
 # PLY headers that are malformed: (line of a good header, its replacement,
 # a fragment of the error).
 BAD_PLY_HEADERS = {
@@ -519,6 +528,16 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", sorted(PYTHON_ONLY_INT_FILES))
+    def test_python_only_integer_headers_exit_1(self, tmp_path, capsys, name):
+        data, message = PYTHON_ONLY_INT_FILES[name]
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["inspect", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert message in err
 
     @pytest.mark.parametrize("name", sorted(HUGE_SIZE_FILES))
     def test_huge_sizes_exit_1(self, tmp_path, capsys, name):

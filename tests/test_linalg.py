@@ -18,7 +18,28 @@ def random_matrix(seed, m, n, scale=1.0):
     return scale * rng.standard_normal((m, n))
 
 
+class TestColumns:
+    def test_vector_is_one_column_view(self):
+        v = np.arange(3.0)
+        m, was_vector = linalg._columns(v, 3, "v")
+        assert was_vector and m.shape == (3, 1) and np.shares_memory(m, v)
+
+    def test_matrix_is_taken_as_is(self):
+        a = np.ones((2, 5))
+        m, was_vector = linalg._columns(a, None, "a")
+        assert not was_vector and m is a
+
+    @pytest.mark.parametrize("x", [5.0, np.zeros((3, 2, 2)), np.zeros(4), np.zeros((4, 2))])
+    def test_rejects_scalar_3d_and_wrong_length(self, x):
+        with pytest.raises(InvalidInputError, match=r"x must be a vector or a \(3, n\) matrix"):
+            linalg._columns(x, 3, "x")
+
+
 class TestSvd:
+    def test_rank_is_the_number_of_singular_values(self):
+        res = linalg.SvdResult(u=np.eye(3)[:, :2], sigma=np.array([2.0, 1.0]), v=np.eye(2))
+        assert res.rank == 2
+
     def test_identity(self):
         res = linalg.svd(np.eye(3))
         np.testing.assert_allclose(res.sigma, [1.0, 1.0, 1.0])

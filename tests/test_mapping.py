@@ -360,6 +360,23 @@ class TestMlpForward:
         with pytest.raises(InvalidInputError):
             mp.mlp_forward(m, np.zeros(5))
 
+    @pytest.mark.parametrize("code", [np.float64(5.0), np.zeros((4, 2, 2))])
+    def test_scalar_or_3d_input_raises(self, code):
+        with pytest.raises(InvalidInputError, match=r"a vector or a \(4, n\) matrix"):
+            mp.mlp_forward(rng_net(13, (4, 3)), code)
+
+    @pytest.mark.parametrize("sizes, activation", [
+        ((6, 9, 5, 4), "tanh"), ((30, 7, 60), "linear"), ((6, 4), "linear"),
+    ])
+    def test_vector_is_bit_identical_to_its_single_column(self, sizes, activation):
+        m = rng_net(44, sizes)
+        m.activation = activation
+        x = np.random.default_rng(45).standard_normal((sizes[0], 5))
+        for j in range(x.shape[1]):
+            got = mp.mlp_forward(m, x[:, j])
+            assert got.shape == (sizes[-1],)
+            assert np.array_equal(got, mp.mlp_forward(m, x[:, j:j + 1])[:, 0])
+
 
 class TestMlpGradients:
     def test_zero_at_perfect_fit(self):
@@ -406,6 +423,13 @@ class TestMlpGradients:
         m = rng_net(19, (3, 2))
         with pytest.raises(InvalidInputError):
             mp.mlp_gradients(m, np.zeros((3, 4)), np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("batch_in, batch_target", [
+        (np.float64(1.0), np.zeros(2)), (np.zeros(3), np.float64(1.0)),
+    ])
+    def test_scalar_input_or_target_raises(self, batch_in, batch_target):
+        with pytest.raises(InvalidInputError, match="must be a vector or a"):
+            mp.mlp_gradients(rng_net(19, (3, 2)), batch_in, batch_target)
 
     @pytest.mark.parametrize("sizes, activation", [
         ((6, 9, 5, 4), "tanh"), ((6, 9, 4), "linear"), ((6, 4), "linear"),

@@ -412,6 +412,23 @@ class TestReconstruct:
         pred = pipeline.predict(cfg, models, lm, x)
         assert np.linalg.norm(pred - z) / np.linalg.norm(z) <= 1e-6
 
+    @pytest.mark.parametrize("method", config.MAPPING_METHODS)
+    def test_vector_is_bit_identical_to_its_single_column(self, method):
+        # 8 pairs of 30 pixels and 60 coordinates: the direct map is the
+        # factored two-layer network.
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((30, 8))
+        z = rng.standard_normal((60, 8))
+        models = (subspace.fit_subspace(x, 4), subspace.fit_subspace(z, 5))
+        cfg = ExperimentConfig(k_2d=4, k_3d=5, mapping=method, mlp_hidden=(6,),
+                               schedule=TrainSchedule(((0.01, 5),), batch_size=3, seed=2))
+        map_obj = pipeline.fit_mapping(cfg, models, x, z)
+        for j in range(x.shape[1]):
+            got = pipeline.predict(cfg, models, map_obj, x[:, j])
+            assert got.shape == (60,)
+            assert np.array_equal(
+                got, pipeline.predict(cfg, models, map_obj, x[:, j:j + 1])[:, 0])
+
 
 class TestEvaluateRmse:
     def test_exact_prediction_is_zero(self):
@@ -434,6 +451,19 @@ class TestEvaluateRmse:
         np.testing.assert_allclose(report.per_sample_rmse, [1.0, 3.0])
         assert abs(report.average_rmse - 2.0) <= 1e-12
         assert abs(report.average_rmse - report.per_sample_rmse.mean()) <= 1e-12
+
+    def test_vector_is_one_sample(self):
+        report = pipeline.evaluate_rmse(np.array([3.0, 4.0]), np.zeros(2))
+        assert report.sample_ids == ["0"]
+        assert report.per_sample_rmse.shape == (1,)
+
+    def test_scalar_inputs_raise(self):
+        with pytest.raises(InvalidInputError, match=r"got shape \(\)"):
+            pipeline.evaluate_rmse(1.0, 2.0)
+
+    def test_3d_inputs_raise(self):
+        with pytest.raises(InvalidInputError, match=r"got shape \(2, 3, 4\)"):
+            pipeline.evaluate_rmse(np.zeros((2, 3, 4)), np.ones((2, 3, 4)))
 
     def test_shape_mismatch(self):
         with pytest.raises(InvalidInputError):

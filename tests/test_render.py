@@ -275,6 +275,15 @@ class TestPgm:
         with pytest.raises(FileFormatError, match="at least 1x1"):
             render.load_pgm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n3_2 1\n255\n", b"P5\n+32 1\n255\n", b"P5\n32 1\n2_55\n", b"P5\n32 +1\n255\n",
+    ])
+    def test_python_only_integer_spellings(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header + bytes(32))
+        with pytest.raises(FileFormatError, match="bad PGM header"):
+            render.load_pgm(path)
+
     def test_save_rejects_empty_image(self, tmp_path):
         path = tmp_path / "img.pgm"
         with pytest.raises(InvalidInputError):

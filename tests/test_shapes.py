@@ -379,3 +379,17 @@ class TestVoxrFormat:
         path.write_bytes(b"VOXL 8\n" + bytes(64))
         with pytest.raises(FileFormatError):
             shapes.load_voxr(path)
+
+    @pytest.mark.parametrize("field", [b"0_8", b"+8"])
+    def test_python_only_integer_spellings(self, tmp_path, field):
+        path = tmp_path / "bad.voxr"
+        path.write_bytes(b"VOXR " + field + b"\n" + bytes(64))
+        with pytest.raises(FileFormatError, match="bad resolution field"):
+            shapes.load_voxr(path)
+
+    @pytest.mark.parametrize("field", [b"0", b"-2"])
+    def test_non_positive_resolution(self, tmp_path, field):
+        path = tmp_path / "bad.voxr"
+        path.write_bytes(b"VOXR " + field + b"\n")
+        with pytest.raises(FileFormatError, match="resolution must be >= 1"):
+            shapes.load_voxr(path)

@@ -174,6 +174,34 @@ class TestEncodeDecode:
         with pytest.raises(InvalidInputError):
             model.decode(np.zeros(3))
 
+    def test_scalar_input_raises(self):
+        model = subspace.fit_subspace(random_data(8, 6, 5), 2)
+        with pytest.raises(InvalidInputError, match=r"got shape \(\)"):
+            model.encode(5.0)
+        with pytest.raises(InvalidInputError, match=r"got shape \(\)"):
+            model.decode(np.float64(5.0))
+
+    def test_3d_input_names_its_shape(self):
+        model = subspace.fit_subspace(random_data(9, 4, 6), 2)
+        with pytest.raises(InvalidInputError, match=r"got shape \(4, 2, 2\)"):
+            model.encode(np.zeros((4, 2, 2)))
+        with pytest.raises(InvalidInputError, match=r"got shape \(2, 1, 1\)"):
+            model.decode(np.zeros((2, 1, 1)))
+
+    @pytest.mark.parametrize("dim, n, k", [(8, 6, 3), (300, 60, 40), (1024, 30, 29)])
+    def test_vector_is_bit_identical_to_its_single_column(self, dim, n, k):
+        model = subspace.fit_subspace(random_data(dim, dim, n), k)
+        rng = np.random.default_rng(dim)
+        xs = rng.standard_normal((dim, 4))
+        codes = rng.standard_normal((k, 4))
+        for j in range(4):
+            got = model.encode(xs[:, j])
+            assert got.shape == (k,)
+            assert np.array_equal(got, model.encode(xs[:, j:j + 1])[:, 0])
+            got = model.decode(codes[:, j])
+            assert got.shape == (dim,)
+            assert np.array_equal(got, model.decode(codes[:, j:j + 1])[:, 0])
+
 
 def projector(result):
     """decoder @ encoder of a trained linear autoencoder."""
