@@ -19,6 +19,7 @@ from . import pipeline, render, shapes, subspace
 from ._fileio import read_header
 from .config import (
     MAPPING_METHODS,
+    _int,
     load_experiment,
     load_manifest,
     resolve_config_path,
@@ -54,12 +55,17 @@ def _load_models(out_dir: Path, method: str):
     return models, tuple(model.k for model in models)
 
 
-def _worker_cap(text: str) -> int:
-    """A ``--threads`` value: an integer of at least 1."""
+def _integer(text: str) -> int:
+    """An integer option, read as the config files read one (``config._int``)."""
     try:
-        value = int(text)
+        return _int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
+def _worker_cap(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -151,9 +157,10 @@ def _cmd_render(args) -> int:
     yaws = args.yaw if args.yaw else render.view_yaws(args.views)
     poses = [render.Pose(y) for y in yaws]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for pose in poses:
         image = render.render_depth(shape, pose, args.width, args.height)
+        # Made only once a view has rendered, so a bad size leaves no directory.
+        out_dir.mkdir(parents=True, exist_ok=True)
         name = f"render_{pose.yaw_deg:g}deg.pgm"
         render.save_pgm(image, out_dir / name)
     _note(f"{len(poses)} view(s) written to {out_dir}")
@@ -240,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a dataset from a [dataset] manifest")
     p.add_argument("--config", required=True, help="config file with [dataset]")
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--seed", type=int, default=None, help="override base_seed")
+    p.add_argument("--seed", type=_integer, default=None, help="override base_seed")
     p.add_argument("--threads", type=_worker_cap, default=1,
                    help="worker cap, at least 1 (default 1)")
     p.set_defaults(func=_cmd_gen)
@@ -278,10 +285,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--yaw", type=float, action="append", default=None,
                    help="explicit yaw in degrees (repeatable)")
-    p.add_argument("--views", type=int, default=1,
+    p.add_argument("--views", type=_integer, default=1,
                    help="evenly spread views over 0..180 (default 1)")
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--height", type=int, default=32)
+    p.add_argument("--width", type=_integer, default=32)
+    p.add_argument("--height", type=_integer, default=32)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("heatmap", help="per-point error map between two clouds")

@@ -178,8 +178,16 @@ def _floats(raw: str) -> tuple:
     return tuple(float(w) for w in _words(raw))
 
 
+def _int(raw: str) -> int:
+    """ASCII digits with an optional minus sign: ``int()`` alone would also
+    take "1_0", "+2", spaces and the digits of other scripts."""
+    if not (raw.isascii() and raw.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
+    return int(raw)
+
+
 def _ints(raw: str) -> tuple:
-    return tuple(int(w) for w in _words(raw))
+    return tuple(_int(w) for w in _words(raw))
 
 
 def _phases(raw: str) -> tuple:
@@ -188,7 +196,7 @@ def _phases(raw: str) -> tuple:
         rate, _, epochs = word.partition(":")
         if not epochs:
             raise ValueError(f"phase {word!r} is not rate:epochs")
-        phases.append((float(rate), int(epochs)))
+        phases.append((float(rate), _int(epochs)))
     return tuple(phases)
 
 
@@ -199,14 +207,14 @@ def _phases(raw: str) -> tuple:
 # [dataset] in this order.
 _KEYS = {
     "dataset": {
-        "kinds": _words, "representation": str, "resolution": int,
-        "point_count": int, "unlabeled_2d": int, "unlabeled_3d": int,
-        "paired_train": int, "paired_test": int, "view_count": int,
-        "poses": _floats, "image_size": int, "base_seed": int,
+        "kinds": _words, "representation": str, "resolution": _int,
+        "point_count": _int, "unlabeled_2d": _int, "unlabeled_3d": _int,
+        "paired_train": _int, "paired_test": _int, "view_count": _int,
+        "poses": _floats, "image_size": _int, "base_seed": _int,
     },
-    "experiment": {"k_2d": int, "k_3d": int, "mapping": str, "mlp_hidden": _ints,
+    "experiment": {"k_2d": _int, "k_3d": _int, "mapping": str, "mlp_hidden": _ints,
                    "pair_policy": str},
-    "schedule": {"rates": _phases, "batch_size": int, "seed": int},
+    "schedule": {"rates": _phases, "batch_size": _int, "seed": _int},
 }
 
 

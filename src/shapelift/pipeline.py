@@ -91,8 +91,9 @@ def _map_ordered(fn, items, threads: int = 1):
         return list(pool.map(fn, items))
 
 
-# Columns per fill block: a (block, dim) buffer per worker; more columns
-# were no faster on the voxel pool and cost memory.
+# Columns per fill block (a (block, dim) buffer per worker), and rows per
+# scoring block (a (block, n) one); larger fill blocks were no faster on the
+# voxel pool and cost memory.
 _FILL_BLOCK = 64
 
 
@@ -329,7 +330,9 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
 
     Each sample's RMSE is sqrt(||x_hat - x||^2 / dim); the report average
     is the plain mean of the per-sample values.  Both take one vector or
-    (dim, n) columns (``linalg._columns``), of one shape.
+    (dim, n) columns (``linalg._columns``), of one shape, scored in blocks
+    of rows with no prediction-sized temporary, to the bits of the whole
+    ``sqrt(np.square(pred - truth).sum(axis=0) / dim)`` on row-major copies.
     """
     pred, _ = _columns(predictions, None, "predictions")
     truth, _ = _columns(ground_truths, None, "ground truths")
@@ -339,16 +342,23 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
         )
     if pred.size == 0:
         raise InvalidInputError("cannot evaluate an empty prediction set")
-    dim = pred.shape[0]
-    diff = pred - truth
-    per_sample = np.sqrt(np.square(diff, out=diff).sum(axis=0) / dim)
-    ids = list(sample_ids) if sample_ids is not None else [
-        str(i) for i in range(pred.shape[1])
-    ]
-    if len(ids) != pred.shape[1]:
-        raise InvalidInputError(
-            f"{len(ids)} sample ids for {pred.shape[1]} predictions"
-        )
+    dim, n = pred.shape
+    # A row-major (dim, n >= 2) block sums over its rows in order, so blocks
+    # whose first row carries the sums so far keep the whole sum's bits; one
+    # column alone sums pairwise, so it goes whole.
+    step = dim if n == 1 else _FILL_BLOCK
+    sums = None
+    for start in range(0, dim, step):
+        diff = np.subtract(pred[start:start + step], truth[start:start + step], order="C")
+        np.square(diff, out=diff)
+        if sums is not None:
+            diff[0] += sums
+        sums = diff.sum(axis=0)
+        del diff  # one block alive at a time
+    per_sample = np.sqrt(sums / dim)
+    ids = list(sample_ids) if sample_ids is not None else [str(i) for i in range(n)]
+    if len(ids) != n:
+        raise InvalidInputError(f"{len(ids)} sample ids for {n} predictions")
     return EvaluationReport(
         average_rmse=float(per_sample.mean()),
         per_sample_rmse=per_sample,
@@ -407,8 +417,23 @@ def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):
                      correspondence_id=truth.correspondence_id)
 
 
+def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):
+    # The map and each prediction are freed when this returns.
+    map_obj = fit_mapping(config, models, x_train, z_train)
+    return MethodResult(
+        config.mapping,
+        evaluate_rmse(predict(config, models, map_obj, x_train), z_train).average_rmse,
+        evaluate_rmse(predict(config, models, map_obj, x_test), z_test).average_rmse,
+    )
+
+
 def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> ComparisonResult:
-    """Run lowdim, direct, and mlp on identical splits, seeds, and models."""
+    """Run lowdim, direct, and mlp on identical splits, seeds, and models.
+
+    The direct map uses no model, so it runs last, after the models are
+    dropped.  No method shares state with another, so the rows, returned in
+    ``MAPPING_METHODS`` order, keep their bits.
+    """
     started = time.perf_counter()
     manifest = read_dataset_manifest(data_dir)
     models = pretrain(data_dir, config.k_2d, config.k_3d, threads)
@@ -416,20 +441,14 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
                                       config.pair_policy)
     x_test, z_test, _ = load_paired(data_dir, manifest, SPLIT_PAIRED_TEST,
                                     config.pair_policy)
-    rows = []
-    for method in MAPPING_METHODS:
-        method_config = with_mapping(config, method)
-        map_obj = fit_mapping(method_config, models, x_train, z_train)
-        train_report = evaluate_rmse(predict(method_config, models, map_obj, x_train),
-                                     z_train)
-        test_report = evaluate_rmse(predict(method_config, models, map_obj, x_test),
-                                    z_test)
-        rows.append(MethodResult(method, train_report.average_rmse,
-                                 test_report.average_rmse))
+    splits = (x_train, z_train, x_test, z_test)
+    rows = {method: _score(with_mapping(config, method), models, *splits)
+            for method in MAPPING_METHODS if method != "direct"}
+    k_2d, k_3d = (model.k for model in models)
+    del models
+    rows["direct"] = _score(with_mapping(config, "direct"), None, *splits)
     return ComparisonResult(
-        rows=rows,
-        k_2d=models[0].k,
-        k_3d=models[1].k,
+        rows=[rows[method] for method in MAPPING_METHODS], k_2d=k_2d, k_3d=k_3d,
         runtime_seconds=time.perf_counter() - started,
     )
 

@@ -71,9 +71,11 @@ class SubspaceModel:
         return codes[:, 0] if vector else codes
 
     def decode(self, code) -> np.ndarray:
-        """Map codes back: mean + basis @ code; vector or columns as ``encode``."""
+        """Map codes back: mean + basis @ code, the mean added in place to the
+        product (one output array, same bits); vector or columns as ``encode``."""
         arr, vector = _columns(code, self.k, "code")
-        out = self.mean[:, None] + self.basis @ arr
+        out = self.basis @ arr
+        out += self.mean[:, None]
         return out[:, 0] if vector else out
 
 

@@ -195,6 +195,15 @@ class TestPretrainFitEval:
             csv_lines = (art / f"eval_{method}.csv").read_text().splitlines()
             assert csv_lines[0] == "pair_id,rmse"
             assert csv_lines[-1].startswith("average,")
+        # compare reproduces each staged test average, in the method order.
+        assert main(["compare", "--config", str(cfg), "--data",
+                     str(root / "data"), "--out", str(art)]) == 0
+        rows = [line.split(",") for line in
+                (art / "compare.csv").read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["lowdim", "direct", "mlp"]
+        for method, _, test_rmse, _, _ in rows:
+            eval_lines = (art / f"eval_{method}.csv").read_text().splitlines()
+            assert eval_lines[-1] == f"average,{test_rmse}"
 
     def test_eval_dimension_mismatch_exit_1(self, workspace, tmp_path, capsys):
         root, cfg = workspace
@@ -392,6 +401,19 @@ class TestRenderCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_size_exit_1_leaves_no_directory(self, workspace, tmp_path):
+        root, _ = workspace
+        shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+        out = tmp_path / "new_dir"
+        env = dict(os.environ, PYTHONPATH=str(Path(shapelift.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shapelift.cli", "render", str(shape_file),
+             "--out", str(out), "--width", "0"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: image size 0x32 must be positive"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("views", ["0", "-3"])
     def test_view_count_below_one_exit_1(self, workspace, tmp_path, views):
         root, _ = workspace
@@ -477,6 +499,27 @@ class TestUsage:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert f"argument --threads: must be at least 1, got {threads}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("render", "--views", "1_0"), ("render", "--width", "+8"),
+        ("render", "--height", "\uff13\uff12"), ("gen", "--seed", "4_2"),
+        ("gen", "--threads", "+2"), ("compare", "--threads", "1_0"),
+    ])
+    def test_python_only_integer_spellings_exit_1(self, workspace, tmp_path, capsys,
+                                                  command, flag, value):
+        # int() takes "1_0", "+8" and full-width digits; an option does not.
+        root, cfg = workspace
+        out = tmp_path / "out"
+        if command == "render":
+            shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+            argv = ["render", str(shape_file), "--out", str(out)]
+        else:
+            argv = [command, "--config", str(cfg), "--out", str(out)]
+            if command == "compare":
+                argv += ["--data", str(root / "data")]
+        assert main(argv + [flag, value]) == 1
+        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])

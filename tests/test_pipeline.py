@@ -472,6 +472,44 @@ class TestEvaluateRmse:
             pipeline.evaluate_rmse(np.zeros((3, 2)), np.zeros((3, 2)),
                                    sample_ids=["only-one"])
 
+    @staticmethod
+    def _whole(pred, truth):
+        # The unblocked form: one prediction-sized difference, summed over rows.
+        diff = pred - truth
+        return np.sqrt(np.square(diff, out=diff).sum(axis=0) / pred.shape[0])
+
+    @pytest.mark.parametrize("dim", [7, 65, 27000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 200])
+    def test_blocks_keep_the_bits_of_the_whole_array(self, dim, n):
+        assert pipeline._FILL_BLOCK == 64
+        rng = np.random.default_rng(dim + n)
+        pred, truth = rng.standard_normal((2, dim, n))
+        report = pipeline.evaluate_rmse(pred, truth)
+        assert report.per_sample_rmse.tobytes() == self._whole(pred, truth).tobytes()
+        assert report.average_rmse == float(self._whole(pred, truth).mean())
+
+    @pytest.mark.parametrize("dim", [7, 27000])
+    def test_vector_keeps_the_bits_of_the_whole_array(self, dim):
+        rng = np.random.default_rng(dim)
+        pred, truth = rng.standard_normal((2, dim))
+        got = pipeline.evaluate_rmse(pred, truth).per_sample_rmse
+        assert got.tobytes() == self._whole(pred[:, None], truth[:, None]).tobytes()
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a[:, ::2]])
+    def test_any_layout_keeps_the_bits_of_its_row_major_copy(self, layout):
+        # Column-major or strided inputs are scored as their row-major copies.
+        rng = np.random.default_rng(64)
+        pred, truth = (layout(a) for a in rng.standard_normal((2, 300, 14)))
+        got = pipeline.evaluate_rmse(pred, truth).per_sample_rmse
+        want = self._whole(np.ascontiguousarray(pred), np.ascontiguousarray(truth))
+        assert got.tobytes() == want.tobytes()
+
+    def test_traced_peak_is_one_block(self, traced_peak):
+        dim, n = 8000, 300
+        pred, truth = np.random.default_rng(62).standard_normal((2, dim, n))
+        _, peak = traced_peak(lambda: pipeline.evaluate_rmse(pred, truth))
+        assert peak <= pipeline._FILL_BLOCK * n * 8 + 256 * 1024
+
 
 class TestHeatmap:
     def _family_pair(self, seed, delta=(0.0, 0.0, 0.0)):
@@ -542,6 +580,49 @@ class TestHeatmap:
         assert np.array_equal(pts, truth.points)
         assert np.array_equal(extras["error"], hm.errors)
         assert corr == truth.correspondence_id
+
+
+class TestCompareMethods:
+    CONFIG = ExperimentConfig(k_2d=5, k_3d=20, mlp_hidden=(4,),
+                              schedule=TrainSchedule(((0.01, 2),), batch_size=50, seed=3))
+
+    def test_direct_runs_last_without_models(self, small_dataset, monkeypatch):
+        seen = []
+        fit = pipeline.fit_mapping
+
+        def spy(config, models, x, z):
+            seen.append((config.mapping, models is None))
+            return fit(config, models, x, z)
+
+        monkeypatch.setattr(pipeline, "fit_mapping", spy)
+        cfg = dataclasses.replace(self.CONFIG, k_2d=3, k_3d=4)
+        result = pipeline.compare_methods(cfg, small_dataset)
+        assert seen == [("lowdim", False), ("mlp", False), ("direct", True)]
+        assert [row.method for row in result.rows] == list(config.MAPPING_METHODS)
+
+    def test_traced_peak_holds_no_full_size_temporary(self, tmp_path, traced_peak):
+        # While scoring, compare holds the models, the paired splits, one map,
+        # one prediction and one scoring block; it drops the models before
+        # the direct map, the largest, is fitted.
+        manifest = dataclasses.replace(
+            SMALL, kinds=shapes.ALL_KINDS, resolution=16, unlabeled_2d=10,
+            unlabeled_3d=30, paired_train=300, paired_test=20, view_count=1, image_size=8)
+        root = tmp_path / "data"
+        pipeline.generate_dataset(manifest, root)
+        models = pipeline.pretrain(root, self.CONFIG.k_2d, self.CONFIG.k_3d)
+        model_bytes = sum(a.nbytes for model in models
+                          for a in (model.mean, model.basis, model.singular_values))
+        x, z, _ = pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN)
+        x_test, z_test, _ = pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TEST)
+        split_bytes = x.nbytes + z.nbytes + x_test.nbytes + z_test.nbytes
+        direct = mp.fit_direct_map(x, z)
+        map_bytes = sum(a.nbytes for a in (*direct.weights, *direct.biases))
+        block_bytes = pipeline._FILL_BLOCK * manifest.paired_train * 8
+        prediction_bytes = z.nbytes
+        del models, x, z, x_test, z_test, direct
+        _, peak = traced_peak(lambda: pipeline.compare_methods(self.CONFIG, root))
+        assert peak <= 1.1 * (model_bytes + split_bytes + map_bytes + prediction_bytes
+                              + block_bytes)
 
 
 class TestMethodAgreement:
@@ -641,6 +722,26 @@ class TestConfigFiles:
         path = tmp_path / "sched.cfg"
         path.write_text("[schedule]\nrates = 0.5:3\nbatch_size = 7\nseed = 9\n")
         assert load_experiment(str(path)).schedule == TrainSchedule(((0.5, 3),), 7, 9)
+
+    @pytest.mark.parametrize("section, line", [
+        ("dataset", "resolution = 3_0"), ("dataset", "base_seed = \uff14\uff12"),
+        ("dataset", "paired_train = +4"), ("experiment", "k_2d = \uff16"),
+        ("experiment", "mlp_hidden = 8 1_0"), ("schedule", "rates = 0.1:1_0"),
+        ("schedule", "batch_size = +4"),
+    ])
+    def test_python_only_integer_spellings_rejected(self, tmp_path, section, line):
+        # int() takes "3_0", "+4" and full-width digits; the config files do not.
+        path = tmp_path / "ints.cfg"
+        path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
+        load = load_manifest if section == "dataset" else load_experiment
+        with pytest.raises(InvalidInputError, match="invalid literal for int"):
+            load(str(path))
+
+    def test_negative_and_zero_padded_integers_read(self, tmp_path):
+        path = tmp_path / "ints.cfg"
+        path.write_text("[dataset]\nbase_seed = -3\nresolution = 012\n")
+        manifest = load_manifest(str(path))
+        assert (manifest.base_seed, manifest.resolution) == (-3, 12)
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -202,6 +202,28 @@ class TestEncodeDecode:
             assert got.shape == (dim,)
             assert np.array_equal(got, model.decode(codes[:, j:j + 1])[:, 0])
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("dim, k", [(7, 3), (27000, 20)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 200])
+    def test_decode_keeps_the_bits_of_mean_plus_product(self, order, dim, k, n):
+        # A fitted or loaded basis is column-major; a hand-built one may not be.
+        rng = np.random.default_rng(dim + n)
+        model = subspace.SubspaceModel(
+            mean=rng.standard_normal(dim),
+            basis=np.asarray(rng.standard_normal((dim, k)), order=order),
+            singular_values=np.ones(k), k_requested=k)
+        codes = rng.standard_normal((k, n))
+        whole = model.mean[:, None] + model.basis @ codes
+        assert model.decode(codes).tobytes() == whole.tobytes()
+        vector = model.mean[:, None] + model.basis @ codes[:, :1]
+        assert model.decode(codes[:, 0]).tobytes() == vector[:, 0].tobytes()
+
+    def test_decode_holds_one_output(self, traced_peak):
+        model = large_model(12)
+        codes = np.random.default_rng(13).standard_normal((model.k, 300))
+        out, peak = traced_peak(lambda: model.decode(codes))
+        assert peak <= out.nbytes + 256 * 1024
+
 
 def projector(result):
     """decoder @ encoder of a trained linear autoencoder."""
