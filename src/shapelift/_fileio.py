@@ -1,8 +1,8 @@
 """Crash-safe replacement of an output file, and the ``.ssm``/``.map`` container.
 
-The ``.ssm`` and ``.map`` writers, the CSV and text reports and the dataset
-manifest go through ``atomic_open``, so a reader never sees one of them
-half-written under its final name.
+The ``.ssm`` and ``.map`` writers, the CSV and text reports, the dataset
+manifest, ``render`` views and heat maps go through ``atomic_open``, so a
+reader never sees one of them half-written under its final name.
 
 ``.ssm`` and ``.map`` files are one container, written by
 ``write_container``, checked by ``check_container`` and read by

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import pipeline, render, shapes, subspace
-from ._fileio import read_header
+from ._fileio import atomic_open, read_header
 from .config import (
     MAPPING_METHODS,
     _int,
@@ -77,7 +77,7 @@ def _map_path(out_dir: Path, method: str) -> Path:
 
 def _cmd_gen(args) -> int:
     manifest = with_seed(load_manifest(resolve_config_path(args.config)), args.seed)
-    pipeline.generate_dataset(manifest, args.out, threads=args.threads)
+    pipeline.generate_dataset(manifest, args.out)
     _note(f"dataset written to {args.out}")
     return 0
 
@@ -133,7 +133,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = load_experiment(resolve_config_path(args.config))
-    result = pipeline.compare_methods(config, args.data, threads=args.threads)
+    result = pipeline.compare_methods(config, args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_comparison_csv(result, out_dir / "compare.csv")
@@ -156,13 +156,21 @@ def _cmd_render(args) -> int:
     shape = _load_any_shape(args.shape)
     yaws = args.yaw if args.yaw else render.view_yaws(args.views)
     poses = [render.Pose(y) for y in yaws]
+    # Every name is checked before any view renders, so a clash writes nothing.
+    names = {}
+    for yaw, pose in zip(yaws, poses):
+        name = f"render_{pose.yaw_deg:g}deg.pgm"
+        if name in names:
+            raise InvalidInputError(f"yaws {names[name]!r} and {yaw!r} would both "
+                                    f"be written to {name}")
+        names[name] = yaw
     out_dir = Path(args.out)
-    for pose in poses:
-        image = render.render_depth(shape, pose, args.width, args.height)
+    for pose, name in zip(poses, names):
+        data = render._pgm_bytes(render.render_depth(shape, pose, args.width, args.height))
         # Made only once a view has rendered, so a bad size leaves no directory.
         out_dir.mkdir(parents=True, exist_ok=True)
-        name = f"render_{pose.yaw_deg:g}deg.pgm"
-        render.save_pgm(image, out_dir / name)
+        with atomic_open(out_dir / name) as fh:
+            fh.write(data)
     _note(f"{len(poses)} view(s) written to {out_dir}")
     return 0
 
@@ -249,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="dataset output directory")
     p.add_argument("--seed", type=_integer, default=None, help="override base_seed")
     p.add_argument("--threads", type=_worker_cap, default=1,
-                   help="worker cap, at least 1 (default 1)")
+                   help="worker cap, at least 1 (default 1); work runs on one thread")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("pretrain", help="fit both subspaces from unlabeled pools")
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=_worker_cap, default=1,
-                   help="worker cap, at least 1 (default 1)")
+                   help="worker cap, at least 1 (default 1); work runs on one thread")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("render", help="render depth views of a shape file")

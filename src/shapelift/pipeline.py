@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,46 +83,35 @@ class ComparisonResult:
     runtime_seconds: float
 
 
-def _map_ordered(fn, items, threads: int = 1):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-# Columns per fill block (a (block, dim) buffer per worker), and rows per
-# scoring block (a (block, n) one); larger fill blocks were no faster on the
-# voxel pool and cost memory.
+# Columns per fill block (the one (block, dim) buffer of a fill), and rows
+# per scoring block (a (block, n) one); larger fill blocks were no faster on
+# the voxel pool and cost memory.
 _FILL_BLOCK = 64
 
 
-def _column_matrix(read, items, threads: int = 1) -> np.ndarray:
+def _column_matrix(read, items) -> np.ndarray:
     """``read(item)`` of each item as the columns of one row-major float64 matrix.
 
-    Up to ``_FILL_BLOCK`` columns are read into the rows of a block-local
-    buffer, which is then written transposed into the matrix: a strided
-    write per block instead of per column, and the same bytes.  ``threads``
-    workers fill whole blocks, each holding at most one buffer.  An empty
-    split or a column of another length is an ``InvalidInputError``; a
-    missing file is ``read``'s own ``OSError``.
+    Up to ``_FILL_BLOCK`` columns at a time are read into the rows of one
+    buffer, reused for every block, which is then written transposed into
+    the matrix: a strided write per block instead of per column, and the
+    same bytes.  An empty split or a column of another length is an
+    ``InvalidInputError``; a missing file is ``read``'s own ``OSError``.
     """
     items = list(items)
     if not items:
         raise InvalidInputError("cannot load an empty split")
     first = read(items[0])
     matrix = np.empty((len(first), len(items)))
-
-    def fill(start):
-        stop = min(start + _FILL_BLOCK, len(items))
-        block = np.empty((stop - start, len(first)))
-        for j in range(start, stop):
+    block = np.empty((min(_FILL_BLOCK, len(items)), len(first)))
+    for start in range(0, len(items), _FILL_BLOCK):
+        rows = block[:len(items) - start]  # the last block may be short
+        for j, row in enumerate(rows, start):
             column = first if j == 0 else read(items[j])
             if column.shape != first.shape:
                 raise InvalidInputError(f"{items[j]!r}: {column.size} values, not {first.size}")
-            block[j - start] = column
-        matrix[:, start:stop] = block.T
-
-    _map_ordered(fill, range(0, len(items), _FILL_BLOCK), threads)
+            row[:] = column
+        matrix[:, start:start + len(rows)] = rows.T
     return matrix
 
 
@@ -191,6 +179,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     manifest yaw (except in unlabeled_3d); the file names follow from the
     manifest alone, so no index is written.  The manifest is written last
     and atomically, so a directory that has one holds a complete dataset.
+    ``threads`` is a worker cap; one worker meets every cap.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -200,8 +189,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     for split, ids in _id_blocks(manifest).items():
         split_dir = root / split
         split_dir.mkdir(exist_ok=True)
-
-        def emit(sample_id, split=split, split_dir=split_dir):
+        for sample_id in ids:
             shape = _shape_for_id(manifest, sample_id)
             if split != SPLIT_UNLABELED_2D:
                 _save_shape(shape, split_dir / _shape_filename(sample_id, manifest))
@@ -209,9 +197,6 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
                 for view, yaw in enumerate(manifest.yaws):
                     image = render.render_depth(shape, render.Pose(yaw), size, size)
                     render.save_pgm(image, split_dir / _image_filename(sample_id, view))
-
-        _map_ordered(emit, ids, threads)
-
     write_manifest(manifest, root / MANIFEST_FILE)
 
 
@@ -222,20 +207,20 @@ def read_dataset_manifest(data_dir) -> DatasetManifest:
     return load_manifest(str(path))
 
 
-def load_unlabeled_images(data_dir, manifest: DatasetManifest, threads: int = 1):
+def load_unlabeled_images(data_dir, manifest: DatasetManifest):
     """Image pool as a (image_dim, n) column matrix, by sample id, then view."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_2D
     files = [_image_filename(sample_id, view)
              for sample_id in _id_blocks(manifest)[SPLIT_UNLABELED_2D]
              for view in range(len(manifest.yaws))]
-    return _column_matrix(lambda f: render.load_pgm(pool_dir / f).ravel(), files, threads)
+    return _column_matrix(lambda f: render.load_pgm(pool_dir / f).ravel(), files)
 
 
-def load_unlabeled_shapes(data_dir, manifest: DatasetManifest, threads: int = 1):
+def load_unlabeled_shapes(data_dir, manifest: DatasetManifest):
     """Shape pool as a (shape_dim, n) column matrix, by sample id."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_3D
     return _column_matrix(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
-                          _id_blocks(manifest)[SPLIT_UNLABELED_3D], threads)
+                          _id_blocks(manifest)[SPLIT_UNLABELED_3D])
 
 
 def _fit_pool(pool: np.ndarray, k: int, label: str) -> subspace.SubspaceModel:
@@ -250,7 +235,7 @@ def _fit_pool(pool: np.ndarray, k: int, label: str) -> subspace.SubspaceModel:
     return subspace.fit_subspace(pool, k, _overwrite=True)
 
 
-def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
+def pretrain(data_dir, k_2d: int, k_3d: int):
     """Fit both subspace models from the unlabeled pools alone.
 
     Reads only the two unlabeled splits, whose files the manifest names; the
@@ -259,8 +244,8 @@ def pretrain(data_dir, k_2d: int, k_3d: int, threads: int = 1):
     warning.  Each pool is loaded, fitted and dropped before the next.
     """
     manifest = read_dataset_manifest(data_dir)
-    return (_fit_pool(load_unlabeled_images(data_dir, manifest, threads), k_2d, "image"),
-            _fit_pool(load_unlabeled_shapes(data_dir, manifest, threads), k_3d, "shape"))
+    return (_fit_pool(load_unlabeled_images(data_dir, manifest), k_2d, "image"),
+            _fit_pool(load_unlabeled_shapes(data_dir, manifest), k_3d, "shape"))
 
 
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):
@@ -408,13 +393,16 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
 
 
 def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):
-    """ASCII PLY of the ground-truth cloud with a per-vertex error property."""
+    """ASCII PLY of the ground-truth cloud with a per-vertex error property,
+    written as ``write_ply`` writes it, but atomically."""
     if hm.errors.shape[0] != truth.count:
         raise InvalidInputError(
             f"{hm.errors.shape[0]} errors for {truth.count} vertices"
         )
-    shapes.write_ply(path, truth.points, extra={"error": hm.errors},
-                     correspondence_id=truth.correspondence_id)
+    text = shapes._ply_text(path, truth.points, {"error": hm.errors},
+                            truth.correspondence_id)
+    with atomic_open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
 def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):
@@ -432,11 +420,12 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
 
     The direct map uses no model, so it runs last, after the models are
     dropped.  No method shares state with another, so the rows, returned in
-    ``MAPPING_METHODS`` order, keep their bits.
+    ``MAPPING_METHODS`` order, keep their bits.  ``threads`` is a worker
+    cap; one worker meets every cap.
     """
     started = time.perf_counter()
     manifest = read_dataset_manifest(data_dir)
-    models = pretrain(data_dir, config.k_2d, config.k_3d, threads)
+    models = pretrain(data_dir, config.k_2d, config.k_3d)
     x_train, z_train, _ = load_paired(data_dir, manifest, SPLIT_PAIRED_TRAIN,
                                       config.pair_policy)
     x_test, z_test, _ = load_paired(data_dir, manifest, SPLIT_PAIRED_TEST,

@@ -137,17 +137,22 @@ def view_yaws(view_count: int) -> list:
     return [180.0 * i / view_count for i in range(view_count)]
 
 
-def save_pgm(image: np.ndarray, path):
-    """Binary PGM (P5), maxval 255, byte = round(pixel * 255)."""
+def _pgm_bytes(image: np.ndarray) -> bytes:
+    """The bytes of ``save_pgm``'s file for ``image``."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.size == 0:
         raise InvalidInputError(f"image must be 2-D and nonempty, got shape {img.shape}")
     if img.min() < 0.0 or img.max() > 1.0:
         raise InvalidInputError("image values must lie in [0, 1]")
     h, w = img.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + np.rint(img * 255.0).astype(np.uint8).tobytes()
+
+
+def save_pgm(image: np.ndarray, path):
+    """Binary PGM (P5), maxval 255, byte = round(pixel * 255), written in place."""
+    data = _pgm_bytes(image)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.rint(img * 255.0).astype(np.uint8).tobytes())
+        fh.write(data)
 
 
 def load_pgm(path) -> np.ndarray:

@@ -378,8 +378,16 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
 
     Values print with ``%.17g``, enough to round-trip float64 exactly, and a
     non-finite value raises ``InvalidInputError`` before the file is created.
-    A nonempty correspondence_id is recorded as a comment.
+    A nonempty correspondence_id is recorded as a comment.  The file is
+    written in place.
     """
+    text = _ply_text(path, points, extra, correspondence_id)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+
+
+def _ply_text(path, points: np.ndarray, extra: dict | None, correspondence_id: str) -> str:
+    """The text of ``write_ply``'s file; ``path`` only names it in errors."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     extra = extra or {}
     cols = [pts[:, 0], pts[:, 1], pts[:, 2]]
@@ -402,9 +410,7 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
     if not np.isfinite(body).all():
         raise InvalidInputError(f"{path}: cannot write a non-finite vertex value")
     row = " ".join(["%.17g"] * len(names)) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write((row * len(body)) % tuple(body.ravel().tolist()))
+    return "\n".join(lines) + "\n" + (row * len(body)) % tuple(body.ravel().tolist())
 
 
 def read_ply(path):

@@ -1,3 +1,5 @@
+import builtins
+import errno
 import hashlib
 import os
 import re
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import shapelift
-from shapelift import shapes, subspace
+from shapelift import _fileio, shapes, subspace
 from shapelift.cli import main
 
 SMALL_CFG = """[dataset]
@@ -108,6 +110,32 @@ def tree_digest(root) -> str:
     return h.hexdigest()
 
 
+class _HalfWrite:
+    """A file whose first write stores half its data, then fails as a full disk does."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Make every ``_fileio.atomic_open`` write fail partway."""
+    monkeypatch.setattr(_fileio, "open",
+                        lambda *args, **kwargs: _HalfWrite(builtins.open(*args, **kwargs)),
+                        raising=False)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -146,6 +174,14 @@ class TestGen:
         assert cfg.read_bytes() == before
         assert tree_digest(root / "data") == data_before
 
+    def test_threads_give_the_same_dataset(self, workspace, tmp_path):
+        root, cfg = workspace
+        for threads in ("3", "1"):
+            assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+        assert tree_digest(tmp_path / "3") == tree_digest(tmp_path / "1")
+        assert tree_digest(tmp_path / "1") == tree_digest(root / "data")
+
     @pytest.mark.parametrize("poses", ["0 nan", "inf", "30 -inf 60"])
     def test_non_finite_pose_exit_1_writes_nothing(self, tmp_path, capsys, poses):
         cfg = tmp_path / "poses.cfg"
@@ -168,12 +204,13 @@ class TestCompare:
         assert (out / "compare.txt").is_file()
 
     def test_reruns_byte_identical(self, workspace, tmp_path):
+        # Whatever the worker cap: one worker meets every cap.
         root, cfg = workspace
         a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
+        for out, threads in ((a, "2"), (b, "1")):
             assert main(["compare", "--config", str(cfg), "--data",
                          str(root / "data"), "--out", str(out),
-                         "--threads", "1"]) == 0
+                         "--threads", threads]) == 0
         assert (a / "compare.csv").read_bytes() == (b / "compare.csv").read_bytes()
 
 
@@ -401,6 +438,35 @@ class TestRenderCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("yaws, clash", [
+        (["10.0000001", "10.0000002", "30", "30"], "yaws 10.0000001 and 10.0000002"),
+        (["30", "-330"], "yaws 30.0 and -330.0"),
+    ], ids=["within_print_precision", "one_turn_apart"])
+    def test_yaws_sharing_a_file_name_exit_1_write_nothing(self, workspace, tmp_path,
+                                                           capsys, yaws, clash):
+        # render_{yaw:g}deg.pgm would give two views one file, the second
+        # overwriting the first.
+        root, _ = workspace
+        shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+        out = tmp_path / "imgs"
+        argv = ["render", str(shape_file), "--out", str(out)]
+        for yaw in yaws:
+            argv += [f"--yaw={yaw}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert clash in err and "render_" in err
+        assert not out.exists()
+
+    def test_failed_write_keeps_the_old_view(self, workspace, tmp_path, full_disk):
+        root, _ = workspace
+        shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
+        out = tmp_path / "imgs"
+        out.mkdir()
+        (out / "render_0deg.pgm").write_bytes(b"old")
+        assert main(["render", str(shape_file), "--out", str(out), "--yaw", "0"]) == 1
+        assert (out / "render_0deg.pgm").read_bytes() == b"old"
+        assert sorted(p.name for p in out.iterdir()) == ["render_0deg.pgm"]
+
     def test_bad_size_exit_1_leaves_no_directory(self, workspace, tmp_path):
         root, _ = workspace
         shape_file = next((root / "data" / "unlabeled_3d").glob("*.voxr"))
@@ -442,6 +508,18 @@ class TestHeatmapCommand:
         np.testing.assert_allclose(extras["error"], 0.01 * np.sqrt(3.0),
                                    atol=1e-12)
 
+
+    def test_failed_write_keeps_the_old_map(self, tmp_path, full_disk):
+        truth = shapes.generate_point_shape(
+            shapes.ShapeSpec("ellipsoid", {"cx": 0.5, "cy": 0.5, "cz": 0.5,
+                                           "rx": 0.2, "ry": 0.2, "rz": 0.2}), 100)
+        truth_path = tmp_path / "truth.ply"
+        shapes.save_cloud(truth, truth_path)
+        out = tmp_path / "heat.ply"
+        out.write_text("old")
+        assert main(["heatmap", str(truth_path), str(truth_path), "--out", str(out)]) == 1
+        assert out.read_text() == "old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.ply", "truth.ply"]
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_error_exit_1_writes_nothing(self, tmp_path, capsys):

@@ -82,11 +82,6 @@ class TestGenerateDataset:
         pipeline.generate_dataset(manifest, tmp_path / "data")
         assert tree_digest(tmp_path / "data") == digest
 
-    def test_threaded_generation_matches_serial(self, tmp_path, small_dataset):
-        threaded = tmp_path / "threaded"
-        pipeline.generate_dataset(SMALL, threaded, threads=4)
-        assert tree_digest(threaded) == tree_digest(small_dataset)
-
     def test_split_ids_are_disjoint(self, small_dataset):
         blocks = pipeline._id_blocks(SMALL)
         assert list(blocks) == ["paired_train", "paired_test", "unlabeled_2d",
@@ -182,31 +177,27 @@ class TestGenerateDataset:
 
 
 class TestColumnMatrix:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_column_stack(self, threads):
+    def test_matches_column_stack(self):
         cols = list(np.random.default_rng(50).standard_normal((7, 13)))
-        got = pipeline._column_matrix(cols.__getitem__, range(7), threads)
+        got = pipeline._column_matrix(cols.__getitem__, range(7))
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert np.array_equal(got, np.column_stack(cols))
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
-    def test_matches_column_stack_across_block_edges(self, n, threads):
+    def test_matches_column_stack_across_block_edges(self, n):
         assert pipeline._FILL_BLOCK == 64
         cols = list(np.random.default_rng(n).standard_normal((n, 11)))
-        got = pipeline._column_matrix(cols.__getitem__, range(n), threads)
+        got = pipeline._column_matrix(cols.__getitem__, range(n))
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.tobytes() == np.column_stack(cols).tobytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_fill_peak_is_the_matrix_plus_one_block_per_worker(self, traced_peak,
-                                                               threads):
+    def test_fill_peak_is_the_matrix_plus_one_block(self, traced_peak):
         dim, n = 3000, 300
         cols = list(np.random.default_rng(51).standard_normal((n, dim)))
         matrix, peak = traced_peak(
-            lambda: pipeline._column_matrix(cols.__getitem__, range(n), threads))
+            lambda: pipeline._column_matrix(cols.__getitem__, range(n)))
         block_bytes = pipeline._FILL_BLOCK * dim * 8
-        assert peak <= matrix.nbytes + threads * block_bytes + 64 * 1024
+        assert peak <= matrix.nbytes + block_bytes + 64 * 1024
 
     def test_empty_split_raises_value_error_as_column_stack_does(self):
         with pytest.raises(ValueError):
@@ -220,16 +211,15 @@ class TestColumnMatrix:
         with pytest.raises(InvalidInputError, match="1 values"):
             pipeline._column_matrix(cols.__getitem__, range(2))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_missing_pool_file_is_an_os_error(self, small_dataset, tmp_path, threads):
+    def test_missing_pool_file_is_an_os_error(self, small_dataset, tmp_path):
         root = tmp_path / "gap"
         shutil.copytree(small_dataset, root)
         (root / "unlabeled_2d" / "img_00009_v1.pgm").unlink()
         (root / "unlabeled_3d" / "shp_00020.voxr").unlink()
         with pytest.raises(OSError, match="img_00009_v1.pgm"):
-            pipeline.load_unlabeled_images(root, SMALL, threads)
+            pipeline.load_unlabeled_images(root, SMALL)
         with pytest.raises(OSError, match="shp_00020.voxr"):
-            pipeline.load_unlabeled_shapes(root, SMALL, threads)
+            pipeline.load_unlabeled_shapes(root, SMALL)
 
 
 class TestPretrain:
