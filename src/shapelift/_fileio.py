@@ -1,8 +1,10 @@
-"""Crash-safe replacement of an output file, and the ``.ssm``/``.map`` container.
+"""Crash-safe output files, payload length checks, and the ``.ssm``/``.map`` container.
 
-The ``.ssm`` and ``.map`` writers, the CSV and text reports, the dataset
-manifest, ``render`` views and heat maps go through ``atomic_open``, so a
-reader never sees one of them half-written under its final name.
+The package writes a file by one of two rules.  A dataset's PGM, PLY and
+VOXR samples are written in place by their writers; every other output goes
+through ``atomic_open`` (whole files through ``atomic_write``), so a reader
+never sees it half-written under its final name.  ``check_length`` is the
+binary readers' one rule for a payload of the wrong size.
 
 ``.ssm`` and ``.map`` files are one container, written by
 ``write_container``, checked by ``check_container`` and read by
@@ -24,20 +26,39 @@ import numpy as np
 from .errors import FileFormatError, InvalidInputError
 
 @contextmanager
-def atomic_open(path, mode: str = "wb", **kwargs):
-    """Open ``<path>.tmp`` for writing and rename it over ``path`` on success.
+def atomic_open(path):
+    """Open ``<path>.tmp`` for binary writing and rename it over ``path`` on success.
 
     If the body raises, the temp file is removed and ``path`` keeps what it
-    held before.  The rename moves no data, so it costs no copy.
+    held before.  An ``OSError`` that names the temp file is raised again
+    naming ``path``, the file the caller asked for.  The rename moves no
+    data, so it costs no copy.
     """
     tmp = Path(str(path) + ".tmp")
     try:
-        with open(tmp, mode, **kwargs) as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         tmp.replace(path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from None
         raise
+
+
+def atomic_write(path, data: bytes):
+    """Replace ``path`` with ``data`` through ``atomic_open``."""
+    with atomic_open(path) as fh:
+        fh.write(data)
+
+
+def check_length(path, have: int, need: int, after: str = ""):
+    """Reject a payload of ``have`` bytes where the header asks for ``need``:
+    fewer is "unexpected end of file", more is "trailing data [after <after>]"."""
+    if have < need:
+        raise FileFormatError(f"{path}: unexpected end of file")
+    if have > need:
+        raise FileFormatError(f"{path}: trailing data" + (f" after {after}" if after else ""))
 
 
 def write_container(path, header: dict, arrays, order: str = "C"):
@@ -107,12 +128,8 @@ def check_container(fh, path, what: str, version: int, fields: dict, shapes):
         sizes = shapes(converted)
     except InvalidInputError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    need = 8 * sum(math.prod(shape) for shape in sizes)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if left < need:
-        raise FileFormatError(f"{path}: unexpected end of file")
-    if left > need:
-        raise FileFormatError(f"{path}: trailing data")
+    check_length(path, os.fstat(fh.fileno()).st_size - fh.tell(),
+                 8 * sum(math.prod(shape) for shape in sizes))
     return converted, sizes
 
 
@@ -127,7 +144,8 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
     copy.  The arrays come back native float64, writable and owning their
     memory.
     """
-    with open(path, "rb") as fh:
+    # Path.open, so that atomic_open is this module's one caller of ``open``.
+    with Path(path).open("rb") as fh:
         converted, sizes = check_container(fh, path, what, version, fields, shapes)
         arrays = []
         for shape in sizes:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import pipeline, render, shapes, subspace
-from ._fileio import atomic_open, read_header
+from ._fileio import atomic_write, read_header
 from .config import (
     MAPPING_METHODS,
     _int,
@@ -76,14 +76,14 @@ def _map_path(out_dir: Path, method: str) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    manifest = with_seed(load_manifest(resolve_config_path(args.config)), args.seed)
+    manifest = with_seed(load_manifest(args.config), args.seed)
     pipeline.generate_dataset(manifest, args.out)
     _note(f"dataset written to {args.out}")
     return 0
 
 
 def _cmd_pretrain(args) -> int:
-    config = load_experiment(resolve_config_path(args.config))
+    config = load_experiment(args.config)
     img_model, shape_model = pipeline.pretrain(args.data, config.k_2d, config.k_3d)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -95,7 +95,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    config = with_mapping(load_experiment(resolve_config_path(args.config)), args.method)
+    config = with_mapping(load_experiment(args.config), args.method)
     manifest = pipeline.read_dataset_manifest(args.data)
     out_dir = Path(args.out)
     models, _ = _load_models(out_dir, config.mapping)
@@ -108,7 +108,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = with_mapping(load_experiment(resolve_config_path(args.config)), args.method)
+    config = with_mapping(load_experiment(args.config), args.method)
     manifest = pipeline.read_dataset_manifest(args.data)
     out_dir = Path(args.out)
     models, (k_2d, k_3d) = _load_models(out_dir, config.mapping)
@@ -132,7 +132,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = load_experiment(resolve_config_path(args.config))
+    config = load_experiment(args.config)
     result = pipeline.compare_methods(config, args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -169,8 +169,7 @@ def _cmd_render(args) -> int:
         data = render._pgm_bytes(render.render_depth(shape, pose, args.width, args.height))
         # Made only once a view has rendered, so a bad size leaves no directory.
         out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out_dir / name) as fh:
-            fh.write(data)
+        atomic_write(out_dir / name, data)
     _note(f"{len(poses)} view(s) written to {out_dir}")
     return 0
 
@@ -252,40 +251,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a dataset from a [dataset] manifest")
-    p.add_argument("--config", required=True, help="config file with [dataset]")
+    # Flags that several commands share, each declared once.  ``--config`` is
+    # resolved against $SHAPELIFT_CONFIG_DIR as it is parsed.
+    stage = argparse.ArgumentParser(add_help=False)
+    stage.add_argument("--config", required=True, type=resolve_config_path)
+    stage.add_argument("--data", required=True, help="dataset directory from gen")
+    stage.add_argument("--out", required=True, help="artifact directory (models live here)")
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=MAPPING_METHODS, default=None)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=_worker_cap, default=1,
+                         help="worker cap, at least 1 (default 1); work runs on one thread")
+
+    p = sub.add_parser("gen", parents=[threads],
+                       help="generate a dataset from a [dataset] manifest")
+    p.add_argument("--config", required=True, type=resolve_config_path,
+                   help="config file with [dataset]")
     p.add_argument("--out", required=True, help="dataset output directory")
     p.add_argument("--seed", type=_integer, default=None, help="override base_seed")
-    p.add_argument("--threads", type=_worker_cap, default=1,
-                   help="worker cap, at least 1 (default 1); work runs on one thread")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("pretrain", help="fit both subspaces from unlabeled pools")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True, help="dataset directory from gen")
-    p.add_argument("--out", required=True, help="artifact directory for models")
+    p = sub.add_parser("pretrain", parents=[stage],
+                       help="fit both subspaces from unlabeled pools")
     p.set_defaults(func=_cmd_pretrain)
 
-    p = sub.add_parser("fit", help="fit the mapping on the paired training split")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True, help="artifact directory (models live here)")
-    p.add_argument("--method", choices=MAPPING_METHODS, default=None)
+    p = sub.add_parser("fit", parents=[stage, method],
+                       help="fit the mapping on the paired training split")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("eval", help="evaluate the fitted mapping on the test split")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--method", choices=MAPPING_METHODS, default=None)
+    p = sub.add_parser("eval", parents=[stage, method],
+                       help="evaluate the fitted mapping on the test split")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("compare", help="run all three mappings on identical splits")
-    p.add_argument("--config", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=_worker_cap, default=1,
-                   help="worker cap, at least 1 (default 1); work runs on one thread")
+    p = sub.add_parser("compare", parents=[stage, threads],
+                       help="run all three mappings on identical splits")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("render", help="render depth views of a shape file")

@@ -42,7 +42,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from ._fileio import atomic_open
+from ._fileio import atomic_write
 from .errors import InvalidInputError
 from .mapping import TrainSchedule
 from .render import Pose, view_yaws
@@ -101,16 +101,6 @@ class DatasetManifest:
         if self.poses:
             return self.poses
         return tuple(view_yaws(self.view_count))
-
-    @property
-    def shape_dim(self) -> int:
-        if self.representation == "voxel":
-            return self.resolution ** 3
-        return 3 * self.point_count
-
-    @property
-    def image_dim(self) -> int:
-        return self.image_size ** 2
 
 
 @dataclass(frozen=True)
@@ -267,5 +257,4 @@ def write_manifest(manifest: DatasetManifest, path: str):
         if isinstance(value, tuple):
             value = " ".join(str(v) for v in value)
         lines.append(f"{key} = {value}")
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

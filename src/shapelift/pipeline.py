@@ -11,6 +11,8 @@ mappings on identical splits.
 A dataset is one directory per split plus ``manifest.cfg``, and the
 manifest is its only index: ``_id_blocks`` gives each split's sample ids,
 and ``_shape_filename`` and ``_image_filename`` the files of each id.
+Sample files are written in place; the manifest, written last, and the
+reports and heat maps are written whole through ``_fileio.atomic_write``.
 
 Everything derives from the manifest's base seed, so a rerun of any stage
 is byte-identical (timestamps appear only in the human-readable text
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import render, shapes, subspace
-from ._fileio import atomic_open
+from ._fileio import atomic_write
 from .config import (
     MAPPING_METHODS,
     DatasetManifest,
@@ -115,12 +117,6 @@ def _column_matrix(read, items) -> np.ndarray:
     return matrix
 
 
-def _atomic_write_text(path, text: str):
-    # Readers never observe a half-written report.
-    with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _sample_rng(base_seed: int, sample_id: int) -> np.random.Generator:
     # Per-sample generator: seed_i hashes (base_seed, i) via SeedSequence.
     return np.random.default_rng((base_seed, sample_id))
@@ -179,8 +175,13 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     manifest yaw (except in unlabeled_3d); the file names follow from the
     manifest alone, so no index is written.  The manifest is written last
     and atomically, so a directory that has one holds a complete dataset.
-    ``threads`` is a worker cap; one worker meets every cap.
+    ``threads`` is a worker cap; one worker meets every cap.  Point clouds
+    have no composite sampling, so a cloud manifest that lists composite
+    raises ``InvalidInputError`` before anything is created.
     """
+    if manifest.representation == "cloud" and "composite" in manifest.kinds:
+        raise InvalidInputError("kind 'composite' has no point-cloud sampling; "
+                                "use representation = voxel or drop it from kinds")
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     # A stale manifest would vouch for a half-rewritten directory.
@@ -394,15 +395,10 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
 
 def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):
     """ASCII PLY of the ground-truth cloud with a per-vertex error property,
-    written as ``write_ply`` writes it, but atomically."""
-    if hm.errors.shape[0] != truth.count:
-        raise InvalidInputError(
-            f"{hm.errors.shape[0]} errors for {truth.count} vertices"
-        )
-    text = shapes._ply_text(path, truth.points, {"error": hm.errors},
-                            truth.correspondence_id)
-    with atomic_open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    written as ``write_ply`` writes it, but atomically.  An error count that
+    is not the vertex count is ``_ply_text``'s ``InvalidInputError``."""
+    atomic_write(path, shapes._ply_text(path, truth.points, {"error": hm.errors},
+                                        truth.correspondence_id).encode("ascii"))
 
 
 def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):
@@ -448,7 +444,7 @@ def write_comparison_csv(result: ComparisonResult, path):
     for row in result.rows:
         lines.append(f"{row.method},{row.train_rmse!r},{row.test_rmse!r},"
                      f"{result.k_2d},{result.k_3d}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_comparison_summary(result: ComparisonResult, path):
@@ -462,7 +458,7 @@ def write_comparison_summary(result: ComparisonResult, path):
     ]
     for row in result.rows:
         lines.append(f"{row.method:<8} {row.train_rmse:>14.6g} {row.test_rmse:>14.6g}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_evaluation_csv(report: EvaluationReport, path):
@@ -471,7 +467,7 @@ def write_evaluation_csv(report: EvaluationReport, path):
     for pid, value in zip(report.sample_ids, report.per_sample_rmse):
         lines.append(f"{pid},{float(value)!r}")
     lines.append(f"average,{report.average_rmse!r}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def write_evaluation_summary(report: EvaluationReport, path):
@@ -483,4 +479,4 @@ def write_evaluation_summary(report: EvaluationReport, path):
     ]
     for key, value in sorted(report.config_echo.items()):
         lines.append(f"config {key}: {value}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -12,9 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ._fileio import check_length
 from .errors import FileFormatError, InvalidInputError
 from .shapes import PointCloud, VoxelGrid
 
@@ -150,9 +152,7 @@ def _pgm_bytes(image: np.ndarray) -> bytes:
 
 def save_pgm(image: np.ndarray, path):
     """Binary PGM (P5), maxval 255, byte = round(pixel * 255), written in place."""
-    data = _pgm_bytes(image)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    Path(path).write_bytes(_pgm_bytes(image))
 
 
 def load_pgm(path) -> np.ndarray:
@@ -184,9 +184,6 @@ def load_pgm(path) -> np.ndarray:
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 is supported")
     data = raw[pos:]
-    if len(data) < w * h:
-        raise FileFormatError(f"{path}: unexpected end of file")
-    if len(data) > w * h:
-        raise FileFormatError(f"{path}: trailing data after raster")
+    check_length(path, len(data), w * h, after="raster")
     pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
     return pixels.reshape(h, w)

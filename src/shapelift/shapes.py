@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
+from ._fileio import check_length
 from .errors import FileFormatError, InvalidInputError, InvalidSpecError
 
 UNIT_MARGIN = 0.05
@@ -379,11 +381,9 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
     Values print with ``%.17g``, enough to round-trip float64 exactly, and a
     non-finite value raises ``InvalidInputError`` before the file is created.
     A nonempty correspondence_id is recorded as a comment.  The file is
-    written in place.
+    written in place as ASCII bytes, so no newline translation reaches it.
     """
-    text = _ply_text(path, points, extra, correspondence_id)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    Path(path).write_bytes(_ply_text(path, points, extra, correspondence_id).encode("ascii"))
 
 
 def _ply_text(path, points: np.ndarray, extra: dict | None, correspondence_id: str) -> str:
@@ -496,10 +496,8 @@ def save_voxr(grid: VoxelGrid, path):
     Bits follow the grid's flat ordering, first cell in the most significant
     bit of the first byte; the final byte is zero-padded.
     """
-    flat = grid.occupancy.ravel(order="F")
-    with open(path, "wb") as fh:
-        fh.write(f"VOXR {grid.resolution}\n".encode("ascii"))
-        fh.write(np.packbits(flat).tobytes())
+    Path(path).write_bytes(f"VOXR {grid.resolution}\n".encode("ascii")
+                           + np.packbits(grid.occupancy.ravel(order="F")).tobytes())
 
 
 def load_voxr(path) -> VoxelGrid:
@@ -516,10 +514,7 @@ def load_voxr(path) -> VoxelGrid:
         n_cells = res ** 3
         n_bytes = (n_cells + 7) // 8
         payload = fh.read()
-    if len(payload) < n_bytes:
-        raise FileFormatError(f"{path}: unexpected end of file")
-    if len(payload) > n_bytes:
-        raise FileFormatError(f"{path}: trailing data after occupancy bits")
+    check_length(path, len(payload), n_bytes, after="occupancy bits")
     flat = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=n_cells)
     occ = flat.astype(bool).reshape((res,) * 3, order="F")
     return VoxelGrid(occ)

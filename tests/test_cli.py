@@ -191,6 +191,19 @@ class TestGen:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_composite_clouds_exit_1_write_nothing(self, tmp_path, capsys):
+        # Point clouds have no composite sampling, so gen refuses the
+        # manifest before it creates --out or any split directory.
+        cfg = tmp_path / "composite.cfg"
+        cfg.write_text(SMALL_CFG.replace(
+            "kinds = box ellipsoid cylinder",
+            "kinds = box composite\nrepresentation = cloud\npoint_count = 20"))
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "composite" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_row_csv(self, workspace, tmp_path):
@@ -212,6 +225,26 @@ class TestCompare:
                          str(root / "data"), "--out", str(out),
                          "--threads", threads]) == 0
         assert (a / "compare.csv").read_bytes() == (b / "compare.csv").read_bytes()
+
+
+class TestReportOutputs:
+    @pytest.mark.parametrize("command, report", [("compare", "compare.csv"),
+                                                 ("eval", "eval_direct.csv")])
+    def test_failed_write_keeps_the_old_report(self, workspace, staged, tmp_path,
+                                               request, command, report):
+        root, cfg = workspace
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        argv = [command, "--config", str(cfg), "--data", str(root / "data"),
+                "--out", str(art)] + (["--method", "direct"] if command == "eval" else [])
+        assert main(argv) == 0
+        old = (art / report).read_bytes()
+        before = tree_digest(art)
+        request.getfixturevalue("full_disk")
+        assert main(argv) == 1
+        assert (art / report).read_bytes() == old
+        assert tree_digest(art) == before
+        assert not list(art.rglob("*.tmp"))
 
 
 class TestPretrainFitEval:
@@ -521,6 +554,24 @@ class TestHeatmapCommand:
         assert out.read_text() == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.ply", "truth.ply"]
 
+    @pytest.mark.parametrize("target, code", [("missing/heat.ply", errno.ENOENT),
+                                              ("adir", errno.EISDIR)],
+                             ids=["missing_directory", "directory"])
+    def test_unwritable_out_is_named_not_its_temp_file(self, tmp_path, capsys,
+                                                       target, code):
+        truth = shapes.generate_point_shape(
+            shapes.ShapeSpec("ellipsoid", {"cx": 0.5, "cy": 0.5, "cz": 0.5,
+                                           "rx": 0.2, "ry": 0.2, "rz": 0.2}), 100)
+        truth_path = tmp_path / "truth.ply"
+        shapes.save_cloud(truth, truth_path)
+        (tmp_path / "adir").mkdir()
+        out = tmp_path / target
+        assert main(["heatmap", str(truth_path), str(truth_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: [Errno {code}] {os.strerror(code)}: '{out}'"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "truth.ply"]
+        assert not list((tmp_path / "adir").iterdir())
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_error_exit_1_writes_nothing(self, tmp_path, capsys):
         truth_path = tmp_path / "truth.ply"
@@ -733,3 +784,6 @@ class TestConfigDirEnv:
         assert main(["gen", "--config", "tiny.cfg",
                      "--out", str(tmp_path / "data")]) == 0
         assert (tmp_path / "data" / "manifest.cfg").is_file()
+        # The stage commands resolve --config the same way.
+        assert main(["pretrain", "--config", "tiny.cfg", "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "art")]) == 0

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import shapelift
 
 
@@ -12,3 +15,50 @@ def test_star_import_resolves_every_name():
     exec("from shapelift import *", namespace)
     missing = [name for name in shapelift.__all__ if name not in namespace]
     assert not missing
+
+
+def _file_writes(module: Path):
+    """(function, call) for each call in ``module`` that may write a file:
+    ``open`` in a mode that is not plainly read-only, and ``write_bytes`` or
+    ``write_text``."""
+
+    def mode_writes(call: ast.Call) -> bool:
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "mode"), None)
+        if mode is None:
+            return False
+        if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+            return any(flag in mode.value for flag in "wax+")
+        return True  # a mode the source does not spell out may write
+
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "open" and mode_writes(child):
+                    found.append((function, "open"))
+                elif name in ("write_bytes", "write_text"):
+                    found.append((function, name))
+            visit(child, function)
+
+    visit(ast.parse(module.read_text(), str(module)), None)
+    return found
+
+
+def test_two_write_rules():
+    # Dataset samples are written in place by their three writers; every
+    # other output goes through _fileio.atomic_open.
+    allowed = {("_fileio", "atomic_open", "open"),
+               ("render", "save_pgm", "write_bytes"),
+               ("shapes", "write_ply", "write_bytes"),
+               ("shapes", "save_voxr", "write_bytes")}
+    found = set()
+    for module in sorted(Path(shapelift.__file__).parent.glob("*.py")):
+        found |= {(module.stem, function, call) for function, call in _file_writes(module)}
+    assert found == allowed

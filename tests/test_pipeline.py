@@ -250,8 +250,9 @@ class TestPretrain:
         root = tmp_path / "pool"
         pipeline.generate_dataset(manifest, root)
         (_, shape_model), peak = traced_peak(lambda: pipeline.pretrain(root, 2, 200))
-        pool_bytes = manifest.shape_dim * manifest.unlabeled_3d * 8
-        block_bytes = linalg._RITZ_BLOCK * manifest.shape_dim * 8
+        shape_dim = manifest.resolution ** 3
+        pool_bytes = shape_dim * manifest.unlabeled_3d * 8
+        block_bytes = linalg._RITZ_BLOCK * shape_dim * 8
         assert shape_model.k == 199
         assert peak <= 1.25 * (pool_bytes + shape_model.basis.nbytes + block_bytes)
 

@@ -374,6 +374,13 @@ class TestVoxrFormat:
         with pytest.raises(FileFormatError, match="unexpected end of file"):
             shapes.load_voxr(path)
 
+    def test_trailing_byte(self, tmp_path):
+        path = tmp_path / "grid.voxr"
+        shapes.save_voxr(VoxelGrid(np.ones((8, 8, 8), bool)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FileFormatError, match="trailing data after occupancy bits"):
+            shapes.load_voxr(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.voxr"
         path.write_bytes(b"VOXL 8\n" + bytes(64))
