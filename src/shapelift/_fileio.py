@@ -1,9 +1,10 @@
 """Crash-safe output files, payload length checks, and the ``.ssm``/``.map`` container.
 
-The package writes a file by one of two rules.  A dataset's PGM, PLY and
-VOXR samples are written in place by their writers; every other output goes
-through ``atomic_open`` (whole files through ``atomic_write``), so a reader
-never sees it half-written under its final name.  ``check_length`` is the
+The package writes a file by one of two rules.  A dataset's samples (its
+``views.pgm`` strips and PLY or VOXR shapes) are written in place by their
+writers; every other output goes through ``atomic_open`` (whole files
+through ``atomic_write``), so a reader never sees it half-written under its
+final name.  ``check_length`` is the
 binary readers' one rule for a payload of the wrong size.
 
 ``.ssm`` and ``.map`` files are one container, written by

@@ -9,10 +9,12 @@ decode (direct skips the encode and decode); ``evaluate_rmse`` and
 mappings on identical splits.
 
 A dataset is one directory per split plus ``manifest.cfg``, and the
-manifest is its only index: ``_id_blocks`` gives each split's sample ids,
-and ``_shape_filename`` and ``_image_filename`` the files of each id.
-Sample files are written in place; the manifest, written last, and the
-reports and heat maps are written whole through ``_fileio.atomic_write``.
+manifest is its only index: ``_id_blocks`` gives each split's sample ids
+and ``_shape_filename`` the shape file of each id.  A split's depth images
+are one PGM film strip, ``views.pgm``: ``image_size`` wide, one
+``image_size``-tall view after another, by sample id, then view.  Sample
+files are written in place; the manifest, written last, and the reports
+and heat maps are written whole through ``_fileio.atomic_write``.
 
 Everything derives from the manifest's base seed, so a rerun of any stage
 is byte-identical (timestamps appear only in the human-readable text
@@ -51,6 +53,7 @@ SPLIT_UNLABELED_2D = "unlabeled_2d"
 SPLIT_UNLABELED_3D = "unlabeled_3d"
 
 MANIFEST_FILE = "manifest.cfg"
+VIEWS_FILE = "views.pgm"
 
 
 @dataclass
@@ -148,10 +151,6 @@ def _shape_filename(sample_id: int, manifest: DatasetManifest) -> str:
     return f"shp_{sample_id:05d}.{ext}"
 
 
-def _image_filename(sample_id: int, view: int) -> str:
-    return f"img_{sample_id:05d}_v{view}.pgm"
-
-
 def _id_blocks(manifest: DatasetManifest) -> dict:
     """Disjoint sample-id ranges per split (test ids never reused anywhere)."""
     blocks = {}
@@ -171,10 +170,14 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     """Materialize every split's shapes and renders under out_dir.
 
     Fully reproducible: the same manifest always writes bit-identical files.
-    Each sample writes its shape (except in unlabeled_2d) and one image per
-    manifest yaw (except in unlabeled_3d); the file names follow from the
-    manifest alone, so no index is written.  The manifest is written last
-    and atomically, so a directory that has one holds a complete dataset.
+    Each sample writes its shape (except in unlabeled_2d) and renders one
+    view per manifest yaw (except in unlabeled_3d), quantized straight into
+    the split's uint8 ``views.pgm`` strip, which is written once; the file
+    names follow from the manifest alone, so no index is written.  An
+    earlier dataset's ``shp_*`` files, and the per-view ``img_*_v*.pgm`` of
+    older versions, that the manifest does not place in a split are removed
+    from it; no other file is touched.  The manifest is written last and
+    atomically, so a directory that has one holds a complete dataset.
     ``threads`` is a worker cap; one worker meets every cap.  Point clouds
     have no composite sampling, so a cloud manifest that lists composite
     raises ``InvalidInputError`` before anything is created.
@@ -190,14 +193,24 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     for split, ids in _id_blocks(manifest).items():
         split_dir = root / split
         split_dir.mkdir(exist_ok=True)
-        for sample_id in ids:
+        has_shapes, has_views = split != SPLIT_UNLABELED_2D, split != SPLIT_UNLABELED_3D
+        names = [_shape_filename(sample_id, manifest) for sample_id in ids] if has_shapes else []
+        keep = set(names)
+        for stale in [*split_dir.glob("shp_*"), *split_dir.glob("img_*_v*.pgm")]:
+            if stale.name not in keep:
+                stale.unlink()
+        if has_views:  # rows by sample id, then view: the loaders' column order
+            strip = np.empty((len(ids), len(manifest.yaws), size, size), np.uint8)
+        for ordinal, sample_id in enumerate(ids):
             shape = _shape_for_id(manifest, sample_id)
-            if split != SPLIT_UNLABELED_2D:
-                _save_shape(shape, split_dir / _shape_filename(sample_id, manifest))
-            if split != SPLIT_UNLABELED_3D:
+            if has_shapes:
+                _save_shape(shape, split_dir / names[ordinal])
+            if has_views:
                 for view, yaw in enumerate(manifest.yaws):
-                    image = render.render_depth(shape, render.Pose(yaw), size, size)
-                    render.save_pgm(image, split_dir / _image_filename(sample_id, view))
+                    strip[ordinal, view] = render._pgm_raster(
+                        render.render_depth(shape, render.Pose(yaw), size, size))
+        if has_views:
+            render.save_pgm(strip.reshape(-1, size), split_dir / VIEWS_FILE)
     write_manifest(manifest, root / MANIFEST_FILE)
 
 
@@ -208,13 +221,34 @@ def read_dataset_manifest(data_dir) -> DatasetManifest:
     return load_manifest(str(path))
 
 
+def _view_matrix(data_dir, manifest: DatasetManifest, split: str, picks) -> np.ndarray:
+    """The split's views numbered ``picks`` (``ordinal * views + view``) as
+    the columns of one row-major float64 matrix.
+
+    ``views.pgm`` is read once, and its size must be the one the manifest
+    gives the split, or ``InvalidInputError`` names the file.  A missing
+    strip is an ``OSError`` that asks for the dataset to be generated again.
+    """
+    path = Path(data_dir) / split / VIEWS_FILE
+    try:
+        strip = render.load_pgm(path)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(
+            exc.errno, f"{exc.strerror}; rerun `shapelift gen` (older versions wrote "
+            "one img_*_v*.pgm per view instead)", exc.filename) from None
+    size, n_views = manifest.image_size, len(manifest.yaws)
+    n_ids = len(_id_blocks(manifest)[split])
+    if strip.shape != (n_ids * n_views * size, size):
+        raise InvalidInputError(
+            f"{path}: {strip.shape[1]}x{strip.shape[0]} pixels, but the manifest's {n_ids} "
+            f"samples x {n_views} views of {size}x{size} need {size}x{n_ids * n_views * size}")
+    return _column_matrix(strip.reshape(n_ids * n_views, size * size).__getitem__, picks)
+
+
 def load_unlabeled_images(data_dir, manifest: DatasetManifest):
     """Image pool as a (image_dim, n) column matrix, by sample id, then view."""
-    pool_dir = Path(data_dir) / SPLIT_UNLABELED_2D
-    files = [_image_filename(sample_id, view)
-             for sample_id in _id_blocks(manifest)[SPLIT_UNLABELED_2D]
-             for view in range(len(manifest.yaws))]
-    return _column_matrix(lambda f: render.load_pgm(pool_dir / f).ravel(), files)
+    n = len(_id_blocks(manifest)[SPLIT_UNLABELED_2D]) * len(manifest.yaws)
+    return _view_matrix(data_dir, manifest, SPLIT_UNLABELED_2D, range(n))
 
 
 def load_unlabeled_shapes(data_dir, manifest: DatasetManifest):
@@ -255,23 +289,23 @@ def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "
     The manifest names every file: policy "all" takes each shape with every
     view; "cycle" takes one pair per shape, the view cycling with the
     shape's ordinal so poses stay diverse while the sample count equals the
-    shape count.  A file the manifest names but the split lacks is an
-    ``OSError``.
+    shape count.  The images come from the split's ``views.pgm`` (see
+    ``_view_matrix``), and are loaded first, so that the strip is freed
+    before the shapes are read.  A file the manifest names but the split
+    lacks is an ``OSError``.
     """
     if policy not in ("all", "cycle"):
         raise InvalidInputError(f"unknown pair policy {policy!r}")
-    split_dir = Path(data_dir) / split
+    ids = _id_blocks(manifest)[split]
     n_views = len(manifest.yaws)
-    pairs = [(sample_id, view)
-             for ordinal, sample_id in enumerate(_id_blocks(manifest)[split])
+    pairs = [(ordinal, view) for ordinal in range(len(ids))
              for view in (range(n_views) if policy == "all" else (ordinal % n_views,))]
+    x = _view_matrix(data_dir, manifest, split, [o * n_views + view for o, view in pairs])
     # The views of one shape are adjacent, so each shape file is read once.
     shape = functools.lru_cache(maxsize=1)(
-        functools.partial(_shape_vector, manifest, split_dir))
-    z = _column_matrix(lambda pair: shape(pair[0]), pairs)
-    x = _column_matrix(
-        lambda pair: render.load_pgm(split_dir / _image_filename(*pair)).ravel(), pairs)
-    return x, z, [f"{sample_id:05d}_v{view}" for sample_id, view in pairs]
+        functools.partial(_shape_vector, manifest, Path(data_dir) / split))
+    z = _column_matrix(lambda pair: shape(ids[pair[0]]), pairs)
+    return x, z, [f"{ids[o]:05d}_v{view}" for o, view in pairs]
 
 
 def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):

@@ -139,19 +139,36 @@ def view_yaws(view_count: int) -> list:
     return [180.0 * i / view_count for i in range(view_count)]
 
 
-def _pgm_bytes(image: np.ndarray) -> bytes:
-    """The bytes of ``save_pgm``'s file for ``image``."""
-    img = np.asarray(image, dtype=np.float64)
+def _pgm_raster(image) -> np.ndarray:
+    """``image`` as the bytes of its PGM raster, a 2-D nonempty uint8 array.
+
+    A uint8 array is the raster as it is.  Any other input is read as
+    float64 values in [0, 1], each stored as ``rint(value * 255)``.
+    """
+    img = np.asarray(image)
     if img.ndim != 2 or img.size == 0:
         raise InvalidInputError(f"image must be 2-D and nonempty, got shape {img.shape}")
+    if img.dtype == np.uint8:
+        return img
+    img = img.astype(np.float64, copy=False)
     if img.min() < 0.0 or img.max() > 1.0:
         raise InvalidInputError("image values must lie in [0, 1]")
-    h, w = img.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + np.rint(img * 255.0).astype(np.uint8).tobytes()
+    return np.rint(img * 255.0).astype(np.uint8)
+
+
+def _pgm_bytes(image: np.ndarray) -> bytes:
+    """The bytes of ``save_pgm``'s file for ``image``."""
+    raster = _pgm_raster(image)
+    h, w = raster.shape
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes()
 
 
 def save_pgm(image: np.ndarray, path):
-    """Binary PGM (P5), maxval 255, byte = round(pixel * 255), written in place."""
+    """Binary PGM (P5), maxval 255, written in place.
+
+    The raster is ``_pgm_raster(image)``: a uint8 array as it is, float
+    pixels in [0, 1] as ``round(pixel * 255)``.
+    """
     Path(path).write_bytes(_pgm_bytes(image))
 
 
@@ -183,7 +200,8 @@ def load_pgm(path) -> np.ndarray:
         raise FileFormatError(f"{path}: image size {w}x{h} must be at least 1x1")
     if maxval != 255:
         raise FileFormatError(f"{path}: only maxval 255 is supported")
-    data = raw[pos:]
-    check_length(path, len(data), w * h, after="raster")
-    pixels = np.frombuffer(data, dtype=np.uint8).astype(np.float64) / 255.0
+    check_length(path, len(raw) - pos, w * h, after="raster")
+    # One float64 raster: the quotient is taken in place, with the same bits.
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=pos).astype(np.float64)
+    pixels /= 255.0
     return pixels.reshape(h, w)

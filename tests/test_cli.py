@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shapelift
-from shapelift import _fileio, shapes, subspace
+from shapelift import _fileio, render, shapes, subspace
 from shapelift.cli import main
 
 SMALL_CFG = """[dataset]
@@ -150,14 +150,18 @@ class TestGen:
         root, _ = workspace
         data = root / "data"
         assert (data / "manifest.cfg").is_file()
-        # (shapes, images) per split; the manifest is the only index.
+        # (shapes, images) per split; the manifest is the only index, and a
+        # split's images are the 16-pixel-tall views of one views.pgm strip.
         expected = {"paired_train": (6, 6 * 2), "paired_test": (3, 3 * 2),
                     "unlabeled_2d": (0, 10 * 2), "unlabeled_3d": (10, 0)}
         for split, (n_shapes, n_images) in expected.items():
             assert len(list((data / split).glob("shp_*.voxr"))) == n_shapes
-            assert len(list((data / split).glob("img_*_v*.pgm"))) == n_images
-            assert len(list((data / split).iterdir())) == n_shapes + n_images
+            strip = data / split / "views.pgm"
+            if n_images:
+                assert render.load_pgm(strip).shape == (n_images * 16, 16)
+            assert len(list((data / split).iterdir())) == n_shapes + strip.exists()
         assert not list(data.rglob("index.csv"))
+        assert not list(data.rglob("img_*.pgm"))
 
     def test_seed_override_changes_data(self, workspace, tmp_path):
         root, cfg = workspace
@@ -330,7 +334,24 @@ class TestPretrainFitEval:
         assert main(["fit"] + args) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert "img_00002_v2.pgm" in err
+        assert str(data / "paired_train" / "views.pgm") in err
+        assert "manifest" in err
+
+    def test_per_view_dataset_exit_1_asks_for_gen(self, workspace, tmp_path, capsys):
+        # A split in the older layout, one PGM per view and no views.pgm.
+        root, cfg = workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        (data / "unlabeled_2d" / "views.pgm").unlink()
+        render.save_pgm(np.zeros((16, 16)), data / "unlabeled_2d" / "img_00009_v0.pgm")
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "art")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert str(data / "unlabeled_2d" / "views.pgm") in err
+        assert "rerun `shapelift gen`" in err
+        assert not (tmp_path / "art").exists()
 
     def test_fit_without_models_exit_1(self, workspace, tmp_path):
         root, cfg = workspace

@@ -67,16 +67,16 @@ class TestGenerateDataset:
         pipeline.generate_dataset(SMALL, b)
         assert tree_digest(a) == tree_digest(b)
 
-    # sha256 over every file name and byte, recorded before the broadcast
-    # rasterizer and the one-gather voxel renderer replaced the meshgrid and
-    # any/argmax versions.  Any change to a dataset file's bytes fails here.
+    # sha256 over every file name and byte, recorded when each split's views
+    # moved into one views.pgm strip (the rasters, and so every loaded matrix,
+    # kept their bytes).  Any change to a dataset file's bytes fails here.
     @pytest.mark.parametrize("manifest, digest", [
-        (SMALL, "96c69120aa83d0dfef7a2bf8dd3e239eceb8d34f674028009dd2af1e680117ec"),
+        (SMALL, "ef58c29552ad195439a3c5736f6109fbbfbaae2b18c0f91406b88334e393ad58"),
         (dataclasses.replace(SMALL, kinds=shapes.ALL_KINDS, resolution=16, view_count=3),
-         "5bb7be3e3e78422272f6ce877b66e8e63410fd8980ee4462f94500e94342dbe8"),
+         "97c3b46de2d231f77f0687015def1985626d5103b60cf2301bd6aba7ab49f986"),
         (dataclasses.replace(SMALL, representation="cloud", point_count=60,
                              poses=(-45.0, 0.0, 45.0), view_count=3),
-         "b1775104fecd88d091650256fc35ff1acd242a716cac0f7d50e242404d1e695a"),
+         "b240fbc1973a6fa8043f82cb0f14e0b3185d418a9e79fa4e19c2de427f0f0f04"),
     ], ids=["voxel", "voxel_all_kinds", "cloud"])
     def test_golden_digest(self, tmp_path, manifest, digest):
         pipeline.generate_dataset(manifest, tmp_path / "data")
@@ -86,13 +86,43 @@ class TestGenerateDataset:
         blocks = pipeline._id_blocks(SMALL)
         assert list(blocks) == ["paired_train", "paired_test", "unlabeled_2d",
                                 "unlabeled_3d"]
-        ids = {}
-        for split, block in blocks.items():
-            ids[split] = {int(p.name[4:9]) for p in (small_dataset / split).iterdir()}
-            assert ids[split] == set(block)
+        ids = {split: set(block) for split, block in blocks.items()}
+        for split in ("paired_train", "paired_test", "unlabeled_3d"):
+            named = {int(p.name[4:9]) for p in (small_dataset / split).glob("shp_*")}
+            assert named == ids[split]
         test_ids = ids["paired_test"]
         for other in ("paired_train", "unlabeled_2d", "unlabeled_3d"):
             assert not (test_ids & ids[other])
+
+    def test_one_strip_per_image_split_and_one_file_per_shape(self, small_dataset):
+        # A per-view image writer must not come back unnoticed.
+        want = {"manifest.cfg"}
+        for split, block in pipeline._id_blocks(SMALL).items():
+            if split != pipeline.SPLIT_UNLABELED_2D:
+                want |= {f"{split}/shp_{sid:05d}.voxr" for sid in block}
+            if split != pipeline.SPLIT_UNLABELED_3D:
+                want.add(f"{split}/views.pgm")
+        files = {p.relative_to(small_dataset).as_posix()
+                 for p in small_dataset.rglob("*") if p.is_file()}
+        assert files == want
+        assert not list(small_dataset.rglob("img_*.pgm"))
+
+    def test_regeneration_removes_stale_samples(self, tmp_path):
+        # Fewer paired shapes shift every later id block, so the second gen
+        # names other files than the first in every split.
+        root = tmp_path / "data"
+        pipeline.generate_dataset(dataclasses.replace(SMALL, paired_train=3), root)
+        orphan = root / "paired_test" / "img_00003_v0.pgm"  # the older per-view layout
+        render.save_pgm(np.zeros((16, 16)), orphan)
+        notes = root / "paired_test" / "notes.txt"
+        notes.write_text("not a sample")
+        pipeline.generate_dataset(dataclasses.replace(SMALL, paired_train=1), root)
+        assert not orphan.exists()
+        assert notes.read_text() == "not a sample"
+        notes.unlink()
+        pipeline.generate_dataset(dataclasses.replace(SMALL, paired_train=1),
+                                  tmp_path / "fresh")
+        assert tree_digest(root) == tree_digest(tmp_path / "fresh")
 
     def test_interrupted_generation_leaves_no_manifest(self, tmp_path, monkeypatch):
         # Both a fresh gen and a rerun over a complete dataset are cut short
@@ -131,16 +161,17 @@ class TestGenerateDataset:
         pipeline.generate_dataset(manifest, root)
         assert manifest.yaws == (-45.0, 0.0, 45.0)
         split_dir = root / "paired_train"
+        views = []
         for sid in range(4):
             assert shapes.load_cloud(split_dir / f"shp_{sid:05d}.ply").count == 60
             cloud = pipeline._shape_for_id(manifest, sid)
-            for view, yaw in enumerate(manifest.yaws):
-                expected = tmp_path / "expected.pgm"
-                render.save_pgm(render.render_depth(cloud, render.Pose(yaw), 16, 16),
-                                expected)
-                image = split_dir / f"img_{sid:05d}_v{view}.pgm"
-                assert image.read_bytes() == expected.read_bytes()
-        assert len(list(split_dir.glob("*.pgm"))) == 4 * 3
+            views += [render.render_depth(cloud, render.Pose(yaw), 16, 16)
+                      for yaw in manifest.yaws]
+        # The strip is each view's own PGM raster, by sample id, then view.
+        expected = tmp_path / "expected.pgm"
+        render.save_pgm(np.concatenate(views), expected)
+        assert (split_dir / "views.pgm").read_bytes() == expected.read_bytes()
+        assert [p.name for p in split_dir.glob("*.pgm")] == ["views.pgm"]
         assert not list(root.rglob("index.csv"))
 
     def test_manifest_naming_missing_views_fails_loudly(self, tmp_path):
@@ -152,10 +183,23 @@ class TestGenerateDataset:
         write_manifest(claimed, root / "manifest.cfg")
         manifest = pipeline.read_dataset_manifest(root)
         assert manifest == claimed
-        with pytest.raises(OSError, match="img_00002_v2.pgm"):
+        with pytest.raises(InvalidInputError, match="paired_train/views.pgm: 16x128 pixels"):
             pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN, "cycle")
-        with pytest.raises(OSError, match="img_00000_v2.pgm"):
+        with pytest.raises(InvalidInputError, match="paired_train/views.pgm"):
             pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN, "all")
+
+    def test_manifest_naming_fewer_views_fails_loudly(self, tmp_path):
+        # Fewer views than were rendered would read the first rows of the
+        # strip as the wrong samples' views.
+        root = tmp_path / "fewer"
+        pipeline.generate_dataset(SMALL, root)
+        write_manifest(dataclasses.replace(SMALL, view_count=1), root / "manifest.cfg")
+        manifest = pipeline.read_dataset_manifest(root)
+        for split in (pipeline.SPLIT_PAIRED_TRAIN, pipeline.SPLIT_PAIRED_TEST):
+            with pytest.raises(InvalidInputError, match=f"{split}/views.pgm"):
+                pipeline.load_paired(root, manifest, split, "cycle")
+        with pytest.raises(InvalidInputError, match="unlabeled_2d/views.pgm"):
+            pipeline.load_unlabeled_images(root, manifest)
 
     def test_stray_index_files_are_ignored(self, small_dataset, tmp_path):
         root = tmp_path / "old_layout"
@@ -214,9 +258,9 @@ class TestColumnMatrix:
     def test_missing_pool_file_is_an_os_error(self, small_dataset, tmp_path):
         root = tmp_path / "gap"
         shutil.copytree(small_dataset, root)
-        (root / "unlabeled_2d" / "img_00009_v1.pgm").unlink()
+        (root / "unlabeled_2d" / "views.pgm").unlink()
         (root / "unlabeled_3d" / "shp_00020.voxr").unlink()
-        with pytest.raises(OSError, match="img_00009_v1.pgm"):
+        with pytest.raises(OSError, match=r"rerun `shapelift gen`.*unlabeled_2d/views\.pgm"):
             pipeline.load_unlabeled_images(root, SMALL)
         with pytest.raises(OSError, match="shp_00020.voxr"):
             pipeline.load_unlabeled_shapes(root, SMALL)

@@ -254,6 +254,31 @@ class TestPgm:
         back = render.load_pgm(path)
         np.testing.assert_array_equal(back, np.rint(img * 255.0) / 255.0)
 
+    def test_uint8_raster_is_written_as_it_is(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        render.save_pgm(np.array([[0, 7], [128, 255]], np.uint8), path)
+        assert path.read_bytes() == b"P5\n2 2\n255\n\x00\x07\x80\xff"
+        img = np.random.default_rng(14).random((5, 3))
+        render.save_pgm(np.rint(img * 255.0).astype(np.uint8), path)
+        floats = tmp_path / "floats.pgm"
+        render.save_pgm(img, floats)
+        assert path.read_bytes() == floats.read_bytes()
+        with pytest.raises(InvalidInputError):
+            render.save_pgm(np.zeros((0, 5), np.uint8), path)
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
+            render.save_pgm(np.full((2, 2), 255.0), path)
+
+    def test_load_holds_the_file_and_one_float_raster(self, tmp_path, traced_peak):
+        # A strip of 50 samples x 4 views of 32x32.  The peak is the file's
+        # bytes and the float64 raster, divided in place: no copy of the
+        # raster bytes and no second float64 raster.
+        strip = np.random.default_rng(15).integers(0, 256, (50 * 4 * 32, 32), np.uint8)
+        path = tmp_path / "views.pgm"
+        path.write_bytes(b"P5\n32 6400\n255\n" + strip.tobytes())
+        pixels, peak = traced_peak(lambda: render.load_pgm(path))
+        assert np.array_equal(pixels, strip / 255.0)
+        assert peak <= pixels.nbytes + path.stat().st_size + 64 * 1024
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "img.pgm"
         render.save_pgm(np.zeros((8, 8)), path)
