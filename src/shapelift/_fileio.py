@@ -1,11 +1,9 @@
 """Crash-safe output files, payload length checks, and the ``.ssm``/``.map`` container.
 
-The package writes a file by one of two rules.  A dataset's samples (its
-``views.pgm`` strips and PLY or VOXR shapes) are written in place by their
-writers; every other output goes through ``atomic_open`` (whole files
+Every file the package writes goes through ``atomic_open`` (whole files
 through ``atomic_write``), so a reader never sees it half-written under its
-final name.  ``check_length`` is the
-binary readers' one rule for a payload of the wrong size.
+final name.  ``check_length`` is the binary readers' one rule for a payload
+of the wrong size.
 
 ``.ssm`` and ``.map`` files are one container, written by
 ``write_container``, checked by ``check_container`` and read by

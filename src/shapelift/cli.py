@@ -16,7 +16,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import pipeline, render, shapes, subspace
-from ._fileio import atomic_write, read_header
+from ._fileio import read_header
 from .config import (
     MAPPING_METHODS,
     _int,
@@ -166,10 +166,10 @@ def _cmd_render(args) -> int:
         names[name] = yaw
     out_dir = Path(args.out)
     for pose, name in zip(poses, names):
-        data = render._pgm_bytes(render.render_depth(shape, pose, args.width, args.height))
+        image = render.render_depth(shape, pose, args.width, args.height)
         # Made only once a view has rendered, so a bad size leaves no directory.
         out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write(out_dir / name, data)
+        render.save_pgm(image, out_dir / name)
     _note(f"{len(poses)} view(s) written to {out_dir}")
     return 0
 

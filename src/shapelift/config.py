@@ -94,6 +94,8 @@ class DatasetManifest:
             Pose(yaw)  # raises on a non-finite yaw before any file is written
         if self.image_size < 1:
             raise InvalidInputError("image_size must be >= 1")
+        if self.base_seed < 0:
+            raise InvalidInputError(f"base_seed {self.base_seed} must be >= 0")
 
     @property
     def yaws(self) -> tuple:

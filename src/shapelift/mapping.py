@@ -55,12 +55,14 @@ class TrainSchedule:
         phases = tuple((float(r), int(e)) for r, e in self.learning_rate_phases)
         object.__setattr__(self, "learning_rate_phases", phases)
         for rate, epochs in phases:
-            if rate <= 0.0:
-                raise InvalidInputError(f"learning rate {rate} must be positive")
+            if not (np.isfinite(rate) and rate > 0.0):  # NaN fails every comparison
+                raise InvalidInputError(f"learning rate {rate} must be finite and positive")
             if epochs < 0:
                 raise InvalidInputError(f"epoch count {epochs} must be >= 0")
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size {self.batch_size} must be >= 1")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed {self.seed} must be >= 0")
 
 
 @dataclass

@@ -12,9 +12,8 @@ A dataset is one directory per split plus ``manifest.cfg``, and the
 manifest is its only index: ``_id_blocks`` gives each split's sample ids
 and ``_shape_filename`` the shape file of each id.  A split's depth images
 are one PGM film strip, ``views.pgm``: ``image_size`` wide, one
-``image_size``-tall view after another, by sample id, then view.  Sample
-files are written in place; the manifest, written last, and the reports
-and heat maps are written whole through ``_fileio.atomic_write``.
+``image_size``-tall view after another, by sample id, then view.  Every
+file, the manifest last, is written whole through ``_fileio.atomic_write``.
 
 Everything derives from the manifest's base seed, so a rerun of any stage
 is byte-identical (timestamps appear only in the human-readable text
@@ -174,10 +173,12 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     view per manifest yaw (except in unlabeled_3d), quantized straight into
     the split's uint8 ``views.pgm`` strip, which is written once; the file
     names follow from the manifest alone, so no index is written.  An
-    earlier dataset's ``shp_*`` files, and the per-view ``img_*_v*.pgm`` of
-    older versions, that the manifest does not place in a split are removed
-    from it; no other file is touched.  The manifest is written last and
-    atomically, so a directory that has one holds a complete dataset.
+    earlier dataset's ``shp_*`` files (a killed run's temp files included),
+    and the per-view ``img_*_v*.pgm`` of older versions, that the manifest
+    does not place in a split are removed from it; no other file is touched.
+    Each file is written atomically, the manifest last, so a directory that
+    has one holds a complete dataset, and each ``<file>.tmp`` left by a
+    killed run is taken over by the write of its file.
     ``threads`` is a worker cap; one worker meets every cap.  Point clouds
     have no composite sampling, so a cloud manifest that lists composite
     raises ``InvalidInputError`` before anything is created.
@@ -428,11 +429,10 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
 
 
 def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):
-    """ASCII PLY of the ground-truth cloud with a per-vertex error property,
-    written as ``write_ply`` writes it, but atomically.  An error count that
-    is not the vertex count is ``_ply_text``'s ``InvalidInputError``."""
-    atomic_write(path, shapes._ply_text(path, truth.points, {"error": hm.errors},
-                                        truth.correspondence_id).encode("ascii"))
+    """``write_ply`` of the ground-truth cloud with a per-vertex error
+    property; an error count that is not the vertex count raises its
+    ``InvalidInputError``."""
+    shapes.write_ply(path, truth.points, {"error": hm.errors}, truth.correspondence_id)
 
 
 def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):

@@ -12,11 +12,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from ._fileio import check_length
+from ._fileio import atomic_write, check_length
 from .errors import FileFormatError, InvalidInputError
 from .shapes import PointCloud, VoxelGrid
 
@@ -156,20 +155,16 @@ def _pgm_raster(image) -> np.ndarray:
     return np.rint(img * 255.0).astype(np.uint8)
 
 
-def _pgm_bytes(image: np.ndarray) -> bytes:
-    """The bytes of ``save_pgm``'s file for ``image``."""
-    raster = _pgm_raster(image)
-    h, w = raster.shape
-    return f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes()
-
-
 def save_pgm(image: np.ndarray, path):
-    """Binary PGM (P5), maxval 255, written in place.
+    """Binary PGM (P5), maxval 255, written through ``_fileio.atomic_write``.
 
     The raster is ``_pgm_raster(image)``: a uint8 array as it is, float
-    pixels in [0, 1] as ``round(pixel * 255)``.
+    pixels in [0, 1] as ``round(pixel * 255)``.  A bad image raises
+    ``InvalidInputError`` before the file is created.
     """
-    Path(path).write_bytes(_pgm_bytes(image))
+    raster = _pgm_raster(image)
+    h, w = raster.shape
+    atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
 
 def load_pgm(path) -> np.ndarray:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from ._fileio import check_length
+from ._fileio import atomic_write, check_length
 from .errors import FileFormatError, InvalidInputError, InvalidSpecError
 
 UNIT_MARGIN = 0.05
@@ -378,16 +377,12 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
               correspondence_id: str = ""):
     """ASCII PLY with double-precision x, y, z plus optional extra properties.
 
-    Values print with ``%.17g``, enough to round-trip float64 exactly, and a
-    non-finite value raises ``InvalidInputError`` before the file is created.
-    A nonempty correspondence_id is recorded as a comment.  The file is
-    written in place as ASCII bytes, so no newline translation reaches it.
+    Values print with ``%.17g``, enough to round-trip float64 exactly.  A
+    non-finite value, or an extra property without one value per vertex,
+    raises ``InvalidInputError`` before the file is created.  A nonempty
+    correspondence_id is recorded as a comment.  The ASCII bytes, with no
+    newline translation, are written through ``_fileio.atomic_write``.
     """
-    Path(path).write_bytes(_ply_text(path, points, extra, correspondence_id).encode("ascii"))
-
-
-def _ply_text(path, points: np.ndarray, extra: dict | None, correspondence_id: str) -> str:
-    """The text of ``write_ply``'s file; ``path`` only names it in errors."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     extra = extra or {}
     cols = [pts[:, 0], pts[:, 1], pts[:, 2]]
@@ -410,7 +405,8 @@ def _ply_text(path, points: np.ndarray, extra: dict | None, correspondence_id: s
     if not np.isfinite(body).all():
         raise InvalidInputError(f"{path}: cannot write a non-finite vertex value")
     row = " ".join(["%.17g"] * len(names)) + "\n"
-    return "\n".join(lines) + "\n" + (row * len(body)) % tuple(body.ravel().tolist())
+    text = "\n".join(lines) + "\n" + (row * len(body)) % tuple(body.ravel().tolist())
+    atomic_write(path, text.encode("ascii"))
 
 
 def read_ply(path):
@@ -496,8 +492,8 @@ def save_voxr(grid: VoxelGrid, path):
     Bits follow the grid's flat ordering, first cell in the most significant
     bit of the first byte; the final byte is zero-padded.
     """
-    Path(path).write_bytes(f"VOXR {grid.resolution}\n".encode("ascii")
-                           + np.packbits(grid.occupancy.ravel(order="F")).tobytes())
+    atomic_write(path, f"VOXR {grid.resolution}\n".encode("ascii")
+                 + np.packbits(grid.occupancy.ravel(order="F")).tobytes())
 
 
 def load_voxr(path) -> VoxelGrid:

@@ -195,6 +195,17 @@ class TestGen:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("config_line, flags", [("base_seed = 21", ["--seed", "-1"]),
+                                                    ("base_seed = -4", [])],
+                             ids=["flag", "config"])
+    def test_negative_seed_exit_1_writes_nothing(self, tmp_path, capsys, config_line, flags):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(SMALL_CFG.replace("base_seed = 21", config_line))
+        out = tmp_path / "data"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)] + flags) == 1
+        assert "base_seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_composite_clouds_exit_1_write_nothing(self, tmp_path, capsys):
         # Point clouds have no composite sampling, so gen refuses the
         # manifest before it creates --out or any split directory.
@@ -278,6 +289,23 @@ class TestPretrainFitEval:
         for method, _, test_rmse, _, _ in rows:
             eval_lines = (art / f"eval_{method}.csv").read_text().splitlines()
             assert eval_lines[-1] == f"average,{test_rmse}"
+
+    @pytest.mark.parametrize("line, bad", [("rates = 0.01:40 0.001:20", "rates = nan:10"),
+                                           ("rates = 0.01:40 0.001:20", "rates = inf:10"),
+                                           ("seed = 4", "seed = -1")],
+                             ids=["nan_rate", "inf_rate", "negative_seed"])
+    def test_bad_schedule_exit_1_writes_no_map(self, workspace, staged, tmp_path,
+                                               capsys, line, bad):
+        root, _ = workspace
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        cfg = tmp_path / "schedule.cfg"
+        cfg.write_text(SMALL_CFG.replace(line, bad))
+        assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(art), "--method", "mlp"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert tree_digest(art) == tree_digest(staged)
 
     def test_eval_dimension_mismatch_exit_1(self, workspace, tmp_path, capsys):
         root, cfg = workspace
@@ -563,7 +591,7 @@ class TestHeatmapCommand:
                                    atol=1e-12)
 
 
-    def test_failed_write_keeps_the_old_map(self, tmp_path, full_disk):
+    def test_failed_write_keeps_the_old_map(self, tmp_path, request):
         truth = shapes.generate_point_shape(
             shapes.ShapeSpec("ellipsoid", {"cx": 0.5, "cy": 0.5, "cz": 0.5,
                                            "rx": 0.2, "ry": 0.2, "rz": 0.2}), 100)
@@ -571,6 +599,7 @@ class TestHeatmapCommand:
         shapes.save_cloud(truth, truth_path)
         out = tmp_path / "heat.ply"
         out.write_text("old")
+        request.getfixturevalue("full_disk")
         assert main(["heatmap", str(truth_path), str(truth_path), "--out", str(out)]) == 1
         assert out.read_text() == "old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["heat.ply", "truth.ply"]

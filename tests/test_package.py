@@ -51,13 +51,9 @@ def _file_writes(module: Path):
     return found
 
 
-def test_two_write_rules():
-    # Dataset samples are written in place by their three writers; every
-    # other output goes through _fileio.atomic_open.
-    allowed = {("_fileio", "atomic_open", "open"),
-               ("render", "save_pgm", "write_bytes"),
-               ("shapes", "write_ply", "write_bytes"),
-               ("shapes", "save_voxr", "write_bytes")}
+def test_one_write_rule():
+    # Every file, dataset samples included, goes through _fileio.atomic_open.
+    allowed = {("_fileio", "atomic_open", "open")}
     found = set()
     for module in sorted(Path(shapelift.__file__).parent.glob("*.py")):
         found |= {(module.stem, function, call) for function, call in _file_writes(module)}

@@ -116,6 +116,9 @@ class TestGenerateDataset:
         render.save_pgm(np.zeros((16, 16)), orphan)
         notes = root / "paired_test" / "notes.txt"
         notes.write_text("not a sample")
+        # Temp files a killed gen could leave behind.
+        for name in ("views.pgm.tmp", "shp_00009.voxr.tmp"):
+            (root / "paired_test" / name).write_bytes(b"partial")
         pipeline.generate_dataset(dataclasses.replace(SMALL, paired_train=1), root)
         assert not orphan.exists()
         assert notes.read_text() == "not a sample"
@@ -773,10 +776,20 @@ class TestConfigFiles:
             load(str(path))
 
     def test_negative_and_zero_padded_integers_read(self, tmp_path):
+        assert config._int("-3") == -3
         path = tmp_path / "ints.cfg"
-        path.write_text("[dataset]\nbase_seed = -3\nresolution = 012\n")
-        manifest = load_manifest(str(path))
-        assert (manifest.base_seed, manifest.resolution) == (-3, 12)
+        path.write_text("[dataset]\nresolution = 012\n")
+        assert load_manifest(str(path)).resolution == 12
+        path.write_text("[dataset]\nbase_seed = -3\n")
+        with pytest.raises(InvalidInputError, match="base_seed"):
+            load_manifest(str(path))
+
+    @pytest.mark.parametrize("line", ["rates = nan:10", "rates = inf:10", "seed = -1"])
+    def test_bad_schedule_rejected(self, tmp_path, line):
+        path = tmp_path / "sched.cfg"
+        path.write_text(f"[schedule]\n{line}\n")
+        with pytest.raises(InvalidInputError, match="finite and positive|seed -1"):
+            load_experiment(str(path))
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
