@@ -5,8 +5,9 @@ Usage:
 
 Builds a scaled-down cloud dataset, fits the low-dimensional linear mapping,
 reconstructs every test cloud, and writes heat-map PLYs (corresponded and
-nearest-neighbor modes) for the worst and best test samples.  The error
-property in the PLYs can be colorized by any external point-cloud viewer.
+nearest-neighbor modes) for the worst and best test samples.  The PLYs are
+binary little-endian with a double ``error`` property per vertex, which
+point-cloud viewers that read standard binary PLY can colorize.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ def _cmd_inspect(args) -> int:
         return 0
     if head.startswith(b"ply"):
         points, extras, corr = shapes.read_ply(path)
-        print(f"{path}: ASCII PLY point cloud")
+        print(f"{path}: PLY point cloud")
         print(f"vertices: {points.shape[0]}")
         if corr:
             print(f"correspondence: {corr}")

@@ -370,18 +370,18 @@ def cloud_from_vector(vec, correspondence_id: str = "") -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# File formats: ASCII PLY for clouds, VOXR for voxel grids.
+# File formats: binary little-endian PLY for clouds, VOXR for voxel grids.
 # ---------------------------------------------------------------------------
 
 def write_ply(path, points: np.ndarray, extra: dict | None = None,
               correspondence_id: str = ""):
-    """ASCII PLY with double-precision x, y, z plus optional extra properties.
+    """Binary little-endian PLY with double x, y, z plus optional extra properties.
 
-    Values print with ``%.17g``, enough to round-trip float64 exactly.  A
-    non-finite value, or an extra property without one value per vertex,
-    raises ``InvalidInputError`` before the file is created.  A nonempty
-    correspondence_id is recorded as a comment.  The ASCII bytes, with no
-    newline translation, are written through ``_fileio.atomic_write``.
+    ASCII header lines, then the vertex rows as row-major ``<f8``, so every
+    float64 round-trips exactly.  A non-finite value, or an extra property
+    without one value per vertex, raises ``InvalidInputError`` before the
+    file is created.  A nonempty correspondence_id is recorded as a
+    comment.  The bytes are written through ``_fileio.atomic_write``.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     extra = extra or {}
@@ -395,7 +395,7 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
             )
         cols.append(arr)
         names.append(name)
-    lines = ["ply", "format ascii 1.0"]
+    lines = ["ply", "format binary_little_endian 1.0"]
     if correspondence_id:
         lines.append(f"comment correspondence {correspondence_id}")
     lines.append(f"element vertex {pts.shape[0]}")
@@ -404,75 +404,70 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
     body = np.column_stack(cols)
     if not np.isfinite(body).all():
         raise InvalidInputError(f"{path}: cannot write a non-finite vertex value")
-    row = " ".join(["%.17g"] * len(names)) + "\n"
-    text = "\n".join(lines) + "\n" + (row * len(body)) % tuple(body.ravel().tolist())
-    atomic_write(path, text.encode("ascii"))
+    header = ("\n".join(lines) + "\n").encode("ascii")
+    atomic_write(path, header + body.astype("<f8", copy=False).tobytes())
 
 
 def read_ply(path):
-    """Parse our ASCII PLY profile; returns (points, extras, correspondence_id).
+    """Parse our binary PLY profile; returns (points, extras, correspondence_id).
 
-    Each vertex row holds one finite decimal or exponent token per property;
-    ``np.loadtxt`` parses them, so a spelling like ``1_0`` is a bad row.
+    The header lines must be ASCII and declare ``binary_little_endian 1.0``;
+    an older ``ascii 1.0`` file asks for ``shapelift gen`` to be rerun.  The
+    payload's length is checked against the header before anything is
+    allocated, then it becomes one float64 array whose values must all be
+    finite.  The points and extras are columns of that array.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FileFormatError(f"{path}: not an ASCII file: {exc.reason} "
-                                  f"at byte {exc.start}") from exc
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise FileFormatError(f"{path}: not a PLY file")
-    names: list[str] = []
-    count = None
-    corr = ""
-    i = 1
-    for i in range(1, len(lines)):
-        tok = lines[i].split()
-        if not tok:
-            continue
-        if tok[0] == "end_header":
-            break
-        if tok[0] == "format":
-            if tok[1:] != ["ascii", "1.0"]:
-                raise FileFormatError(f"{path}: only ascii 1.0 PLY is supported")
-        elif tok[0] == "comment":
-            if len(tok) >= 3 and tok[1] == "correspondence":
-                corr = tok[2]
-        elif tok[0] in ("element", "property") and len(tok) < 3:
-            raise FileFormatError(f"{path}: header line {lines[i].strip()!r} lacks a field")
-        elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise FileFormatError(f"{path}: unsupported element {tok[1]!r}")
-            if not tok[2].isdigit():
-                raise FileFormatError(
-                    f"{path}: vertex count {tok[2]!r} is not a non-negative integer")
-            count = int(tok[2])
-        elif tok[0] == "property":
-            if tok[1] != "double":
-                raise FileFormatError(f"{path}: unsupported property type {tok[1]!r}")
-            names.append(tok[2])
-    else:
-        raise FileFormatError(f"{path}: unexpected end of file in header")
-    if count is None or names[:3] != ["x", "y", "z"]:
-        raise FileFormatError(f"{path}: header lacks vertex element with x, y, z")
-    rows = lines[i + 1:]
-    rows = [r for r in rows if r.strip()]
-    if len(rows) < count:
-        raise FileFormatError(f"{path}: unexpected end of file in vertex data")
-    if len(rows) > count:
-        raise FileFormatError(f"{path}: trailing data after vertex data")
-    data = np.empty((0, len(names)))
-    if count:  # loadtxt warns on empty input
-        try:
-            data = np.loadtxt(rows, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}: bad vertex row: {exc}") from exc
-    if data.shape[1] != len(names):
-        raise FileFormatError(f"{path}: vertex rows do not match property count")
+    with open(path, "rb") as fh:
+        if fh.readline().strip() != b"ply":
+            raise FileFormatError(f"{path}: not a PLY file")
+        names: list[str] = []
+        count = None
+        binary = False
+        corr = ""
+        for raw in iter(fh.readline, b""):
+            try:
+                tok = raw.decode("ascii").split()
+            except UnicodeDecodeError as exc:
+                raise FileFormatError(f"{path}: not an ASCII header: {exc.reason} at byte "
+                                      f"{fh.tell() - len(raw) + exc.start}") from exc
+            if not tok:
+                continue
+            if tok[0] == "end_header":
+                break
+            if tok[0] == "format":
+                if tok[1:] != ["binary_little_endian", "1.0"]:
+                    raise FileFormatError(
+                        f"{path}: only binary_little_endian 1.0 PLY is supported; rerun "
+                        "`shapelift gen` (older versions wrote ascii 1.0 shapes)")
+                binary = True
+            elif tok[0] == "comment":
+                if len(tok) >= 3 and tok[1] == "correspondence":
+                    corr = tok[2]
+            elif tok[0] in ("element", "property") and len(tok) < 3:
+                raise FileFormatError(f"{path}: header line {' '.join(tok)!r} lacks a field")
+            elif tok[0] == "element":
+                if tok[1] != "vertex":
+                    raise FileFormatError(f"{path}: unsupported element {tok[1]!r}")
+                if not tok[2].isdigit():
+                    raise FileFormatError(
+                        f"{path}: vertex count {tok[2]!r} is not a non-negative integer")
+                count = int(tok[2])
+            elif tok[0] == "property":
+                if tok[1] != "double":
+                    raise FileFormatError(f"{path}: unsupported property type {tok[1]!r}")
+                names.append(tok[2])
+        else:
+            raise FileFormatError(f"{path}: unexpected end of file in header")
+        if not binary:
+            raise FileFormatError(f"{path}: header lacks a format line")
+        if count is None or names[:3] != ["x", "y", "z"]:
+            raise FileFormatError(f"{path}: header lacks vertex element with x, y, z")
+        payload = fh.read()
+    check_length(path, len(payload), 8 * count * len(names), after="vertex data")
+    data = np.frombuffer(payload, dtype="<f8").reshape(count, len(names))
     if not np.isfinite(data).all():
         raise FileFormatError(f"{path}: non-finite vertex value")
+    data = data.astype(np.float64)  # native, writable, and no longer tied to the bytes
     extras = {n: data[:, 3 + k] for k, n in enumerate(names[3:])}
     return data[:, :3], extras, corr
 

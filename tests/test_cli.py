@@ -37,6 +37,13 @@ batch_size = 3
 seed = 4
 """
 
+SMALL_CLOUD_CFG = SMALL_CFG.replace("kinds = box ellipsoid cylinder\n", """\
+kinds = box ellipsoid cylinder
+representation = cloud
+point_count = 40
+poses = -45 0 45
+""").replace("view_count = 2", "view_count = 3")
+
 # Headers that declare an image, grid, model or network with a size below one.
 NON_POSITIVE_SIZE_FILES = {
     "negative.pgm": b"P5\n-2 -3\n255\n" + bytes(6),
@@ -69,7 +76,10 @@ BAD_PLY_HEADERS = {
     "element_bare": (b"element vertex 1", b"element", "lacks a field"),
     "property_name_missing": (b"property double z", b"property double", "lacks a field"),
     "property_bare": (b"property double z", b"property", "lacks a field"),
-    "non_ascii": (b"format ascii 1.0", b"format ascii 1.0\ncomment \xff", "not an ASCII file"),
+    "non_ascii": (b"element vertex 1", b"comment \xff\nelement vertex 1", "not an ASCII header"),
+    "format_ascii": (b"binary_little_endian", b"ascii", "rerun `shapelift gen`"),
+    "format_big_endian": (b"binary_little_endian", b"binary_big_endian", "rerun `shapelift gen`"),
+    "format_missing": (b"format binary_little_endian 1.0\n", b"", "lacks a format line"),
 }
 
 # JSON headers whose fields have the wrong type, or that are not an object.
@@ -653,6 +663,53 @@ class TestHeatmapCommand:
         assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def cloud_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cloud")
+    cfg = root / "small_cloud.cfg"
+    cfg.write_text(SMALL_CLOUD_CFG)
+    assert main(["gen", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    return root, cfg
+
+
+class TestCloudDataset:
+    def test_older_ascii_shape_exit_1_names_it(self, cloud_workspace, tmp_path, capsys):
+        root, cfg = cloud_workspace
+        data = tmp_path / "data"
+        shutil.copytree(root / "data", data)
+        old = data / "unlabeled_3d" / "shp_00021.ply"
+        points, _, corr = shapes.read_ply(old)
+        header = ["ply", "format ascii 1.0", f"comment correspondence {corr}",
+                  f"element vertex {len(points)}", "property double x",
+                  "property double y", "property double z", "end_header"]
+        old.write_text("\n".join(header + [" ".join(f"{v:.17g}" for v in row)
+                                           for row in points]) + "\n")
+        art = tmp_path / "art"
+        assert main(["pretrain", "--config", str(cfg), "--data", str(data),
+                     "--out", str(art)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {old}: ")
+        assert "rerun `shapelift gen`" in err[0]
+        assert not art.exists()
+
+    def test_per_shape_commands_read_dataset_clouds(self, cloud_workspace, tmp_path,
+                                                    capsys):
+        root, _ = cloud_workspace
+        shape_file = root / "data" / "unlabeled_3d" / "shp_00021.ply"
+        assert main(["inspect", str(shape_file)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == [f"{shape_file}: PLY point cloud", "vertices: 40"]
+        assert main(["render", str(shape_file), "--out", str(tmp_path / "imgs"),
+                     "--views", "2"]) == 0
+        assert len(list((tmp_path / "imgs").glob("*.pgm"))) == 2
+        heat = tmp_path / "heat.ply"
+        assert main(["heatmap", str(shape_file), str(shape_file), "--out", str(heat)]) == 0
+        points, extras, _ = shapes.read_ply(heat)
+        assert np.array_equal(points, shapes.load_cloud(shape_file).points)
+        assert not extras["error"].any()
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv, message", [
         (["render", "x.voxr", "--out", "imgs", "--bogus"], "unrecognized arguments"),
@@ -791,7 +848,8 @@ class TestInspect:
     def test_ply_non_finite_exit_1(self, tmp_path, capsys):
         path = tmp_path / "nan.ply"
         shapes.save_cloud(shapes.PointCloud(np.zeros((1, 3))), path)
-        path.write_text(path.read_text().replace("0 0 0", "nan inf 2"))
+        path.write_bytes(path.read_bytes()[:-24]
+                         + np.array([np.nan, np.inf, 2.0]).astype("<f8").tobytes())
         for argv in (["inspect", str(path)], ["render", str(path), "--out", str(tmp_path)]):
             assert main(argv) == 1
             err = capsys.readouterr().err
@@ -817,7 +875,7 @@ class TestInspect:
     def test_ply_trailing_rows_exit_1(self, tmp_path, capsys, extra):
         path = tmp_path / "long.ply"
         shapes.save_cloud(shapes.PointCloud(np.zeros((4, 3))), path)
-        path.write_text(path.read_text() + extra)
+        path.write_bytes(path.read_bytes() + extra.encode("ascii"))
         assert main(["inspect", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1

@@ -69,18 +69,34 @@ class TestGenerateDataset:
 
     # sha256 over every file name and byte, recorded when each split's views
     # moved into one views.pgm strip (the rasters, and so every loaded matrix,
-    # kept their bytes).  Any change to a dataset file's bytes fails here.
+    # kept their bytes), and for clouds again when shapes became binary PLY
+    # (test_cloud_matrices_kept_their_bytes).  Any change to a dataset file's
+    # bytes fails here.
     @pytest.mark.parametrize("manifest, digest", [
         (SMALL, "ef58c29552ad195439a3c5736f6109fbbfbaae2b18c0f91406b88334e393ad58"),
         (dataclasses.replace(SMALL, kinds=shapes.ALL_KINDS, resolution=16, view_count=3),
          "97c3b46de2d231f77f0687015def1985626d5103b60cf2301bd6aba7ab49f986"),
         (dataclasses.replace(SMALL, representation="cloud", point_count=60,
                              poses=(-45.0, 0.0, 45.0), view_count=3),
-         "b240fbc1973a6fa8043f82cb0f14e0b3185d418a9e79fa4e19c2de427f0f0f04"),
+         "5aee2efa81d06fa258bb9debbb56d9c3f41ffe235890db2b4d99ec3216052291"),
     ], ids=["voxel", "voxel_all_kinds", "cloud"])
     def test_golden_digest(self, tmp_path, manifest, digest):
         pipeline.generate_dataset(manifest, tmp_path / "data")
         assert tree_digest(tmp_path / "data") == digest
+
+    def test_cloud_matrices_kept_their_bytes(self, tmp_path):
+        # sha256 of the loaded matrices, recorded while clouds were still
+        # ASCII PLY: the binary files must load to the same bits.
+        manifest = dataclasses.replace(SMALL, representation="cloud", point_count=60,
+                                       poses=(-45.0, 0.0, 45.0), view_count=3)
+        pipeline.generate_dataset(manifest, tmp_path)
+        h = hashlib.sha256(pipeline.load_unlabeled_shapes(tmp_path, manifest).tobytes())
+        for split in (pipeline.SPLIT_PAIRED_TRAIN, pipeline.SPLIT_PAIRED_TEST):
+            x, z, _ = pipeline.load_paired(tmp_path, manifest, split, "cycle")
+            h.update(x.tobytes())
+            h.update(z.tobytes())
+        assert h.hexdigest() == (
+            "ff07a662d63f3b7a35ca23c90032a63340a48cd6766d6238484c841036883e76")
 
     def test_split_ids_are_disjoint(self, small_dataset):
         blocks = pipeline._id_blocks(SMALL)
