@@ -8,8 +8,8 @@ of the wrong size.
 ``.ssm`` and ``.map`` files are one container, written by
 ``write_container``, checked by ``check_container`` and read by
 ``read_container``: a JSON object with sorted keys and a ``format_version``
-on the first line, then little-endian float64 arrays with nothing after
-them, moved between memory and the file with no intermediate ``bytes`` copy.
+on the first line, then finite little-endian float64 arrays with nothing
+after them, moved between memory and the file with no ``bytes`` copy.
 """
 
 from __future__ import annotations
@@ -60,14 +60,24 @@ def check_length(path, have: int, need: int, after: str = ""):
         raise FileFormatError(f"{path}: trailing data" + (f" after {after}" if after else ""))
 
 
+def _finite(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is all finite: one sum, and a full check if that overflows."""
+    with np.errstate(all="ignore"):
+        return np.isfinite(arr.sum()) or np.isfinite(arr).all()
+
+
 def write_container(path, header: dict, arrays, order: str = "C"):
     """Write ``header``, then each array in ``order`` ("C" row-major, "F"
     column-major) through ``atomic_open``.  An array already laid out so is
-    written as it is; any other is converted by one copy first."""
+    written as it is; any other is converted by one copy first.  A NaN or
+    infinity raises ``InvalidInputError``, and ``path`` keeps what it held."""
     with atomic_open(path) as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for arr in arrays:
-            fh.write(np.asarray(arr, dtype="<f8", order=order).ravel(order))
+            flat = np.asarray(arr, dtype="<f8", order=order).ravel(order)
+            if not _finite(flat):
+                raise InvalidInputError(f"{path}: non-finite value")
+            fh.write(flat)
 
 
 def header_int(value) -> int:
@@ -141,7 +151,7 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
     is then allocated in ``order`` ("C" row-major, "F" column-major) and
     filled by ``readinto`` in that order, with no intermediate ``bytes``
     copy.  The arrays come back native float64, writable and owning their
-    memory.
+    memory.  A NaN or infinity is "non-finite value".
     """
     # Path.open, so that atomic_open is this module's one caller of ``open``.
     with Path(path).open("rb") as fh:
@@ -151,5 +161,7 @@ def read_container(path, what: str, version: int, fields: dict, shapes,
             arr = np.empty(shape, dtype="<f8", order=order)
             if fh.readinto(arr.ravel(order)) != arr.nbytes:
                 raise FileFormatError(f"{path}: unexpected end of file")
+            if not _finite(arr.ravel(order)):
+                raise FileFormatError(f"{path}: non-finite value")
             arrays.append(arr.astype(np.float64, copy=False))
         return converted, arrays

@@ -89,8 +89,9 @@ def _cmd_pretrain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     subspace.save_ssm(img_model, out_dir / IMAGE_MODEL_FILE)
     subspace.save_ssm(shape_model, out_dir / SHAPE_MODEL_FILE)
-    _note(f"subspace models written to {out_dir} "
-          f"(k_2d={img_model.k}, k_3d={shape_model.k})")
+    ks = (f"{name}={m.k}" + (f" of {m.k_requested} requested" if m.shrunk else "")
+          for name, m in (("k_2d", img_model), ("k_3d", shape_model)))
+    _note(f"subspace models written to {out_dir} ({', '.join(ks)})")
     return 0
 
 
@@ -326,10 +327,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

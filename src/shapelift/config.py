@@ -143,7 +143,8 @@ def resolve_config_path(path: str) -> str:
 
 
 def _read_parser(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    # A "%" is text, and [DEFAULT] is a section, so it is rejected as unknown.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)

@@ -1,7 +1,8 @@
 """End-to-end experiment orchestration on materialized datasets.
 
 Stages: ``generate_dataset`` writes a reproducible synthetic dataset to
-disk; ``pretrain`` fits both subspace models from the unlabeled pools only;
+disk; ``pretrain`` fits both subspace models from the unlabeled pools only,
+through ``subspace.fit_subspace``, which alone decides each model's k;
 ``fit_mapping`` consumes the paired split through one of three mapping
 methods, each producing an ``MlpMap``; ``predict`` runs encode, network,
 decode (direct skips the encode and decode); ``evaluate_rmse`` and
@@ -23,7 +24,6 @@ summaries, never in CSVs).
 from __future__ import annotations
 
 import functools
-import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,8 +43,6 @@ from .config import (
 )
 from .errors import InvalidInputError
 from .linalg import _columns
-
-logger = logging.getLogger(__name__)
 
 SPLIT_PAIRED_TRAIN = "paired_train"
 SPLIT_PAIRED_TEST = "paired_test"
@@ -119,13 +117,9 @@ def _column_matrix(read, items) -> np.ndarray:
     return matrix
 
 
-def _sample_rng(base_seed: int, sample_id: int) -> np.random.Generator:
-    # Per-sample generator: seed_i hashes (base_seed, i) via SeedSequence.
-    return np.random.default_rng((base_seed, sample_id))
-
-
 def _shape_for_id(manifest: DatasetManifest, sample_id: int):
-    rng = _sample_rng(manifest.base_seed, sample_id)
+    # Per-sample generator: seed_i hashes (base_seed, i) via SeedSequence.
+    rng = np.random.default_rng((manifest.base_seed, sample_id))
     spec = shapes.sample_spec(rng, manifest.kinds, seed=sample_id)
     if manifest.representation == "voxel":
         return shapes.generate_voxel_shape(spec, manifest.resolution)
@@ -151,17 +145,12 @@ def _shape_filename(sample_id: int, manifest: DatasetManifest) -> str:
 
 
 def _id_blocks(manifest: DatasetManifest) -> dict:
-    """Disjoint sample-id ranges per split (test ids never reused anywhere)."""
-    blocks = {}
-    start = 0
-    for split, count in (
-        (SPLIT_PAIRED_TRAIN, manifest.paired_train),
-        (SPLIT_PAIRED_TEST, manifest.paired_test),
-        (SPLIT_UNLABELED_2D, manifest.unlabeled_2d),
-        (SPLIT_UNLABELED_3D, manifest.unlabeled_3d),
-    ):
-        blocks[split] = range(start, start + count)
-        start += count
+    """Disjoint sample-id ranges per split (test ids never reused anywhere),
+    each as long as the manifest field that bears the split's name."""
+    blocks, start = {}, 0
+    for split in (SPLIT_PAIRED_TRAIN, SPLIT_PAIRED_TEST, SPLIT_UNLABELED_2D, SPLIT_UNLABELED_3D):
+        blocks[split] = range(start, start + getattr(manifest, split))
+        start += getattr(manifest, split)
     return blocks
 
 
@@ -259,29 +248,20 @@ def load_unlabeled_shapes(data_dir, manifest: DatasetManifest):
                           _id_blocks(manifest)[SPLIT_UNLABELED_3D])
 
 
-def _fit_pool(pool: np.ndarray, k: int, label: str) -> subspace.SubspaceModel:
-    # A pool smaller than the requested k shrinks the subspace (with a
-    # warning) instead of failing; rank deficiency inside fit_subspace
-    # shrinks further on its own.  The pool is ours to drop: center it in place.
-    cap = min(pool.shape)
-    if k > cap:
-        logger.warning("%s pool supports at most k=%d; shrinking requested k=%d",
-                       label, cap, k)
-        k = cap
-    return subspace.fit_subspace(pool, k, _overwrite=True)
-
-
 def pretrain(data_dir, k_2d: int, k_3d: int):
     """Fit both subspace models from the unlabeled pools alone.
 
     Reads only the two unlabeled splits, whose files the manifest names; the
     paired splits are never opened, so their presence or absence cannot
-    change the result.  A k larger than a pool supports is shrunk with a
-    warning.  Each pool is loaded, fitted and dropped before the next.
+    change the result.  Each pool is loaded, centered in place and fitted
+    by ``fit_subspace``, which shrinks a k past the pool's size or rank with
+    one warning, and dropped before the next.
     """
     manifest = read_dataset_manifest(data_dir)
-    return (_fit_pool(load_unlabeled_images(data_dir, manifest), k_2d, "image"),
-            _fit_pool(load_unlabeled_shapes(data_dir, manifest), k_3d, "shape"))
+    return (subspace.fit_subspace(load_unlabeled_images(data_dir, manifest), k_2d,
+                                  _overwrite=True),
+            subspace.fit_subspace(load_unlabeled_shapes(data_dir, manifest), k_3d,
+                                  _overwrite=True))
 
 
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):

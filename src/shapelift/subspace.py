@@ -42,8 +42,10 @@ PCA_EQUIVALENCE_SCHEDULE = TrainSchedule(((0.05, 20000),), batch_size=1, seed=11
 class SubspaceModel:
     """mean + column-major orthonormal basis (dim x k) + descending singular values (k,).
 
-    ``k_requested`` records the dimension asked of the fit; when the data's
-    effective rank fell short, ``k < k_requested`` and ``shrunk`` is True.
+    ``k_requested`` is the k the caller asked of ``fit_subspace``; when the
+    pool's size or its effective rank fell short of it, ``k < k_requested``
+    and ``shrunk`` is True.  A loaded model has ``k_requested == k``: the
+    ``.ssm`` format does not store the request.
     """
 
     mean: np.ndarray
@@ -79,13 +81,14 @@ class SubspaceModel:
         return out[:, 0] if vector else out
 
 
-def _pool(samples, k: int) -> np.ndarray:
-    """``samples`` as a finite (dim, n) matrix with n >= 2 and 1 <= k <= min(dim, n)."""
+def _pool(samples, k: int, strict: bool) -> np.ndarray:
+    """``samples`` as a finite (dim, n) matrix with n >= 2, for a k >= 1;
+    ``strict`` also requires k <= min(dim, n)."""
     x = _as_matrix(samples, "samples")
     dim, n = x.shape
     if n < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n}")
-    if not 1 <= k <= min(dim, n):
+    if k < 1 or (strict and k > min(dim, n)):
         raise InvalidInputError(f"k={k} outside [1, min(dim={dim}, n={n})]")
     return x
 
@@ -95,15 +98,21 @@ def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
 
     The vectors and singular values come from `linalg.leading_svd`, so the
     singular values are Ritz values, equal to the SVD's to about
-    eps * sigma_1.  If the centered matrix has effective rank r < k the
-    basis keeps only r columns and the model is flagged shrunk.  Requires
-    n >= 2 samples and k <= min(dim, n); ``samples`` itself is not changed.
+    eps * sigma_1.  The basis keeps min(k, dim, n) columns, cut further at
+    the centered matrix's effective rank r; when that is fewer than k, one
+    warning names k, the kept k, the pool's size and r, and the model is
+    flagged shrunk.  Requires n >= 2 samples and k >= 1; ``samples`` is
+    not changed unless ``_overwrite``, which centers it in place.
     """
-    x = _pool(samples, k)
+    x = _pool(samples, k, strict=False)
+    dim, n = x.shape
     mean = x.mean(axis=1)
-    res = linalg.leading_svd(np.subtract(x, mean[:, None], out=x if _overwrite else None), k)
+    res = linalg.leading_svd(np.subtract(x, mean[:, None], out=x if _overwrite else None),
+                             min(k, dim, n))
     if res.rank < k:
-        logger.warning("requested k=%d but effective rank is %d; basis shrunk", k, res.rank)
+        logger.warning("shrinking requested k=%d to k=%d: the pool is %d x %d "
+                       "(dim x samples) and its effective rank is %d",
+                       k, res.rank, dim, n, res.rank)
     return SubspaceModel(
         mean=mean,
         basis=np.asfortranarray(res.u),
@@ -131,7 +140,7 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
     epoch's loss is not finite, or "... at epoch N (final weights)" if the
     last step leaves the final weights' loss non-finite.
     """
-    x = _pool(samples, k)
+    x = _pool(samples, k, strict=True)
     dim, n = x.shape
     rng = np.random.default_rng(schedule.seed)
     weights = [init_scale * glorot_uniform(rng, k, dim),

@@ -317,6 +317,29 @@ class TestPretrainFitEval:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert tree_digest(art) == tree_digest(staged)
 
+    def test_pretrain_note_names_the_requested_k(self, workspace, tmp_path, capsys):
+        # The 10-shape pool cannot hold k_3d = 400; the note says what was kept.
+        root, _ = workspace
+        cfg = tmp_path / "big_k.cfg"
+        cfg.write_text(SMALL_CFG.replace("k_3d = 8", "k_3d = 400"))
+        assert main(["pretrain", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(tmp_path / "art")]) == 0
+        note = capsys.readouterr().err.splitlines()[-1]
+        assert note.endswith("(k_2d=6, k_3d=9 of 400 requested)")
+
+    def test_non_finite_map_exit_1_writes_no_report(self, workspace, staged, tmp_path,
+                                                    capsys):
+        root, cfg = workspace
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        path = art / "mapping_direct.map"
+        path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
+        capsys.readouterr()
+        assert _direct_stage(workspace, art, "eval") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-finite value\n"
+        assert not list(art.glob("eval_*"))
+
     def test_eval_dimension_mismatch_exit_1(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         art = tmp_path / "art"
@@ -783,6 +806,15 @@ class TestInspect:
         assert "resolution: 10" in out
         assert "occupied:" in out
 
+    def test_non_finite_ssm_exit_1(self, staged, tmp_path, capsys):
+        path = tmp_path / "image_model.ssm"
+        path.write_bytes((staged / path.name).read_bytes()[:-8]
+                         + np.array([np.inf], "<f8").tobytes())
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: non-finite value\n"
+        assert captured.out == ""
+
     def test_truncated_file_exit_1(self, tmp_path, capsys):
         grid = shapes.VoxelGrid(np.ones((8, 8, 8), bool))
         path = tmp_path / "grid.voxr"
@@ -880,6 +912,35 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "trailing" in err
+
+
+class TestConfigText:
+    """Config values are literal text, and [DEFAULT] is no special section."""
+
+    @pytest.mark.parametrize("command, old, new, message", [
+        ("gen", "kinds = box ellipsoid cylinder", "kinds = box%",
+         "unknown shape kind 'box%'"),
+        ("pretrain", "k_2d = 6", "k_2d = 6\nmapping = lowdim%(x)s",
+         "got 'lowdim%(x)s'"),
+        ("gen", SMALL_CFG, "[DEFAULT]\nk_2d = 5\n", "unknown section [DEFAULT]"),
+        ("pretrain", SMALL_CFG, "[DEFAULT]\nk_2d = 5\n", "unknown section [DEFAULT]"),
+        ("pretrain", "[experiment]", "[DEFAULT]\n\n[experiment]",
+         "unknown section [DEFAULT]"),
+    ], ids=["percent", "interpolation", "gen_default", "pretrain_default", "empty_default"])
+    def test_exit_1_writes_nothing(self, workspace, tmp_path, capsys, command, old, new,
+                                   message):
+        root, _ = workspace
+        cfg = tmp_path / "text.cfg"
+        cfg.write_text(SMALL_CFG.replace(old, new))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "pretrain":
+            argv += ["--data", str(root / "data")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert message in err
+        assert not out.exists()
 
 
 class TestConfigDirEnv:

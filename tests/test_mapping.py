@@ -649,6 +649,38 @@ class TestMapFormat:
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_save_writes_nothing(self, tmp_path, value):
+        m = rng_net(34, (4, 5, 3))
+        m.weights[1][2, 3] = value
+        path = tmp_path / "net.map"
+        with pytest.raises(InvalidInputError, match="net.map: non-finite value"):
+            mp.save_map(m, path)
+        assert list(tmp_path.iterdir()) == []
+        # An earlier file under that name keeps its bytes.
+        mp.save_map(rng_net(35, (4, 3)), path)
+        before = path.read_bytes()
+        with pytest.raises(InvalidInputError, match="non-finite value"):
+            mp.save_map(m, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_load_raises(self, tmp_path, value):
+        path = tmp_path / "net.map"
+        mp.save_map(rng_net(36, (4, 3)), path)
+        path.write_bytes(path.read_bytes()[:-8] + np.array([value], "<f8").tobytes())
+        with pytest.raises(FileFormatError, match="net.map: non-finite value"):
+            mp.load_map(path)
+
+    def test_finite_values_whose_sum_overflows_round_trip(self, tmp_path):
+        m = MlpMap((2, 3), [np.full((3, 2), 1e308)], [np.full(3, -1e308)])
+        path = tmp_path / "net.map"
+        mp.save_map(m, path)
+        back = mp.load_map(path)
+        assert np.array_equal(back.weights[0], m.weights[0])
+        assert np.array_equal(back.biases[0], m.biases[0])
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "net.map"
         mp.save_map(rng_net(28, (4, 3)), path)

@@ -303,6 +303,22 @@ class TestPretrain:
         assert shape_model.k <= 16
         assert any("shrink" in r.message for r in caplog.records)
 
+    def test_oversized_k_is_fit_subspace_on_the_pool(self, small_dataset, caplog):
+        # fit_subspace alone shrinks k: pretrain hands it the request as given.
+        manifest = pipeline.read_dataset_manifest(small_dataset)
+        with caplog.at_level("WARNING", logger="shapelift"):
+            models = pipeline.pretrain(small_dataset, 4000, 400)
+        assert len(caplog.records) == 2
+        pools = (pipeline.load_unlabeled_images(small_dataset, manifest),
+                 pipeline.load_unlabeled_shapes(small_dataset, manifest))
+        for model, pool, k in zip(models, pools, (4000, 400)):
+            expect = subspace.fit_subspace(pool, k)
+            assert (model.k_requested, model.k) == (k, expect.k)
+            assert model.shrunk and model.k < min(pool.shape)
+            for got, want in ((model.mean, expect.mean), (model.basis, expect.basis),
+                              (model.singular_values, expect.singular_values)):
+                assert got.tobytes() == want.tobytes()
+
     def test_traced_peak_holds_one_pool_and_its_basis(self, tmp_path, traced_peak):
         # The image pool is fitted and dropped first; the shape pool is
         # centered in place and the basis is the Ritz step's own buffer, so

@@ -1,11 +1,13 @@
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shapelift import linalg, subspace
+from shapelift import config, linalg, pipeline, shapes, subspace
 from shapelift.errors import (
     FileFormatError,
     InvalidInputError,
@@ -22,8 +24,27 @@ class Unwritable:
         raise RuntimeError("write failed")
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def random_data(seed, dim, n):
     return np.random.default_rng(seed).standard_normal((dim, n))
+
+
+def reference_pool(cfg: str) -> np.ndarray:
+    """The unlabeled shape pool of a reference config, built in memory."""
+    manifest = config.load_manifest(str(CONFIGS / cfg))
+    ids = pipeline._id_blocks(manifest)[pipeline.SPLIT_UNLABELED_3D]
+    return np.column_stack([shapes.vectorize_shape(pipeline._shape_for_id(manifest, i))
+                            for i in ids])
+
+
+def model_digest(model) -> str:
+    """sha256 of a model's mean, column-major basis and singular values."""
+    h = hashlib.sha256()
+    for arr in (model.mean, model.basis.T, model.singular_values):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
 def large_model(seed):
@@ -67,8 +88,8 @@ class TestFitSubspace:
 
     def test_invalid_k(self):
         data = random_data(0, 5, 3)
-        with pytest.raises(InvalidInputError):
-            subspace.fit_subspace(data, 4)
+        # A k past min(dim, n) is not invalid: the fit keeps what the pool has.
+        assert subspace.fit_subspace(data, 4).k == 2
         with pytest.raises(InvalidInputError):
             subspace.fit_subspace(data, 0)
         with pytest.raises(InvalidInputError):
@@ -92,6 +113,38 @@ class TestFitSubspace:
         assert "effective rank is 9" in caplog.text
         oracle = linalg.svd(data - data.mean(axis=1)[:, None])
         np.testing.assert_allclose(model.basis, oracle.u[:, :9], atol=1e-10)
+
+    @pytest.mark.parametrize("seed, dim, n, k, kept, digest", [
+        (40, 60, 25, 7, 7, "91e46c9e7010b41a6f86d3a1f2a3693a35c29d9b2f23cedd2a8c661ef9c5156d"),
+        (41, 20, 50, 20, 20, "bb044fdd8e5ec7b7db90f8d08aa7efc1d816bc98fdbaf9e19fd00255e55b9005"),
+        (42, 60, 25, 25, 24, "49fb16980e6cd09301743cc8323a823fd3374ea22a4e86277cf40b1c21bd0322"),
+    ], ids=["tall", "wide", "k_equal_n"])
+    def test_k_within_the_pool_keeps_its_bits(self, seed, dim, n, k, kept, digest):
+        # Digests recorded before fit_subspace took a k past the pool's size.
+        model = subspace.fit_subspace(random_data(seed, dim, n), k)
+        assert (model.k, model.k_requested) == (kept, k)
+        assert model_digest(model) == digest
+
+    @pytest.mark.parametrize("cfg, k, kept, digest", [
+        ("reference.cfg", 400, 299,
+         "d6c3be326f1b3d7a251b76381d0712999a7704bca700faf19b7c13468f36a3ae"),
+        ("reference_cloud.cfg", 98, 13,
+         "d266b855469b654e9d6f39edb3d2b39183906c217298acef3921f443691aa34b"),
+    ], ids=["voxel", "cloud"])
+    def test_reference_shape_pool_records_the_requested_k(self, caplog, cfg, k, kept,
+                                                          digest):
+        # The digests are those of the shape models the reference pretrain
+        # wrote when it capped the voxel k at the pool's 300 shapes first.
+        pool = reference_pool(cfg)
+        with caplog.at_level("WARNING", logger="shapelift"):
+            model = subspace.fit_subspace(pool, k)
+        assert (model.k, model.k_requested, model.shrunk) == (kept, k, True)
+        assert model_digest(model) == digest
+        [record] = caplog.records
+        dim, n = pool.shape
+        assert record.getMessage() == (
+            f"shrinking requested k={k} to k={kept}: the pool is {dim} x {n} "
+            f"(dim x samples) and its effective rank is {kept}")
 
     def test_reference_sized_pool_skips_full_svd(self, monkeypatch):
         # A well-conditioned pool must take the Gram route; the full SVD is
@@ -258,6 +311,14 @@ class TestLinearAutoencoder:
         target = pca.basis @ pca.basis.T
         assert np.linalg.norm(projector(ae) - target) <= 1e-3
 
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_outside_the_pool_raises(self, k):
+        # Unlike fit_subspace, the autoencoder trains exactly k units.
+        with pytest.raises(InvalidInputError,
+                           match=rf"^k={k} outside \[1, min\(dim=5, n=3\)\]$"):
+            subspace.train_linear_autoencoder(random_data(0, 5, 3), k,
+                                              TrainSchedule(((0.1, 1),), seed=0))
+
     def test_batch_size_is_ignored(self):
         # Training is full batch whatever the schedule says, so batch sizes
         # 1 and n give the same bits.
@@ -311,6 +372,25 @@ class TestSsmFormat:
             subspace.save_ssm(broken, path)
         assert path.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("field", ["mean", "basis", "singular_values"])
+    def test_non_finite_model_is_neither_saved_nor_loaded(self, tmp_path, field):
+        model = subspace.fit_subspace(random_data(38, 8, 6), 3)
+        path = tmp_path / "model.ssm"
+        subspace.save_ssm(model, path)
+        good = path.read_bytes()
+        broken = dataclasses.replace(model, **{field: getattr(model, field).copy()})
+        getattr(broken, field).flat[-1] = np.nan
+        with pytest.raises(InvalidInputError, match="model.ssm: non-finite value"):
+            subspace.save_ssm(broken, path)
+        assert path.read_bytes() == good
+        assert sorted(tmp_path.iterdir()) == [path]
+        # The same NaN written in place of the field's last stored value.
+        header = good.index(b"\n") + 1
+        end = header + 8 * {"mean": 8, "basis": 8 + 8 * 3, "singular_values": 8 + 8 * 3 + 3}[field]
+        path.write_bytes(good[:end - 8] + np.array([np.nan], "<f8").tobytes() + good[end:])
+        with pytest.raises(FileFormatError, match="model.ssm: non-finite value"):
+            subspace.load_ssm(path)
 
     def test_truncated(self, tmp_path):
         model = subspace.fit_subspace(random_data(31, 8, 6), 3)
