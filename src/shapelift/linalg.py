@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import _finite
 from .errors import InvalidInputError, NumericalFailureError
 
 # Relative cutoff below which a singular value is treated as exactly zero.
@@ -57,7 +58,7 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise InvalidInputError(
             f"{name} must be a nonempty 2-D array, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
 

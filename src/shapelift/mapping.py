@@ -264,8 +264,8 @@ def _sgd(m: MlpMap, y: np.ndarray, b: np.ndarray, schedule: TrainSchedule,
          rng: np.random.Generator) -> MlpTrainResult:
     """``mlp_train``'s loop, updating ``m`` in place: each epoch draws one
     permutation from ``rng`` and steps through its minibatches of (y, b)
-    columns.  Loss history and divergence checks are as ``mlp_train``
-    documents them."""
+    columns, gathered once when ``b is y``.  Loss history and divergence
+    checks are as ``mlp_train`` documents them."""
     n = y.shape[1]
     history = []
     epoch = 0
@@ -275,7 +275,8 @@ def _sgd(m: MlpMap, y: np.ndarray, b: np.ndarray, schedule: TrainSchedule,
             total = 0.0
             for start in range(0, n, schedule.batch_size):
                 idx = perm[start:start + schedule.batch_size]
-                g = mlp_gradients(m, y[:, idx], b[:, idx])
+                batch = y[:, idx]
+                g = mlp_gradients(m, batch, batch if b is y else b[:, idx])
                 total += g.loss * len(idx)
                 for w, bias, gw, gb in zip(m.weights, m.biases, g.weights, g.biases):
                     gw *= rate

@@ -289,18 +289,22 @@ def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "
     return x, z, [f"{ids[o]:05d}_v{view}" for o, view in pairs]
 
 
-def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
+def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray, *,
+                _overwrite: bool = False):
     """Dispatch the configured mapping fit on one paired split to an ``MlpMap``.
 
     lowdim and mlp operate in code space through the pretrained models;
     direct regresses raw pixels to raw shape vectors and touches neither
-    model nor k, so for it ``models`` may be None.
+    model nor k, so for it ``models`` may be None.  With ``_overwrite``,
+    lowdim and mlp encode ``x`` and ``z`` centered in place, the same bits
+    with no copy (``SubspaceModel.encode``); only a caller that drops ``x``
+    and ``z`` afterwards may pass it.  direct ignores it.
     """
     if config.mapping == "direct":
         return mp.fit_direct_map(x, z)
     img_model, shape_model = models
-    y = img_model.encode(x)
-    b = shape_model.encode(z)
+    y = img_model.encode(x, _overwrite=_overwrite)
+    b = shape_model.encode(z, _overwrite=_overwrite)
     if config.mapping == "lowdim":
         return mp.fit_linear_map(y, b)
     if config.mapping == "mlp":

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._fileio import atomic_write, check_length
+from ._fileio import _finite, atomic_write, check_length
 from .errors import FileFormatError, InvalidInputError, InvalidSpecError
 
 UNIT_MARGIN = 0.05
@@ -402,7 +402,7 @@ def write_ply(path, points: np.ndarray, extra: dict | None = None,
     lines.extend(f"property double {n}" for n in names)
     lines.append("end_header")
     body = np.column_stack(cols)
-    if not np.isfinite(body).all():
+    if not _finite(body):
         raise InvalidInputError(f"{path}: cannot write a non-finite vertex value")
     header = ("\n".join(lines) + "\n").encode("ascii")
     atomic_write(path, header + body.astype("<f8", copy=False).tobytes())
@@ -465,7 +465,7 @@ def read_ply(path):
         payload = fh.read()
     check_length(path, len(payload), 8 * count * len(names), after="vertex data")
     data = np.frombuffer(payload, dtype="<f8").reshape(count, len(names))
-    if not np.isfinite(data).all():
+    if not _finite(data):
         raise FileFormatError(f"{path}: non-finite vertex value")
     data = data.astype(np.float64)  # native, writable, and no longer tied to the bytes
     extras = {n: data[:, 3 + k] for k, n in enumerate(names[3:])}

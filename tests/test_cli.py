@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import shapelift
-from shapelift import _fileio, render, shapes, subspace
+from shapelift import _fileio, pipeline, render, shapes, subspace
 from shapelift.cli import main
 
 SMALL_CFG = """[dataset]
@@ -299,6 +299,30 @@ class TestPretrainFitEval:
         for method, _, test_rmse, _, _ in rows:
             eval_lines = (art / f"eval_{method}.csv").read_text().splitlines()
             assert eval_lines[-1] == f"average,{test_rmse}"
+
+    def test_fit_peak_holds_no_centered_copy_of_the_shapes(self, tmp_path, traced_peak):
+        # fit owns the split it loads and encodes it centered in place: the
+        # peak is the models, the split and load_paired's one fill block.
+        cfg = tmp_path / "peak.cfg"
+        cfg.write_text("[dataset]\nkinds = box ellipsoid\nresolution = 16\n"
+                       "unlabeled_2d = 4\nunlabeled_3d = 4\npaired_train = 200\n"
+                       "paired_test = 1\nview_count = 1\nimage_size = 8\n"
+                       "[experiment]\nk_2d = 2\nk_3d = 2\n")
+        data, art = tmp_path / "data", tmp_path / "art"
+        args = ["--config", str(cfg), "--data", str(data), "--out", str(art)]
+        assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+        assert main(["pretrain"] + args) == 0
+        rc, peak = traced_peak(lambda: main(["fit"] + args + ["--method", "lowdim"]))
+        assert rc == 0
+        models = [subspace.load_ssm(art / name) for name in ("image_model.ssm",
+                                                             "shape_model.ssm")]
+        x, z, _ = pipeline.load_paired(data, pipeline.read_dataset_manifest(data),
+                                       pipeline.SPLIT_PAIRED_TRAIN)
+        block, slack = pipeline._FILL_BLOCK * z.shape[0] * 8, 1024 * 1024
+        assert z.nbytes > block + slack  # so a centered copy of z breaks the bound
+        assert peak <= (sum(a.nbytes for m in models
+                            for a in (m.mean, m.basis, m.singular_values))
+                        + x.nbytes + z.nbytes + block + slack)
 
     @pytest.mark.parametrize("line, bad", [("rates = 0.01:40 0.001:20", "rates = nan:10"),
                                            ("rates = 0.01:40 0.001:20", "rates = inf:10"),

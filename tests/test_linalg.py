@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shapelift import linalg
+from shapelift import linalg, subspace
+from shapelift import mapping as mp
 from shapelift.errors import InvalidInputError
+from shapelift.mapping import TrainSchedule
 
 # Hand-derived singular values of [[1, 1], [0, 1]]: the eigenvalues of
 # M^T M = [[1, 1], [1, 2]] solve l^2 - 3l + 1 = 0, so l = (3 +- sqrt(5))/2.
@@ -33,6 +35,38 @@ class TestColumns:
     def test_rejects_scalar_3d_and_wrong_length(self, x):
         with pytest.raises(InvalidInputError, match=r"x must be a vector or a \(3, n\) matrix"):
             linalg._columns(x, 3, "x")
+
+
+class TestFiniteRule:
+    """``_as_matrix``'s check is ``_fileio._finite``: one sum, and a full
+    pass only when that sum is not finite."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "neg_inf"])
+    def test_every_matrix_entry_point_rejects(self, bad):
+        m = random_matrix(7, 5, 4)
+        m[3, 2] = bad
+        calls = [lambda: subspace.fit_subspace(m, 2),
+                 lambda: linalg.least_squares(m, m[:2]),
+                 lambda: linalg.least_squares(m[:2], m),
+                 lambda: mp.mlp_train((5, 3, 2), (m, m[:2]), TrainSchedule(((0.1, 1),))),
+                 lambda: mp.mlp_train((2, 3, 5), (m[:2], m), TrainSchedule(((0.1, 1),)))]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="contains non-finite entries"):
+                call()
+
+    def test_finite_matrix_whose_sum_overflows_is_accepted(self):
+        # pytest turns warnings into errors, so the overflow must stay silent.
+        m = np.full((3, 4), 1e308)
+        with np.errstate(over="ignore"):
+            assert np.isinf(m.sum())
+        assert linalg._as_matrix(m) is m
+        result = mp.mlp_train((3, 2, 3), (m, -m), TrainSchedule(((0.1, 0),)))
+        assert result.loss_history.size == 0
+
+    def test_check_builds_no_boolean_array(self, traced_peak):
+        m = random_matrix(8, 1000, 500)  # its boolean mask would be 500 kB
+        got, peak = traced_peak(lambda: linalg._as_matrix(m))
+        assert got is m and peak < 64 * 1024
 
 
 class TestSvd:

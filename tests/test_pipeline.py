@@ -8,6 +8,7 @@ import pytest
 
 from shapelift import mapping as mp
 from shapelift import config, linalg, pipeline, render, shapes, subspace
+from shapelift.cli import main
 from shapelift.config import (
     DatasetManifest,
     ExperimentConfig,
@@ -418,6 +419,40 @@ class TestGoldenArtifacts:
         assert got == digests
 
 
+# TestGoldenArtifacts' two small families, each with its pinned digests.
+GOLDEN_CASES = TestGoldenArtifacts.test_artifact_digests.pytestmark[0].args[1]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestCliStages:
+    @pytest.mark.parametrize("manifest, digests", GOLDEN_CASES, ids=["voxel", "cloud"])
+    def test_fit_and_eval_reproduce_the_pinned_digests(self, tmp_path, manifest, digests):
+        # `shapelift fit` centers the split it loaded in place; its models,
+        # maps and reports keep the bits of the library route, which copies.
+        c = TestGoldenArtifacts.CONFIG
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(
+            f"[experiment]\nk_2d = {c.k_2d}\nk_3d = {c.k_3d}\n"
+            f"mlp_hidden = {' '.join(map(str, c.mlp_hidden))}\n"
+            f"pair_policy = {c.pair_policy}\n[schedule]\n"
+            f"rates = {' '.join(f'{rate}:{n}' for rate, n in c.schedule.learning_rate_phases)}\n"
+            f"batch_size = {c.schedule.batch_size}\nseed = {c.schedule.seed}\n")
+        assert load_experiment(str(cfg)) == c
+        data, out = tmp_path / "data", tmp_path / "out"
+        pipeline.generate_dataset(manifest, data)
+        args = ["--config", str(cfg), "--data", str(data), "--out", str(out)]
+        assert main(["pretrain"] + args) == 0
+        names = ["image_model.ssm", "shape_model.ssm"]
+        for method in ("lowdim", "mlp"):
+            assert main(["fit"] + args + ["--method", method]) == 0
+            assert main(["eval"] + args + ["--method", method]) == 0
+            names += [f"mapping_{method}.map", f"eval_{method}.csv"]
+        assert {n: _sha256(out / n) for n in names} == {n: digests[n] for n in names}
+
+
 class TestFitMapping:
     def _models_and_pairs(self, small_dataset, k2=3, k3=4):
         manifest = pipeline.read_dataset_manifest(small_dataset)
@@ -447,6 +482,27 @@ class TestFitMapping:
         pred_a = pipeline.predict(cfg_a, small_models, map_a, x)
         pred_b = pipeline.predict(cfg_b, big_models, map_b, x)
         assert np.array_equal(pred_a, pred_b)
+
+    @pytest.mark.parametrize("method", ["lowdim", "mlp"])
+    @pytest.mark.parametrize("manifest", [case[0] for case in GOLDEN_CASES],
+                             ids=["voxel", "cloud"])
+    def test_overwrite_centers_the_split_in_place_with_the_same_bits(
+            self, tmp_path, manifest, method):
+        pipeline.generate_dataset(manifest, tmp_path)
+        cfg = with_mapping(TestGoldenArtifacts.CONFIG, method)
+        models = pipeline.pretrain(tmp_path, cfg.k_2d, cfg.k_3d)
+        x, z, _ = pipeline.load_paired(tmp_path, manifest, pipeline.SPLIT_PAIRED_TRAIN,
+                                       cfg.pair_policy)
+        x0, z0 = x.copy(), z.copy()
+        kept = pipeline.fit_mapping(cfg, models, x, z)
+        # The default leaves the split as it was: compare_methods scores z.
+        assert x.tobytes() == x0.tobytes() and z.tobytes() == z0.tobytes()
+        owned = pipeline.fit_mapping(cfg, models, x, z, _overwrite=True)
+        for got, want in zip(owned.weights + owned.biases, kept.weights + kept.biases):
+            assert got.tobytes() == want.tobytes()
+        # Each matrix now holds its own centered columns: no copy was made.
+        for arr, loaded, model in ((x, x0, models[0]), (z, z0, models[1])):
+            assert arr.tobytes() == (loaded - model.mean[:, None]).tobytes()
 
     def test_mlp_deterministic_per_seed(self, small_dataset):
         models, x, z = self._models_and_pairs(small_dataset)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shapelift import config, linalg, pipeline, shapes, subspace
+from shapelift import config, linalg, mapping, pipeline, shapes, subspace
 from shapelift.errors import (
     FileFormatError,
     InvalidInputError,
@@ -332,6 +332,28 @@ class TestLinearAutoencoder:
         for a, b in zip(runs[0].map.weights + runs[0].map.biases,
                         runs[1].map.weights + runs[1].map.biases):
             assert np.array_equal(a, b)
+
+    def test_each_batch_is_gathered_once_with_the_same_bits(self, monkeypatch):
+        # Inputs and targets are one matrix, so each batch is gathered once
+        # and passed as both; the weights are those of separate gathers.
+        data = random_data(82, 8, 20)
+        schedule = TrainSchedule(((0.05, 200),), seed=4)
+        # train_linear_autoencoder's start, then its loop with a copy as targets.
+        rng = np.random.default_rng(schedule.seed)
+        weights = [1e-4 * mapping.glorot_uniform(rng, 3, 8),
+                   1e-4 * mapping.glorot_uniform(rng, 8, 3)]
+        start = mapping.MlpMap((8, 3, 8), weights, [np.zeros(3), np.zeros(8)],
+                               activation="linear")
+        separate = mapping._sgd(start, data, data.copy(),
+                                dataclasses.replace(schedule, batch_size=20), rng)
+        real, shared = mapping.mlp_gradients, []
+        monkeypatch.setattr(mapping, "mlp_gradients",
+                            lambda m, x, t: shared.append(x is t) or real(m, x, t))
+        ae = subspace.train_linear_autoencoder(data, 3, schedule)
+        assert len(shared) == 200 and all(shared)
+        for got, want in zip(ae.map.weights + ae.map.biases,
+                             separate.map.weights + separate.map.biases):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergence_reports_epoch(self):
