@@ -102,8 +102,7 @@ def _cmd_fit(args) -> int:
     models, _ = _load_models(out_dir, config.mapping)
     x, z, _ = pipeline.load_paired(args.data, manifest, pipeline.SPLIT_PAIRED_TRAIN,
                                    config.pair_policy)
-    map_obj = pipeline.fit_mapping(config, models, x, z, _overwrite=True)
-    del x, z  # this stage's own split, centered in place by the fit
+    map_obj = pipeline.fit_mapping(config, models, x, z)
     mp.save_map(map_obj, _map_path(out_dir, config.mapping))
     _note(f"{config.mapping} mapping written to {_map_path(out_dir, config.mapping)}")
     return 0

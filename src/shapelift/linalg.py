@@ -66,9 +66,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _columns(x, rows, name: str) -> tuple:
     """``(matrix, was_vector)``: a vector as one column (a view), a matrix as is.
 
-    The length or row count must be ``rows`` (``None``: any); a scalar, a 3-D
-    array or a wrong length raises one ``InvalidInputError``."""
-    arr = np.asarray(x, dtype=np.float64)
+    bool (voxel occupancy) and float64 pass through uncopied, anything else
+    is cast to float64; the caller promotes bool in its own arithmetic, a
+    bool giving exactly 0.0/1.0.  The length or row count must be ``rows``
+    (``None``: any); a scalar, a 3-D array or a wrong length raises one
+    ``InvalidInputError``."""
+    arr = np.asarray(x)
+    if arr.dtype not in (np.bool_, np.float64):
+        arr = arr.astype(np.float64)
     m = arr[:, None] if arr.ndim == 1 else arr
     if m.ndim != 2 or rows not in (None, m.shape[0]):
         raise InvalidInputError(

@@ -160,8 +160,10 @@ def fit_direct_map(x, z) -> MlpMap:
 def _layers(m: MlpMap, x: np.ndarray) -> list:
     """``[x, h_1, ..., output]`` for the columns ``x`` (only read): each layer is
     ``w @ h`` with the bias added, and tanh on hidden layers, in place, which
-    gives the bits of the out-of-place form."""
-    acts = [x]
+    gives the bits of the out-of-place form.  A bool ``x`` enters as its
+    float64 copy in its own layout, whose products have the bits of the
+    caller's copy (numpy's own cast in ``@`` is row-major)."""
+    acts = [x.astype(np.float64, copy=False)]
     for l, (w, b) in enumerate(zip(m.weights, m.biases)):
         h = w @ acts[-1]
         h += b[:, None]  # in place: no second output-sized temporary

@@ -91,21 +91,24 @@ class ComparisonResult:
 _FILL_BLOCK = 64
 
 
-def _column_matrix(read, items) -> np.ndarray:
-    """``read(item)`` of each item as the columns of one row-major float64 matrix.
+def _column_matrix(read, items, dtype=None) -> np.ndarray:
+    """``read(item)`` of each item as the columns of one row-major matrix.
 
-    Up to ``_FILL_BLOCK`` columns at a time are read into the rows of one
-    buffer, reused for every block, which is then written transposed into
-    the matrix: a strided write per block instead of per column, and the
-    same bytes.  An empty split or a column of another length is an
-    ``InvalidInputError``; a missing file is ``read``'s own ``OSError``.
+    The matrix has ``dtype``, by default that of the columns.  Up to
+    ``_FILL_BLOCK`` columns at a time are read into the rows of one buffer
+    of the columns' dtype, reused for every block, which is then written
+    transposed (and cast, with the same values) into the matrix: a strided
+    write per block instead of per column, and the same bytes.  An empty
+    split or a column of another length is an ``InvalidInputError``; a
+    missing file is ``read``'s own ``OSError``.
     """
     items = list(items)
     if not items:
         raise InvalidInputError("cannot load an empty split")
     first = read(items[0])
-    matrix = np.empty((len(first), len(items)))
-    block = np.empty((min(_FILL_BLOCK, len(items)), len(first)))
+    matrix = np.empty((len(first), len(items)),
+                      first.dtype if dtype is None else dtype)
+    block = np.empty((min(_FILL_BLOCK, len(items)), len(first)), first.dtype)
     for start in range(0, len(items), _FILL_BLOCK):
         rows = block[:len(items) - start]  # the last block may be short
         for j, row in enumerate(rows, start):
@@ -242,10 +245,13 @@ def load_unlabeled_images(data_dir, manifest: DatasetManifest):
 
 
 def load_unlabeled_shapes(data_dir, manifest: DatasetManifest):
-    """Shape pool as a (shape_dim, n) column matrix, by sample id."""
+    """Shape pool as a (shape_dim, n) float64 column matrix, by sample id.
+
+    float64 even for voxels, whose columns are bool: ``pretrain`` centers
+    the pool in place, which a bool matrix cannot hold."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_3D
     return _column_matrix(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
-                          _id_blocks(manifest)[SPLIT_UNLABELED_3D])
+                          _id_blocks(manifest)[SPLIT_UNLABELED_3D], np.float64)
 
 
 def pretrain(data_dir, k_2d: int, k_3d: int):
@@ -267,10 +273,12 @@ def pretrain(data_dir, k_2d: int, k_3d: int):
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):
     """Paired split as (images X, shapes Z, pair_ids) column matrices.
 
-    The manifest names every file: policy "all" takes each shape with every
-    view; "cycle" takes one pair per shape, the view cycling with the
-    shape's ordinal so poses stay diverse while the sample count equals the
-    shape count.  The images come from the split's ``views.pgm`` (see
+    X is float64; Z has the shape vectors' dtype: bool occupancy for
+    voxels, one byte per cell (see ``vectorize_shape``), float64 for
+    clouds.  The manifest names every file: policy "all" takes each shape
+    with every view; "cycle" takes one pair per shape, the view cycling
+    with the shape's ordinal so poses stay diverse while the sample count
+    equals the shape count.  The images come from the split's ``views.pgm`` (see
     ``_view_matrix``), and are loaded first, so that the strip is freed
     before the shapes are read.  A file the manifest names but the split
     lacks is an ``OSError``.
@@ -289,22 +297,19 @@ def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "
     return x, z, [f"{ids[o]:05d}_v{view}" for o, view in pairs]
 
 
-def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray, *,
-                _overwrite: bool = False):
+def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
     """Dispatch the configured mapping fit on one paired split to an ``MlpMap``.
 
     lowdim and mlp operate in code space through the pretrained models;
     direct regresses raw pixels to raw shape vectors and touches neither
-    model nor k, so for it ``models`` may be None.  With ``_overwrite``,
-    lowdim and mlp encode ``x`` and ``z`` centered in place, the same bits
-    with no copy (``SubspaceModel.encode``); only a caller that drops ``x``
-    and ``z`` afterwards may pass it.  direct ignores it.
+    model nor k, so for it ``models`` may be None.  ``x`` and ``z`` are
+    only read.
     """
     if config.mapping == "direct":
         return mp.fit_direct_map(x, z)
     img_model, shape_model = models
-    y = img_model.encode(x, _overwrite=_overwrite)
-    b = shape_model.encode(z, _overwrite=_overwrite)
+    y = img_model.encode(x)
+    b = shape_model.encode(z)
     if config.mapping == "lowdim":
         return mp.fit_linear_map(y, b)
     if config.mapping == "mlp":
@@ -337,7 +342,8 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     is the plain mean of the per-sample values.  Both take one vector or
     (dim, n) columns (``linalg._columns``), of one shape, scored in blocks
     of rows with no prediction-sized temporary, to the bits of the whole
-    ``sqrt(np.square(pred - truth).sum(axis=0) / dim)`` on row-major copies.
+    ``sqrt(np.square(pred - truth).sum(axis=0) / dim)`` on row-major float64
+    copies; bool columns (voxel occupancy) are promoted one block at a time.
     """
     pred, _ = _columns(predictions, None, "predictions")
     truth, _ = _columns(ground_truths, None, "ground truths")
@@ -354,7 +360,8 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     step = dim if n == 1 else _FILL_BLOCK
     sums = None
     for start in range(0, dim, step):
-        diff = np.subtract(pred[start:start + step], truth[start:start + step], order="C")
+        diff = np.subtract(pred[start:start + step], truth[start:start + step],
+                           dtype=np.float64, order="C")
         np.square(diff, out=diff)
         if sums is not None:
             diff[0] += sums

@@ -350,13 +350,14 @@ def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) 
 
 
 def vectorize_shape(shape) -> np.ndarray:
-    """Flatten a shape to the float64 column layout used by the data matrices.
+    """Flatten a shape to the column layout used by the data matrices.
 
-    Voxel grids flatten x-fastest to 0/1 values (length resolution**3);
-    point clouds flatten to (x1, y1, z1, x2, ...).
+    Voxel grids flatten x-fastest to bool occupancy (length resolution**3),
+    one byte per cell, which every numeric entry point reads as the exact
+    0.0/1.0; point clouds flatten to float64 (x1, y1, z1, x2, ...).
     """
     if isinstance(shape, VoxelGrid):
-        return shape.occupancy.ravel(order="F").astype(np.float64)
+        return shape.occupancy.flatten(order="F")
     if isinstance(shape, PointCloud):
         return shape.points.flatten()
     raise InvalidInputError(f"cannot vectorize {type(shape).__name__}")

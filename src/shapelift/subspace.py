@@ -65,14 +65,13 @@ class SubspaceModel:
     def shrunk(self) -> bool:
         return self.k < self.k_requested
 
-    def encode(self, x, *, _overwrite: bool = False) -> np.ndarray:
+    def encode(self, x) -> np.ndarray:
         """Project onto the basis: basis.T @ (x - mean); a vector or (dim, n)
-        columns, a vector giving the bits of its single column.  ``_overwrite``
-        centers a float64 ``x`` in place instead of in a temporary, with the
-        same bits; only a caller that drops ``x`` afterwards may pass it."""
+        columns, a vector giving the bits of its single column.  The centered
+        columns are one float64 temporary, into which a bool ``x`` (voxel
+        occupancy) is promoted with the bits of its float64 copy."""
         arr, vector = _columns(x, self.dim, "input")
-        codes = self.basis.T @ np.subtract(arr, self.mean[:, None],
-                                           out=arr if _overwrite else None)
+        codes = self.basis.T @ np.subtract(arr, self.mean[:, None])
         return codes[:, 0] if vector else codes
 
     def decode(self, code) -> np.ndarray:

@@ -301,8 +301,8 @@ class TestPretrainFitEval:
             assert eval_lines[-1] == f"average,{test_rmse}"
 
     def test_fit_peak_holds_no_centered_copy_of_the_shapes(self, tmp_path, traced_peak):
-        # fit owns the split it loads and encodes it centered in place: the
-        # peak is the models, the split and load_paired's one fill block.
+        # The peak is the models, the split as loaded (bool shapes) and one
+        # float64 centered copy of its shapes, the encode's own temporary.
         cfg = tmp_path / "peak.cfg"
         cfg.write_text("[dataset]\nkinds = box ellipsoid\nresolution = 16\n"
                        "unlabeled_2d = 4\nunlabeled_3d = 4\npaired_train = 200\n"
@@ -318,11 +318,11 @@ class TestPretrainFitEval:
                                                              "shape_model.ssm")]
         x, z, _ = pipeline.load_paired(data, pipeline.read_dataset_manifest(data),
                                        pipeline.SPLIT_PAIRED_TRAIN)
-        block, slack = pipeline._FILL_BLOCK * z.shape[0] * 8, 1024 * 1024
-        assert z.nbytes > block + slack  # so a centered copy of z breaks the bound
+        centered, slack = z.size * 8, 1024 * 1024
+        assert centered > slack  # so a second float64 copy of z breaks the bound
         assert peak <= (sum(a.nbytes for m in models
                             for a in (m.mean, m.basis, m.singular_values))
-                        + x.nbytes + z.nbytes + block + slack)
+                        + x.nbytes + z.nbytes + centered + slack)
 
     @pytest.mark.parametrize("line, bad", [("rates = 0.01:40 0.001:20", "rates = nan:10"),
                                            ("rates = 0.01:40 0.001:20", "rates = inf:10"),

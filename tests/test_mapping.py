@@ -377,6 +377,20 @@ class TestMlpForward:
             assert got.shape == (sizes[-1],)
             assert np.array_equal(got, mp.mlp_forward(m, x[:, j:j + 1])[:, 0])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sizes, activation", [
+        ((7, 13, 5), "tanh"), ((1000, 200, 300), "linear"), ((30, 4), "linear"),
+    ])
+    def test_bool_columns_keep_the_bits_of_their_float64_copy(self, order, sizes,
+                                                              activation):
+        m = rng_net(46, sizes)
+        m.activation = activation
+        occupancy = np.asarray(np.random.default_rng(47).random((sizes[0], 300)) < 0.3,
+                               order=order)
+        for x in (occupancy, occupancy[:, 0], occupancy[:, 7]):
+            assert (mp.mlp_forward(m, x).tobytes()
+                    == mp.mlp_forward(m, x.astype(np.float64)).tobytes())
+
 
 class TestMlpGradients:
     def test_zero_at_perfect_fit(self):
@@ -445,6 +459,22 @@ class TestMlpGradients:
         assert g.loss == loss
         for got, want in zip(g.weights + g.biases, grad_w + grad_b):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("sizes, activation", [((7, 13, 5), "tanh"),
+                                                   ((13, 5), "linear")])
+    def test_bool_columns_keep_the_bits_of_their_float64_copies(self, order, sizes,
+                                                                activation):
+        m = rng_net(48, sizes)
+        m.activation = activation
+        rng = np.random.default_rng(49)
+        x = np.asarray(rng.random((sizes[0], 300)) < 0.3, order=order)
+        t = np.asarray(rng.random((sizes[-1], 300)) < 0.5, order=order)
+        got = mp.mlp_gradients(m, x, t)
+        want = mp.mlp_gradients(m, x.astype(np.float64), t.astype(np.float64))
+        assert got.loss == want.loss
+        for g, w in zip(got.weights + got.biases, want.weights + want.biases):
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("sizes, activation, columns", [
         ((5, 7, 3), "tanh", 6),

@@ -61,6 +61,25 @@ class TestGenerateDataset:
         for j in range(0, 8, 2):
             assert np.array_equal(z[:, j], z[:, j + 1])
 
+    @pytest.mark.parametrize("policy", ["cycle", "all"])
+    def test_paired_voxel_shapes_are_bool_and_cloud_shapes_float64(
+            self, small_dataset, tmp_path, policy):
+        # One byte per voxel cell; the pool stays float64 for pretrain's
+        # in-place centering.
+        clouds = dataclasses.replace(SMALL, representation="cloud", point_count=60,
+                                     poses=(-45.0, 0.0, 45.0), view_count=3)
+        pipeline.generate_dataset(clouds, tmp_path)
+        for manifest, root, dtype in ((SMALL, small_dataset, np.bool_),
+                                      (clouds, tmp_path, np.float64)):
+            x, z, ids = pipeline.load_paired(root, manifest, pipeline.SPLIT_PAIRED_TRAIN,
+                                             policy)
+            assert x.dtype == np.float64 and z.dtype == dtype and z.flags.c_contiguous
+            assert z.nbytes == z.size * np.dtype(dtype).itemsize
+            for j, pair in enumerate(ids):
+                want = shapes.vectorize_shape(pipeline._shape_for_id(manifest, int(pair[:5])))
+                assert want.dtype == dtype and np.array_equal(z[:, j], want)
+            assert pipeline.load_unlabeled_shapes(root, manifest).dtype == np.float64
+
     def test_regeneration_is_bit_identical(self, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -263,6 +282,19 @@ class TestColumnMatrix:
         block_bytes = pipeline._FILL_BLOCK * dim * 8
         assert peak <= matrix.nbytes + block_bytes + 64 * 1024
 
+    def test_fills_a_float64_matrix_from_bool_columns(self, traced_peak):
+        # The pool route: bool occupancy columns cast, block by block, into a
+        # float64 matrix; by default the matrix keeps the columns' dtype.
+        dim, n = 3000, 300
+        cols = list(np.random.default_rng(52).random((n, dim)) < 0.3)
+        matrix, peak = traced_peak(
+            lambda: pipeline._column_matrix(cols.__getitem__, range(n), np.float64))
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert matrix.tobytes() == np.column_stack(cols).astype(np.float64).tobytes()
+        assert peak <= matrix.nbytes + pipeline._FILL_BLOCK * dim + 64 * 1024
+        own = pipeline._column_matrix(cols.__getitem__, range(n))
+        assert own.dtype == np.bool_ and own.tobytes() == np.column_stack(cols).tobytes()
+
     def test_empty_split_raises_value_error_as_column_stack_does(self):
         with pytest.raises(ValueError):
             np.column_stack([])
@@ -430,8 +462,8 @@ def _sha256(path) -> str:
 class TestCliStages:
     @pytest.mark.parametrize("manifest, digests", GOLDEN_CASES, ids=["voxel", "cloud"])
     def test_fit_and_eval_reproduce_the_pinned_digests(self, tmp_path, manifest, digests):
-        # `shapelift fit` centers the split it loaded in place; its models,
-        # maps and reports keep the bits of the library route, which copies.
+        # `shapelift fit` and `eval` on their own files keep the bits of the
+        # library route that the digests were pinned on.
         c = TestGoldenArtifacts.CONFIG
         cfg = tmp_path / "golden.cfg"
         cfg.write_text(
@@ -483,26 +515,33 @@ class TestFitMapping:
         pred_b = pipeline.predict(cfg_b, big_models, map_b, x)
         assert np.array_equal(pred_a, pred_b)
 
-    @pytest.mark.parametrize("method", ["lowdim", "mlp"])
     @pytest.mark.parametrize("manifest", [case[0] for case in GOLDEN_CASES],
                              ids=["voxel", "cloud"])
-    def test_overwrite_centers_the_split_in_place_with_the_same_bits(
-            self, tmp_path, manifest, method):
+    def test_loaded_split_keeps_the_bits_of_its_float64_copy(self, tmp_path, manifest):
+        # A voxel split loads as bool; every method fits and scores it to the
+        # bits of its float64 copy, and leaves it as loaded (compare_methods
+        # scores z_train after fitting on it).
         pipeline.generate_dataset(manifest, tmp_path)
-        cfg = with_mapping(TestGoldenArtifacts.CONFIG, method)
-        models = pipeline.pretrain(tmp_path, cfg.k_2d, cfg.k_3d)
-        x, z, _ = pipeline.load_paired(tmp_path, manifest, pipeline.SPLIT_PAIRED_TRAIN,
-                                       cfg.pair_policy)
-        x0, z0 = x.copy(), z.copy()
-        kept = pipeline.fit_mapping(cfg, models, x, z)
-        # The default leaves the split as it was: compare_methods scores z.
-        assert x.tobytes() == x0.tobytes() and z.tobytes() == z0.tobytes()
-        owned = pipeline.fit_mapping(cfg, models, x, z, _overwrite=True)
-        for got, want in zip(owned.weights + owned.biases, kept.weights + kept.biases):
-            assert got.tobytes() == want.tobytes()
-        # Each matrix now holds its own centered columns: no copy was made.
-        for arr, loaded, model in ((x, x0, models[0]), (z, z0, models[1])):
-            assert arr.tobytes() == (loaded - model.mean[:, None]).tobytes()
+        c = TestGoldenArtifacts.CONFIG
+        models = pipeline.pretrain(tmp_path, c.k_2d, c.k_3d)
+        loaded = [pipeline.load_paired(tmp_path, manifest, split, c.pair_policy)[:2]
+                  for split in (pipeline.SPLIT_PAIRED_TRAIN, pipeline.SPLIT_PAIRED_TEST)]
+        dtype = np.bool_ if manifest.representation == "voxel" else np.float64
+        assert [z.dtype for _, z in loaded] == [dtype, dtype]
+        copies = [(x, z.astype(np.float64)) for x, z in loaded]
+        before = [a.tobytes() for split in loaded for a in split]
+
+        def fit_and_score(cfg, splits):
+            (x, z), (x_test, z_test) = splits
+            m = pipeline.fit_mapping(cfg, models, x, z)
+            rmses = [pipeline.evaluate_rmse(pipeline.predict(cfg, models, m, xs), zs)
+                     .per_sample_rmse for xs, zs in ((x, z), (x_test, z_test))]
+            return [a.tobytes() for a in (*m.weights, *m.biases, *rmses)]
+
+        for method in config.MAPPING_METHODS:
+            cfg = with_mapping(c, method)
+            assert fit_and_score(cfg, loaded) == fit_and_score(cfg, copies), method
+        assert [a.tobytes() for split in loaded for a in split] == before
 
     def test_mlp_deterministic_per_seed(self, small_dataset):
         models, x, z = self._models_and_pairs(small_dataset)
@@ -636,6 +675,27 @@ class TestEvaluateRmse:
         _, peak = traced_peak(lambda: pipeline.evaluate_rmse(pred, truth))
         assert peak <= pipeline._FILL_BLOCK * n * 8 + 256 * 1024
 
+    def test_bool_truth_is_promoted_one_block_at_a_time(self, traced_peak):
+        # Voxel occupancy is scored with no float64 copy of the whole truth.
+        dim, n = 8000, 300
+        rng = np.random.default_rng(63)
+        pred, truth = rng.standard_normal((dim, n)), rng.random((dim, n)) < 0.3
+        _, peak = traced_peak(lambda: pipeline.evaluate_rmse(pred, truth))
+        assert peak <= pipeline._FILL_BLOCK * n * 8 + 256 * 1024
+
+    @pytest.mark.parametrize("dim, n", [(7, 1), (27000, 1), (300, 14), (8000, 65)])
+    def test_bool_columns_keep_the_bits_of_their_float64_copy(self, dim, n):
+        rng = np.random.default_rng(dim + n)
+        pred = rng.standard_normal((dim, n))
+        truth = rng.random((dim, n)) < 0.3
+        cases = [(pred, truth), (truth, pred), (truth, ~truth),
+                 (pred[:, 0], truth[:, 0]), (np.asfortranarray(pred), truth.T.copy().T)]
+        for a, b in cases:
+            got = pipeline.evaluate_rmse(a, b)
+            want = pipeline.evaluate_rmse(*(np.asarray(v, np.float64) for v in (a, b)))
+            assert got.per_sample_rmse.tobytes() == want.per_sample_rmse.tobytes()
+            assert got.average_rmse == want.average_rmse
+
 
 class TestHeatmap:
     def _family_pair(self, seed, delta=(0.0, 0.0, 0.0)):
@@ -744,7 +804,7 @@ class TestCompareMethods:
         direct = mp.fit_direct_map(x, z)
         map_bytes = sum(a.nbytes for a in (*direct.weights, *direct.biases))
         block_bytes = pipeline._FILL_BLOCK * manifest.paired_train * 8
-        prediction_bytes = z.nbytes
+        prediction_bytes = z.size * 8  # float64, from the bool shapes z
         del models, x, z, x_test, z_test, direct
         _, peak = traced_peak(lambda: pipeline.compare_methods(self.CONFIG, root))
         assert peak <= 1.1 * (model_bytes + split_bytes + map_bytes + prediction_bytes

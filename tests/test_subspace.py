@@ -255,6 +255,21 @@ class TestEncodeDecode:
             assert got.shape == (dim,)
             assert np.array_equal(got, model.decode(codes[:, j:j + 1])[:, 0])
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bool_columns_keep_the_bits_of_their_float64_copy(self, order, traced_peak):
+        # Voxel occupancy is centered straight from bool into the one
+        # float64 temporary: no float64 copy of the columns themselves.
+        dim, n = 3000, 200
+        model = subspace.fit_subspace(random_data(14, dim, 40), 20)
+        occupancy = np.asarray(np.random.default_rng(15).random((dim, n)) < 0.3, order=order)
+        codes, peak = traced_peak(lambda: model.encode(occupancy))
+        assert codes.tobytes() == model.encode(occupancy.astype(np.float64)).tobytes()
+        assert peak <= dim * n * 8 + codes.nbytes + 256 * 1024
+        for j in (0, n - 1):
+            vector = occupancy[:, j]
+            assert (model.encode(vector).tobytes()
+                    == model.encode(vector.astype(np.float64)).tobytes())
+
     @pytest.mark.parametrize("order", ["F", "C"])
     @pytest.mark.parametrize("dim, k", [(7, 3), (27000, 20)])
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 129, 200])
