@@ -36,7 +36,7 @@ from .pipeline import (
     predict,
     pretrain,
 )
-from .render import Pose, render_depth, rotate_z
+from .render import Pose, render_depth
 from .shapes import (
     PointCloud,
     ShapeSpec,
@@ -83,7 +83,6 @@ __all__ = [
     "predict",
     "pretrain",
     "render_depth",
-    "rotate_z",
     "svd",
     "train_linear_autoencoder",
     "vectorize_shape",

@@ -19,6 +19,7 @@ from . import pipeline, render, shapes, subspace
 from ._fileio import read_header
 from .config import (
     MAPPING_METHODS,
+    _float,
     _int,
     load_experiment,
     load_manifest,
@@ -55,12 +56,17 @@ def _load_models(out_dir: Path, method: str):
     return models, tuple(model.k for model in models)
 
 
-def _integer(text: str) -> int:
-    """An integer option, read as the config files read one (``config._int``)."""
-    try:
-        return _int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _option(parse, kind: str):
+    """An option type that reads a value as the config files read one."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+    return read
+
+
+_integer, _real = _option(_int, "int"), _option(_float, "float")
 
 
 def _worker_cap(text: str) -> int:
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render depth views of a shape file")
     p.add_argument("shape", help="VOXR or PLY shape file")
     p.add_argument("--out", required=True)
-    p.add_argument("--yaw", type=float, action="append", default=None,
+    p.add_argument("--yaw", type=_real, action="append", default=None,
                    help="explicit yaw in degrees (repeatable)")
     p.add_argument("--views", type=_integer, default=1,
                    help="evenly spread views over 0..180 (default 1)")

@@ -168,7 +168,7 @@ def _words(raw: str) -> tuple:
 
 
 def _floats(raw: str) -> tuple:
-    return tuple(float(w) for w in _words(raw))
+    return tuple(_float(w) for w in _words(raw))
 
 
 def _int(raw: str) -> int:
@@ -177,6 +177,14 @@ def _int(raw: str) -> int:
     if not (raw.isascii() and raw.removeprefix("-").isdigit()):
         raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
     return int(raw)
+
+
+def _float(raw: str) -> float:
+    """An ASCII ``float()`` literal with no "_", leading "+" or surrounding
+    whitespace, the spellings ``_int`` rejects too; nan and inf still parse."""
+    if not raw.isascii() or "_" in raw or raw.startswith("+") or raw != raw.strip():
+        raise ValueError(f"could not convert string to float: {raw!r}")
+    return float(raw)
 
 
 def _ints(raw: str) -> tuple:
@@ -189,7 +197,7 @@ def _phases(raw: str) -> tuple:
         rate, _, epochs = word.partition(":")
         if not epochs:
             raise ValueError(f"phase {word!r} is not rate:epochs")
-        phases.append((float(rate), _int(epochs)))
+        phases.append((_float(rate), _int(epochs)))
     return tuple(phases)
 
 

@@ -3,8 +3,10 @@
 Images are plain (height, width) float64 arrays with values in [0, 1],
 row-major, row 0 at the top (highest z).  The camera looks along +y, so a
 pixel shows ``1 - y`` of the nearest occupied cell center or frontmost
-point, and 0 where nothing projects.  A voxel view is one gather and one
-``argmax`` through read-only tables cached per yaw and image size.
+point, and 0 where nothing projects.  A view's yaw turns the shape about
+the cube's vertical center axis inside ``render_depth``: a voxel view is one
+gather and one ``argmax`` through read-only tables cached per yaw and image
+size, a cloud view turns its points and splats them.
 """
 
 from __future__ import annotations
@@ -32,47 +34,26 @@ class Pose:
         yaw = float(self.yaw_deg)
         if not math.isfinite(yaw):
             raise InvalidInputError(f"yaw {yaw} must be finite")
-        object.__setattr__(self, "yaw_deg", yaw % 360.0)
+        yaw %= 360.0  # float % rounds a tiny negative yaw, say -1e-14, up to 360.0
+        object.__setattr__(self, "yaw_deg", 0.0 if yaw == 360.0 else yaw)
 
 
-def rotate_z(shape, pose: Pose):
-    """Rotate about the vertical axis through the cube center (0.5, 0.5).
-
-    Point clouds rotate exactly; voxel grids inverse-map each target cell
-    center with nearest-neighbor lookup, so cells whose source falls outside
-    the cube come back empty; the grid's z-runs are gathered in one step.
-    Yaw 0 returns the input unchanged.
-    """
-    if pose.yaw_deg == 0.0:
-        return shape
-    if isinstance(shape, PointCloud):
-        theta = math.radians(pose.yaw_deg)
-        c, s = math.cos(theta), math.sin(theta)
-        dx = shape.points[:, 0] - 0.5
-        dy = shape.points[:, 1] - 0.5
-        pts = np.column_stack([
-            0.5 + c * dx - s * dy,
-            0.5 + s * dx + c * dy,
-            shape.points[:, 2],
-        ])
-        return PointCloud(pts, correspondence_id=shape.correspondence_id)
-    if isinstance(shape, VoxelGrid):
-        rows = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
-        return VoxelGrid(_z_runs(shape.occupancy).take(rows[:, :-1], axis=0))
-    raise InvalidInputError(f"cannot rotate {type(shape).__name__}")
-
-
-def _z_runs(occ: np.ndarray) -> np.ndarray:
-    """The grid's z-runs as rows ``x * res + y``, then an empty and a full run."""
-    res = occ.shape[0]
-    return np.concatenate([occ.reshape(res * res, res),
-                           np.zeros((1, res), bool), np.ones((1, res), bool)])
+def _rotate_points(points: np.ndarray, yaw_deg: float) -> np.ndarray:
+    """``points`` turned ``yaw_deg`` about the cube's vertical center axis; yaw 0 returns them."""
+    if yaw_deg == 0.0:
+        return points
+    theta = math.radians(yaw_deg)
+    c, s = math.cos(theta), math.sin(theta)
+    dx = points[:, 0] - 0.5
+    dy = points[:, 1] - 0.5
+    return np.column_stack([0.5 + c * dx - s * dy, 0.5 + s * dx + c * dy, points[:, 2]])
 
 
 @functools.lru_cache(maxsize=32)
 def _voxel_rotation_table(yaw_deg: float, res: int):
-    """Read-only (res, res + 1) ``_z_runs`` rows: per target column (x, y) the
-    source nearest its rotated-back center (the empty run if outside), then the full run."""
+    """Read-only (res, res + 1) z-run rows of ``render_depth``: per target
+    column (x, y) the source nearest its rotated-back center (the empty run
+    if outside), then the full run."""
     theta = math.radians(yaw_deg)
     c, s = math.cos(theta), math.sin(theta)
     centers = (np.arange(res) + 0.5) / res
@@ -112,23 +93,26 @@ def render_depth(shape, pose: Pose, width: int = 32, height: int = 32) -> np.nda
     if width < 1 or height < 1:
         raise InvalidInputError(f"image size {width}x{height} must be positive")
     if isinstance(shape, VoxelGrid):
-        rows = _voxel_rotation_table(pose.yaw_deg, shape.resolution)
+        res = shape.resolution
+        # The z-runs as rows x * res + y, then an empty and a full run.
+        runs = np.concatenate([shape.occupancy.reshape(res * res, res),
+                               np.zeros((1, res), bool), np.ones((1, res), bool)])
+        rows = _voxel_rotation_table(pose.yaw_deg, res)
         # argmax over axis 1 copies y last itself, as fast as doing it here.
-        first = _z_runs(shape.occupancy).take(rows, axis=0).argmax(axis=1)  # (x, z)
-        columns, depth = _pixel_table(width, height, shape.resolution)
+        first = runs.take(rows, axis=0).argmax(axis=1)  # (x, z)
+        columns, depth = _pixel_table(width, height, res)
         return depth.take(first.take(columns))
-    rotated = rotate_z(shape, pose)
-    if isinstance(rotated, PointCloud):
-        img = np.zeros((height, width))
-        pts = rotated.points
-        if pts.size:
-            cols = np.clip(np.floor(pts[:, 0] * width).astype(np.int64), 0, width - 1)
-            zbin = np.clip(np.floor(pts[:, 2] * height).astype(np.int64), 0, height - 1)
-            rows = height - 1 - zbin
-            vals = 1.0 - np.clip(pts[:, 1], 0.0, 1.0)
-            np.maximum.at(img, (rows, cols), vals)
-        return img
-    raise InvalidInputError(f"cannot render {type(rotated).__name__}")
+    if not isinstance(shape, PointCloud):
+        raise InvalidInputError(f"cannot render {type(shape).__name__}")
+    img = np.zeros((height, width))
+    pts = _rotate_points(shape.points, pose.yaw_deg)
+    if pts.size:
+        cols = np.clip(np.floor(pts[:, 0] * width).astype(np.int64), 0, width - 1)
+        zbin = np.clip(np.floor(pts[:, 2] * height).astype(np.int64), 0, height - 1)
+        rows = height - 1 - zbin
+        vals = 1.0 - np.clip(pts[:, 1], 0.0, 1.0)
+        np.maximum.at(img, (rows, cols), vals)
+    return img
 
 
 def view_yaws(view_count: int) -> list:

@@ -92,7 +92,9 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Analytic solid description: kind, continuous parameters, provenance seed.
+    """Analytic solid description: kind, continuous parameters, and a
+    provenance ``seed`` that no code reads (a sample's generator comes from
+    ``(base_seed, sample_id)``; ``sample_spec(seed=)`` only records it).
 
     Valid parameter ranges (all lengths in unit-cube units):
 

@@ -580,7 +580,8 @@ class TestRenderCommand:
     @pytest.mark.parametrize("yaws, clash", [
         (["10.0000001", "10.0000002", "30", "30"], "yaws 10.0000001 and 10.0000002"),
         (["30", "-330"], "yaws 30.0 and -330.0"),
-    ], ids=["within_print_precision", "one_turn_apart"])
+        (["0", "-1e-14"], "yaws 0.0 and -1e-14"),
+    ], ids=["within_print_precision", "one_turn_apart", "rounded_up_to_a_turn"])
     def test_yaws_sharing_a_file_name_exit_1_write_nothing(self, workspace, tmp_path,
                                                            capsys, yaws, clash):
         # render_{yaw:g}deg.pgm would give two views one file, the second
@@ -788,10 +789,13 @@ class TestUsage:
         ("render", "--views", "1_0"), ("render", "--width", "+8"),
         ("render", "--height", "\uff13\uff12"), ("gen", "--seed", "4_2"),
         ("gen", "--threads", "+2"), ("compare", "--threads", "1_0"),
+        ("render", "--yaw", "1_0"), ("render", "--yaw", "+10"),
+        ("render", "--yaw", "\uff13\uff12"), ("render", "--yaw", " 10"),
     ])
     def test_python_only_integer_spellings_exit_1(self, workspace, tmp_path, capsys,
                                                   command, flag, value):
-        # int() takes "1_0", "+8" and full-width digits; an option does not.
+        # int() and float() take "1_0", "+8" and full-width digits; an option
+        # does not.
         root, cfg = workspace
         out = tmp_path / "out"
         if command == "render":
@@ -802,7 +806,8 @@ class TestUsage:
             if command == "compare":
                 argv += ["--data", str(root / "data")]
         assert main(argv + [flag, value]) == 1
-        assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+        kind = "float" if flag == "--yaw" else "int"
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["render", "--help"]])

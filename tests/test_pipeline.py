@@ -913,18 +913,23 @@ class TestConfigFiles:
         ("dataset", "resolution = 3_0"), ("dataset", "base_seed = \uff14\uff12"),
         ("dataset", "paired_train = +4"), ("experiment", "k_2d = \uff16"),
         ("experiment", "mlp_hidden = 8 1_0"), ("schedule", "rates = 0.1:1_0"),
-        ("schedule", "batch_size = +4"),
+        ("schedule", "batch_size = +4"), ("dataset", "poses = 4_5 \uff13\uff12"),
+        ("dataset", "poses = 0 +45"), ("schedule", "rates = 0.0_01:10"),
+        ("schedule", "rates = \uff10.1:10"),
     ])
     def test_python_only_integer_spellings_rejected(self, tmp_path, section, line):
-        # int() takes "3_0", "+4" and full-width digits; the config files do not.
+        # int() and float() take "3_0", "+4" and full-width digits; the
+        # config files do not.
         path = tmp_path / "ints.cfg"
         path.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
         load = load_manifest if section == "dataset" else load_experiment
-        with pytest.raises(InvalidInputError, match="invalid literal for int"):
+        with pytest.raises(InvalidInputError,
+                           match="invalid literal for int|could not convert string to float"):
             load(str(path))
 
     def test_negative_and_zero_padded_integers_read(self, tmp_path):
         assert config._int("-3") == -3
+        assert config._floats("-45 .5 1e+5 007") == (-45.0, 0.5, 1e5, 7.0)
         path = tmp_path / "ints.cfg"
         path.write_text("[dataset]\nresolution = 012\n")
         assert load_manifest(str(path)).resolution == 12

@@ -25,8 +25,8 @@ def symmetrized(grid):
 
 
 def uncached_rotate_voxels(grid, pose):
-    """Reference voxel branch of ``rotate_z`` that builds its index tables on
-    every call; the cached tables must match it bit for bit."""
+    """Reference voxel rotation of ``render_depth`` that builds its index
+    tables on every call; the cached tables must match it bit for bit."""
     if pose.yaw_deg == 0.0:
         return grid
     theta = math.radians(pose.yaw_deg)
@@ -59,11 +59,32 @@ def any_argmax_render(grid, pose, width, height):
     return value[np.ix_(ix, iz)].T.copy()
 
 
+def splat_render(cloud, pose, width, height):
+    """Reference cloud branch of ``render_depth``: turn the points about
+    (0.5, 0.5) by the yaw (yaw 0 leaves them untouched), then splat them one
+    at a time, each pixel keeping the largest ``1 - y``."""
+    pts = cloud.points
+    if pose.yaw_deg != 0.0:
+        theta = math.radians(pose.yaw_deg)
+        c, s = math.cos(theta), math.sin(theta)
+        dx = pts[:, 0] - 0.5
+        dy = pts[:, 1] - 0.5
+        pts = np.column_stack([0.5 + c * dx - s * dy, 0.5 + s * dx + c * dy, pts[:, 2]])
+    img = np.zeros((height, width))
+    for x, y, z in pts:
+        col = min(max(math.floor(x * width), 0), width - 1)
+        row = height - 1 - min(max(math.floor(z * height), 0), height - 1)
+        img[row, col] = max(img[row, col], 1.0 - min(max(y, 0.0), 1.0))
+    return img
+
+
 class TestPose:
     def test_normalizes_to_half_open_range(self):
         assert Pose(-45.0).yaw_deg == 315.0
         assert Pose(360.0).yaw_deg == 0.0
         assert Pose(540.0).yaw_deg == 180.0
+        # Float % alone rounds this up to 360.0.
+        assert Pose(-1e-14).yaw_deg == 0.0
 
     @pytest.mark.parametrize("yaw", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_yaw(self, yaw):
@@ -73,29 +94,18 @@ class TestPose:
 
 class TestRotate:
     def test_yaw_zero_is_identity(self):
-        grid = random_grid(0)
-        assert render.rotate_z(grid, Pose(0.0)) is grid
-        cloud = PointCloud(np.random.default_rng(1).random((10, 3)))
-        assert render.rotate_z(cloud, Pose(0.0)) is cloud
+        points = np.random.default_rng(1).random((10, 3))
+        assert render._rotate_points(points, 0.0) is points
 
     def test_quarter_turn_point(self):
-        rotated = render.rotate_z(PointCloud([[0.75, 0.5, 0.5]]), Pose(90.0))
-        np.testing.assert_allclose(rotated.points, [[0.5, 0.75, 0.5]], atol=1e-12)
+        rotated = render._rotate_points(np.array([[0.75, 0.5, 0.5]]), 90.0)
+        np.testing.assert_allclose(rotated, [[0.5, 0.75, 0.5]], atol=1e-12)
 
     def test_full_turn_matches_identity(self):
-        cloud = PointCloud(np.random.default_rng(2).random((20, 3)))
-        rotated = render.rotate_z(cloud, Pose(360.0))
-        np.testing.assert_allclose(rotated.points, cloud.points, atol=1e-12)
-
-    def test_voxel_half_turn_is_index_flip(self):
-        grid = random_grid(3, res=20)
-        rotated = render.rotate_z(grid, Pose(180.0))
-        assert np.array_equal(rotated.occupancy, grid.occupancy[::-1, ::-1, :])
-
-    def test_rotation_preserves_z_slices(self):
-        grid = random_grid(4, res=12)
-        rotated = render.rotate_z(grid, Pose(37.0))
-        assert rotated.occupancy.sum(axis=(0, 1)).max() <= grid.resolution ** 2
+        points = np.random.default_rng(2).random((20, 3))
+        # The raw 360, which Pose would normalize to the yaw-0 shortcut.
+        rotated = render._rotate_points(points, 360.0)
+        np.testing.assert_allclose(rotated, points, atol=1e-12)
 
 
 class TestVoxelRotationCache:
@@ -105,10 +115,8 @@ class TestVoxelRotationCache:
         for yaw in [22.5 * i for i in range(16)] + [13.7]:
             pose = Pose(yaw)
             for _ in range(2):  # the first call fills the cache, the second reads it
-                rotated = render.rotate_z(grid, pose)
                 image = render.render_depth(grid, pose)
                 reference = uncached_rotate_voxels(grid, pose)
-                assert np.array_equal(rotated.occupancy, reference.occupancy)
                 assert np.array_equal(image, render.render_depth(reference, Pose(0.0)))
 
     @pytest.mark.parametrize("res", [8, 30, 64])
@@ -142,7 +150,7 @@ class TestVoxelRotationCache:
     def test_cache_stays_bounded(self):
         bound = render._voxel_rotation_table.cache_info().maxsize
         for i in range(3 * bound):
-            render.rotate_z(random_grid(6, res=8), Pose(1.0 + i))
+            render.render_depth(random_grid(6, res=8), Pose(1.0 + i))
         assert render._voxel_rotation_table.cache_info().currsize == bound
         bound = render._pixel_table.cache_info().maxsize
         for i in range(3 * bound):
@@ -222,6 +230,30 @@ class TestRenderDepth:
         a = render.render_depth(grid, Pose(33.0), 32, 32)
         b = render.render_depth(grid, Pose(33.0), 32, 32)
         assert np.array_equal(a, b)
+
+
+class TestCloudRender:
+    def test_images_match_point_splat_renderer(self):
+        rng = np.random.default_rng(17)
+        clouds = {
+            "empty": PointCloud(np.zeros((0, 3))),
+            "unit": PointCloud(rng.random((200, 3))),
+            # Full mantissas near the front, where 0.5 + (y - 0.5) != y.
+            "front": PointCloud(rng.random((200, 3)) / 7.0),
+            # Points past the faces, and corners that leave the cube when turned.
+            "wide": PointCloud(rng.uniform(-0.2, 1.2, (150, 3))),
+            "corners": PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.5],
+                                   [1.0, 0.0, 0.25], [0.5, 0.5, 0.5]]),
+        }
+        yaws = [22.5 * i for i in range(16)] + [13.7, -45.0]
+        for name, cloud in clouds.items():
+            for yaw in yaws:
+                for width, height in [(1, 1), (17, 40), (32, 32)]:
+                    image = render.render_depth(cloud, Pose(yaw), width, height)
+                    reference = splat_render(cloud, Pose(yaw), width, height)
+                    assert image.shape == (height, width)
+                    assert image.dtype == np.float64
+                    assert np.array_equal(image, reference), (name, yaw, width, height)
 
 
 class TestViews:
