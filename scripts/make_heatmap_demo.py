@@ -52,14 +52,15 @@ def main() -> int:
 
     order = np.argsort(report.per_sample_rmse)
     for label, idx in (("best", order[0]), ("worst", order[-1])):
-        truth = shapes.cloud_from_vector(z_test[:, idx],
-                                         f"demo:{manifest.point_count}")
-        pred = shapes.cloud_from_vector(predictions[:, idx],
-                                        truth.correspondence_id)
+        truth = shapes.PointCloud(z_test[:, idx].reshape(-1, 3),
+                                  f"demo:{manifest.point_count}")
+        pred = shapes.PointCloud(predictions[:, idx].reshape(-1, 3),
+                                 truth.correspondence_id)
         for mode in ("corresponded", "nearest"):
             hm = pipeline.heatmap(pred, truth, mode)
             out = workdir / f"heatmap_{label}_{mode}.ply"
-            pipeline.export_heatmap(hm, truth, out)
+            shapes.write_ply(out, truth.points, {"error": hm.errors},
+                             truth.correspondence_id)
             print(f"{label} sample {pair_ids[idx]} [{mode}]: "
                   f"max error {hm.errors.max():.5f} -> {out}")
     return 0

@@ -8,8 +8,10 @@ for ``inspect``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +27,6 @@ from .config import (
     load_manifest,
     resolve_config_path,
     with_mapping,
-    with_seed,
 )
 from .errors import FileFormatError, InvalidInputError, NumericalFailureError
 
@@ -82,7 +83,9 @@ def _map_path(out_dir: Path, method: str) -> Path:
 
 
 def _cmd_gen(args) -> int:
-    manifest = with_seed(load_manifest(args.config), args.seed)
+    manifest = load_manifest(args.config)
+    if args.seed is not None:
+        manifest = dataclasses.replace(manifest, base_seed=args.seed)
     pipeline.generate_dataset(manifest, args.out)
     _note(f"dataset written to {args.out}")
     return 0
@@ -127,24 +130,25 @@ def _cmd_eval(args) -> int:
                                           pipeline.SPLIT_PAIRED_TEST,
                                           config.pair_policy)
     predictions = pipeline.predict(config, models, map_obj, x)
-    report = pipeline.evaluate_rmse(
-        predictions, z, sample_ids=pair_ids,
-        config_echo={"mapping": config.mapping, "k_2d": k_2d, "k_3d": k_3d,
-                     "pair_policy": config.pair_policy},
-    )
+    report = pipeline.evaluate_rmse(predictions, z, sample_ids=pair_ids)
     pipeline.write_evaluation_csv(report, out_dir / f"eval_{config.mapping}.csv")
-    pipeline.write_evaluation_summary(report, out_dir / f"eval_{config.mapping}.txt")
+    pipeline.write_evaluation_summary(
+        report, out_dir / f"eval_{config.mapping}.txt",
+        {"mapping": config.mapping, "k_2d": k_2d, "k_3d": k_3d,
+         "pair_policy": config.pair_policy})
     _note(f"average test rmse ({config.mapping}): {report.average_rmse:.6g}")
     return 0
 
 
 def _cmd_compare(args) -> int:
     config = load_experiment(args.config)
+    started = time.perf_counter()
     result = pipeline.compare_methods(config, args.data)
+    runtime_seconds = time.perf_counter() - started
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_comparison_csv(result, out_dir / "compare.csv")
-    pipeline.write_comparison_summary(result, out_dir / "compare.txt")
+    pipeline.write_comparison_summary(result, out_dir / "compare.txt", runtime_seconds)
     _note(f"comparison written to {out_dir / 'compare.csv'}")
     return 0
 
@@ -185,7 +189,7 @@ def _cmd_heatmap(args) -> int:
     prediction = shapes.load_cloud(args.prediction)
     truth = shapes.load_cloud(args.truth)
     hm = pipeline.heatmap(prediction, truth, mode=args.mode)
-    pipeline.export_heatmap(hm, truth, args.out)
+    shapes.write_ply(args.out, truth.points, {"error": hm.errors}, truth.correspondence_id)
     _note(f"heat map written to {args.out} "
           f"(max error {float(hm.errors.max() if hm.errors.size else 0.0):.6g})")
     return 0

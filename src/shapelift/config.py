@@ -17,8 +17,8 @@ check, both loaders and ``write_manifest``.
     paired_train     shapes in the paired training split
     paired_test      shapes in the paired test split
     view_count       rendered views per shape (yaws spread over 0..180)
-    poses            explicit yaw list in degrees, each finite; overrides
-                     view_count
+    poses            explicit yaw list in degrees, each finite and no two
+                     the same yaw modulo 360; overrides view_count
     image_size       square image side in pixels
     base_seed        seed from which every per-sample seed derives
 
@@ -90,8 +90,13 @@ class DatasetManifest:
                 raise InvalidInputError(f"{name} must be >= 1")
         if self.view_count < 1:
             raise InvalidInputError("view_count must be >= 1")
+        seen = {}  # normalized yaw -> the pose that gave it
         for yaw in self.poses:
-            Pose(yaw)  # raises on a non-finite yaw before any file is written
+            deg = Pose(yaw).yaw_deg  # raises on a non-finite yaw before any file is written
+            if deg in seen:
+                raise InvalidInputError(
+                    f"poses {seen[deg]!r} and {yaw!r} are the same yaw {deg:g}")
+            seen[deg] = yaw
         if self.image_size < 1:
             raise InvalidInputError("image_size must be >= 1")
         if self.base_seed < 0:
@@ -243,12 +248,6 @@ def load_experiment(path: str) -> ExperimentConfig:
     schedule = TrainSchedule(**_section(parser, "schedule", TrainSchedule))
     return ExperimentConfig(**_section(parser, "experiment", ExperimentConfig),
                             schedule=schedule)
-
-
-def with_seed(manifest: DatasetManifest, seed: int | None) -> DatasetManifest:
-    if seed is None:
-        return manifest
-    return dataclasses.replace(manifest, base_seed=int(seed))
 
 
 def with_mapping(config: ExperimentConfig, method: str | None) -> ExperimentConfig:

@@ -60,7 +60,6 @@ class EvaluationReport:
     average_rmse: float
     per_sample_rmse: np.ndarray
     sample_ids: list
-    config_echo: dict
 
 
 @dataclass
@@ -82,7 +81,6 @@ class ComparisonResult:
     rows: list
     k_2d: int
     k_3d: int
-    runtime_seconds: float
 
 
 # Columns per fill block (the one (block, dim) buffer of a fill), and rows
@@ -335,7 +333,7 @@ def predict(config: ExperimentConfig, models, map_obj: mp.MlpMap,
 
 
 def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
-                  sample_ids=None, config_echo=None) -> EvaluationReport:
+                  sample_ids=None) -> EvaluationReport:
     """Root-mean-square error per sample column, averaged over the split.
 
     Each sample's RMSE is sqrt(||x_hat - x||^2 / dim); the report average
@@ -375,7 +373,6 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
         average_rmse=float(per_sample.mean()),
         per_sample_rmse=per_sample,
         sample_ids=ids,
-        config_echo=dict(config_echo or {}),
     )
 
 
@@ -419,13 +416,6 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
     return HeatMap(errors)
 
 
-def export_heatmap(hm: HeatMap, truth: shapes.PointCloud, path):
-    """``write_ply`` of the ground-truth cloud with a per-vertex error
-    property; an error count that is not the vertex count raises its
-    ``InvalidInputError``."""
-    shapes.write_ply(path, truth.points, {"error": hm.errors}, truth.correspondence_id)
-
-
 def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):
     # The map and each prediction are freed when this returns.
     map_obj = fit_mapping(config, models, x_train, z_train)
@@ -441,10 +431,10 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
 
     The direct map uses no model, so it runs last, after the models are
     dropped.  No method shares state with another, so the rows, returned in
-    ``MAPPING_METHODS`` order, keep their bits.  ``threads`` is a worker
-    cap; one worker meets every cap.
+    ``MAPPING_METHODS`` order, keep their bits, and two calls on one
+    dataset return equal results.  ``threads`` is a worker cap; one worker
+    meets every cap.
     """
-    started = time.perf_counter()
     manifest = read_dataset_manifest(data_dir)
     models = pretrain(data_dir, config.k_2d, config.k_3d)
     x_train, z_train, _ = load_paired(data_dir, manifest, SPLIT_PAIRED_TRAIN,
@@ -458,9 +448,7 @@ def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> Com
     del models
     rows["direct"] = _score(with_mapping(config, "direct"), None, *splits)
     return ComparisonResult(
-        rows=[rows[method] for method in MAPPING_METHODS], k_2d=k_2d, k_3d=k_3d,
-        runtime_seconds=time.perf_counter() - started,
-    )
+        rows=[rows[method] for method in MAPPING_METHODS], k_2d=k_2d, k_3d=k_3d)
 
 
 def write_comparison_csv(result: ComparisonResult, path):
@@ -472,12 +460,14 @@ def write_comparison_csv(result: ComparisonResult, path):
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_comparison_summary(result: ComparisonResult, path):
+def write_comparison_summary(result: ComparisonResult, path, runtime_seconds: float):
+    """Text table of ``result``, with the finishing time and the caller's
+    measured ``runtime_seconds``."""
     lines = [
         "mapping method comparison (average RMSE per sample)",
         f"subspace dimensions: k_2d={result.k_2d} k_3d={result.k_3d}",
         f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
-        f"runtime: {result.runtime_seconds:.2f} s",
+        f"runtime: {runtime_seconds:.2f} s",
         "",
         f"{'method':<8} {'train_rmse':>14} {'test_rmse':>14}",
     ]
@@ -495,13 +485,15 @@ def write_evaluation_csv(report: EvaluationReport, path):
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_evaluation_summary(report: EvaluationReport, path):
+def write_evaluation_summary(report: EvaluationReport, path, config_echo: dict):
+    """Text summary of ``report``, with the finishing time and one
+    ``config <key>: <value>`` line per ``config_echo`` item, by key."""
     lines = [
         "evaluation report",
         f"samples: {len(report.sample_ids)}",
         f"average rmse: {report.average_rmse:.6g}",
         f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
     ]
-    for key, value in sorted(report.config_echo.items()):
+    for key, value in sorted(config_echo.items()):
         lines.append(f"config {key}: {value}")
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -365,13 +365,6 @@ def vectorize_shape(shape) -> np.ndarray:
     raise InvalidInputError(f"cannot vectorize {type(shape).__name__}")
 
 
-def cloud_from_vector(vec, correspondence_id: str = "") -> PointCloud:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.size % 3:
-        raise InvalidInputError(f"vector length {v.size} is not a multiple of 3")
-    return PointCloud(v.reshape(-1, 3), correspondence_id=correspondence_id)
-
-
 # ---------------------------------------------------------------------------
 # File formats: binary little-endian PLY for clouds, VOXR for voxel grids.
 # ---------------------------------------------------------------------------

@@ -271,6 +271,34 @@ class TestReportOutputs:
         assert tree_digest(art) == before
         assert not list(art.rglob("*.tmp"))
 
+    def test_compare_summary_keeps_its_lines(self, workspace, tmp_path):
+        # The command times compare_methods and stamps the summary itself.
+        root, cfg = workspace
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(out)]) == 0
+        lines = (out / "compare.txt").read_text().splitlines()
+        rows = [line.split(",") for line in (out / "compare.csv").read_text().splitlines()[1:]]
+        assert lines[:2] == ["mapping method comparison (average RMSE per sample)",
+                             "subspace dimensions: k_2d=6 k_3d=8"]
+        assert re.fullmatch(r"finished: \d{4}-\d\d-\d\d \d\d:\d\d:\d\d", lines[2])
+        assert re.fullmatch(r"runtime: \d+\.\d\d s", lines[3])
+        assert lines[4:] == ["", f"{'method':<8} {'train_rmse':>14} {'test_rmse':>14}"] + [
+            f"{method:<8} {float(train):>14.6g} {float(test):>14.6g}"
+            for method, train, test, _, _ in rows]
+
+    def test_eval_summary_keeps_its_lines(self, workspace, staged, tmp_path):
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        assert _direct_stage(workspace, art, "eval") == 0
+        lines = (art / "eval_direct.txt").read_text().splitlines()
+        csv = (art / "eval_direct.csv").read_text().splitlines()
+        assert lines[:3] == ["evaluation report", f"samples: {len(csv) - 2}",
+                             f"average rmse: {float(csv[-1].split(',')[1]):.6g}"]
+        assert re.fullmatch(r"finished: \d{4}-\d\d-\d\d \d\d:\d\d:\d\d", lines[3])
+        assert lines[4:] == ["config k_2d: 6", "config k_3d: 8", "config mapping: direct",
+                             "config pair_policy: cycle"]
+
 
 class TestPretrainFitEval:
     def test_full_chain(self, workspace, tmp_path):

@@ -758,10 +758,11 @@ class TestHeatmap:
             pipeline.heatmap(a, c, "corresponded")
 
     def test_export_round_trip(self, tmp_path):
+        # What `shapelift heatmap` writes: the truth cloud with an error property.
         pred, truth = self._family_pair(2, delta=(0.0, 0.01, 0.0))
         hm = pipeline.heatmap(pred, truth, "corresponded")
         path = tmp_path / "heat.ply"
-        pipeline.export_heatmap(hm, truth, path)
+        shapes.write_ply(path, truth.points, {"error": hm.errors}, truth.correspondence_id)
         pts, extras, corr = shapes.read_ply(path)
         assert np.array_equal(pts, truth.points)
         assert np.array_equal(extras["error"], hm.errors)
@@ -785,6 +786,12 @@ class TestCompareMethods:
         result = pipeline.compare_methods(cfg, small_dataset)
         assert seen == [("lowdim", False), ("mlp", False), ("direct", True)]
         assert [row.method for row in result.rows] == list(config.MAPPING_METHODS)
+
+    def test_two_calls_return_equal_results(self, small_dataset):
+        # A result holds numbers only: no wall clock, so a rerun compares equal.
+        cfg = dataclasses.replace(self.CONFIG, k_2d=3, k_3d=4)
+        assert (pipeline.compare_methods(cfg, small_dataset)
+                == pipeline.compare_methods(cfg, small_dataset))
 
     def test_traced_peak_holds_no_full_size_temporary(self, tmp_path, traced_peak):
         # While scoring, compare holds the models, the paired splits, one map,
@@ -872,6 +879,16 @@ class TestConfigFiles:
         path.write_text("[dataset]\nposes = -45 0 45\nview_count = 3\n")
         manifest = load_manifest(str(path))
         assert manifest.yaws == (-45.0, 0.0, 45.0)
+
+    @pytest.mark.parametrize("poses, first, second", [
+        ("0 360 -1e-14", "0.0", "360.0"), ("10 45 -315", "45.0", "-315.0")])
+    def test_poses_with_one_normalized_yaw_rejected(self, tmp_path, poses, first, second):
+        # Each would render the same view twice per shape.
+        path = tmp_path / "poses.cfg"
+        path.write_text(f"[dataset]\nposes = {poses}\n")
+        with pytest.raises(InvalidInputError,
+                           match=f"poses {first} and {second} are the same yaw "):
+            load_manifest(str(path))
 
     def test_manifest_write_read_round_trip(self, tmp_path):
         path = tmp_path / "manifest.cfg"

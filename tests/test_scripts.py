@@ -1,7 +1,7 @@
-"""Smoke tests for the example scripts under ``scripts/``.
+"""Smoke test for the example script under ``scripts/``.
 
-``run_reference_compare.py`` trains the reference MLP (several seconds of
-SGD on the full reference dataset), so it has no tier-1 test.
+The reference three-method table needs no script: it is ``shapelift gen``
+followed by ``shapelift compare`` on ``configs/reference.cfg``.
 """
 
 import os

@@ -134,7 +134,9 @@ class TestFitSubspace:
     def test_reference_shape_pool_records_the_requested_k(self, caplog, cfg, k, kept,
                                                           digest):
         # The digests are those of the shape models the reference pretrain
-        # wrote when it capped the voxel k at the pool's 300 shapes first.
+        # wrote when it capped the voxel k at the pool's 300 shapes first,
+        # recorded at OpenBLAS's default thread count on a 2-vCPU machine: the
+        # Gram product and eigh of these pools change bits with that count.
         pool = reference_pool(cfg)
         with caplog.at_level("WARNING", logger="shapelift"):
             model = subspace.fit_subspace(pool, k)
