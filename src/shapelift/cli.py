@@ -2,7 +2,12 @@
 
 Exit codes: 0 success, 1 invalid input, config or usage, 2 numerical failure.
 Diagnostics go to stderr; machine-readable results go to files (or stdout
-for ``inspect``).
+for ``inspect``).  An artifact whose sizes do not fit the dataset, or the
+other artifacts, exits 1 with one line that names it and the stage to rerun.
+
+The human-readable summaries, ``compare.txt`` and ``eval_<method>.txt``,
+are written here, and they alone carry a clock: the ``finished:`` time and
+``compare``'s measured ``runtime:``.  The library reads none.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import mapping as mp
 from . import pipeline, render, shapes, subspace
-from ._fileio import read_header
+from ._fileio import atomic_write, read_header
 from .config import (
     MAPPING_METHODS,
     _float,
@@ -104,6 +109,29 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_sizes(out_dir: Path, split: str, models, x, z, method=None, map_obj=None):
+    """Exit 1 naming the first artifact in ``out_dir`` whose sizes do not fit:
+    a model's dim against the rows of the split's images ``x`` or shapes
+    ``z``, then a map's input and output sizes against the models' k (a
+    direct map's against those rows).  The error gives both sizes and the
+    stage that writes the artifact again."""
+    def check(path, what, have, source, need, stage):
+        if have != need:
+            raise InvalidInputError(f"{path}: {what} {have}, but {source} {need}; "
+                                    f"rerun `shapelift {stage}`")
+
+    rows = (len(x), len(z))
+    for name, kind, model, n in zip((IMAGE_MODEL_FILE, SHAPE_MODEL_FILE),
+                                    ("images", "shapes"), models or (), rows):
+        check(out_dir / name, "dim", model.dim, f"the {split} {kind} have", n, "pretrain")
+    if map_obj is not None:
+        check(_map_path(out_dir, method), "input and output sizes",
+              (map_obj.layer_sizes[0], map_obj.layer_sizes[-1]),
+              f"the {split} images and shapes have" if models is None else "the models' k are",
+              rows if models is None else tuple(model.k for model in models),
+              f"fit --method {method}")
+
+
 def _cmd_fit(args) -> int:
     config = with_mapping(load_experiment(args.config), args.method)
     manifest = pipeline.read_dataset_manifest(args.data)
@@ -111,10 +139,25 @@ def _cmd_fit(args) -> int:
     models, _ = _load_models(out_dir, config.mapping)
     x, z, _ = pipeline.load_paired(args.data, manifest, pipeline.SPLIT_PAIRED_TRAIN,
                                    config.pair_policy)
+    _check_sizes(out_dir, pipeline.SPLIT_PAIRED_TRAIN, models, x, z)
     map_obj = pipeline.fit_mapping(config, models, x, z)
     mp.save_map(map_obj, _map_path(out_dir, config.mapping))
     _note(f"{config.mapping} mapping written to {_map_path(out_dir, config.mapping)}")
     return 0
+
+
+def _write_evaluation_summary(report: pipeline.EvaluationReport, path, config_echo: dict):
+    """Text summary of ``report``, with the finishing time and one
+    ``config <key>: <value>`` line per ``config_echo`` item, by key."""
+    lines = [
+        "evaluation report",
+        f"samples: {len(report.sample_ids)}",
+        f"average rmse: {report.average_rmse:.6g}",
+        f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
+    ]
+    for key, value in sorted(config_echo.items()):
+        lines.append(f"config {key}: {value}")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_eval(args) -> int:
@@ -129,15 +172,33 @@ def _cmd_eval(args) -> int:
     x, z, pair_ids = pipeline.load_paired(args.data, manifest,
                                           pipeline.SPLIT_PAIRED_TEST,
                                           config.pair_policy)
+    _check_sizes(out_dir, pipeline.SPLIT_PAIRED_TEST, models, x, z, config.mapping, map_obj)
     predictions = pipeline.predict(config, models, map_obj, x)
     report = pipeline.evaluate_rmse(predictions, z, sample_ids=pair_ids)
     pipeline.write_evaluation_csv(report, out_dir / f"eval_{config.mapping}.csv")
-    pipeline.write_evaluation_summary(
+    _write_evaluation_summary(
         report, out_dir / f"eval_{config.mapping}.txt",
         {"mapping": config.mapping, "k_2d": k_2d, "k_3d": k_3d,
          "pair_policy": config.pair_policy})
     _note(f"average test rmse ({config.mapping}): {report.average_rmse:.6g}")
     return 0
+
+
+def _write_comparison_summary(result: pipeline.ComparisonResult, path,
+                              runtime_seconds: float):
+    """Text table of ``result``, with the finishing time and the measured
+    ``runtime_seconds``."""
+    lines = [
+        "mapping method comparison (average RMSE per sample)",
+        f"subspace dimensions: k_2d={result.k_2d} k_3d={result.k_3d}",
+        f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
+        f"runtime: {runtime_seconds:.2f} s",
+        "",
+        f"{'method':<8} {'train_rmse':>14} {'test_rmse':>14}",
+    ]
+    for row in result.rows:
+        lines.append(f"{row.method:<8} {row.train_rmse:>14.6g} {row.test_rmse:>14.6g}")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _cmd_compare(args) -> int:
@@ -148,7 +209,7 @@ def _cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     pipeline.write_comparison_csv(result, out_dir / "compare.csv")
-    pipeline.write_comparison_summary(result, out_dir / "compare.txt", runtime_seconds)
+    _write_comparison_summary(result, out_dir / "compare.txt", runtime_seconds)
     _note(f"comparison written to {out_dir / 'compare.csv'}")
     return 0
 

@@ -17,14 +17,14 @@ are one PGM film strip, ``views.pgm``: ``image_size`` wide, one
 file, the manifest last, is written whole through ``_fileio.atomic_write``.
 
 Everything derives from the manifest's base seed, so a rerun of any stage
-is byte-identical (timestamps appear only in the human-readable text
-summaries, never in CSVs).
+is byte-identical.  Results are values and the writers here are CSVs of
+numbers only; this module reads no clock, and the CLI's human-readable
+text summaries alone carry a time.
 """
 
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,17 +121,10 @@ def _column_matrix(read, items, dtype=None) -> np.ndarray:
 def _shape_for_id(manifest: DatasetManifest, sample_id: int):
     # Per-sample generator: seed_i hashes (base_seed, i) via SeedSequence.
     rng = np.random.default_rng((manifest.base_seed, sample_id))
-    spec = shapes.sample_spec(rng, manifest.kinds, seed=sample_id)
+    spec = shapes.sample_spec(rng, manifest.kinds)
     if manifest.representation == "voxel":
         return shapes.generate_voxel_shape(spec, manifest.resolution)
     return shapes.generate_point_shape(spec, manifest.point_count)
-
-
-def _save_shape(shape, path: Path):
-    if isinstance(shape, shapes.VoxelGrid):
-        shapes.save_voxr(shape, path)
-    else:
-        shapes.save_cloud(shape, path)
 
 
 def _shape_vector(manifest: DatasetManifest, split_dir: Path, sample_id: int):
@@ -181,6 +174,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
     # A stale manifest would vouch for a half-rewritten directory.
     (root / MANIFEST_FILE).unlink(missing_ok=True)
     size = manifest.image_size
+    save = shapes.save_voxr if manifest.representation == "voxel" else shapes.save_cloud
     for split, ids in _id_blocks(manifest).items():
         split_dir = root / split
         split_dir.mkdir(exist_ok=True)
@@ -195,7 +189,7 @@ def generate_dataset(manifest: DatasetManifest, out_dir, threads: int = 1):
         for ordinal, sample_id in enumerate(ids):
             shape = _shape_for_id(manifest, sample_id)
             if has_shapes:
-                _save_shape(shape, split_dir / names[ordinal])
+                save(shape, split_dir / names[ordinal])
             if has_views:
                 for view, yaw in enumerate(manifest.yaws):
                     strip[ordinal, view] = render._pgm_raster(
@@ -460,40 +454,10 @@ def write_comparison_csv(result: ComparisonResult, path):
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def write_comparison_summary(result: ComparisonResult, path, runtime_seconds: float):
-    """Text table of ``result``, with the finishing time and the caller's
-    measured ``runtime_seconds``."""
-    lines = [
-        "mapping method comparison (average RMSE per sample)",
-        f"subspace dimensions: k_2d={result.k_2d} k_3d={result.k_3d}",
-        f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
-        f"runtime: {runtime_seconds:.2f} s",
-        "",
-        f"{'method':<8} {'train_rmse':>14} {'test_rmse':>14}",
-    ]
-    for row in result.rows:
-        lines.append(f"{row.method:<8} {row.train_rmse:>14.6g} {row.test_rmse:>14.6g}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
 def write_evaluation_csv(report: EvaluationReport, path):
     """CSV: pair_id,rmse rows plus a final average row."""
     lines = ["pair_id,rmse"]
     for pid, value in zip(report.sample_ids, report.per_sample_rmse):
         lines.append(f"{pid},{float(value)!r}")
     lines.append(f"average,{report.average_rmse!r}")
-    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
-
-
-def write_evaluation_summary(report: EvaluationReport, path, config_echo: dict):
-    """Text summary of ``report``, with the finishing time and one
-    ``config <key>: <value>`` line per ``config_echo`` item, by key."""
-    lines = [
-        "evaluation report",
-        f"samples: {len(report.sample_ids)}",
-        f"average rmse: {report.average_rmse:.6g}",
-        f"finished: {time.strftime('%Y-%m-%d %H:%M:%S')}",
-    ]
-    for key, value in sorted(config_echo.items()):
-        lines.append(f"config {key}: {value}")
     atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -8,6 +8,10 @@ angle never carries content outside the cube.
 Point-cloud sampling uses fixed parametric lattices: point ``i`` of any
 cloud of a given (kind, point_count) family sits at the same surface
 parameter, giving dense point-to-point correspondence across the family.
+
+``sample_spec`` draws a ``ShapeSpec`` from a generator alone.  ``save_voxr``
+and ``save_cloud`` write the two shape formats; a dataset uses the one its
+representation names.
 """
 
 from __future__ import annotations
@@ -92,9 +96,9 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class ShapeSpec:
-    """Analytic solid description: kind, continuous parameters, and a
-    provenance ``seed`` that no code reads (a sample's generator comes from
-    ``(base_seed, sample_id)``; ``sample_spec(seed=)`` only records it).
+    """Analytic solid description: kind, continuous parameters and, for a
+    composite, its children.  It holds no seed: a dataset sample's spec is
+    drawn by ``sample_spec`` from the generator of ``(base_seed, sample_id)``.
 
     Valid parameter ranges (all lengths in unit-cube units):
 
@@ -113,7 +117,6 @@ class ShapeSpec:
     kind: str
     params: dict = field(default_factory=dict)
     children: tuple = ()
-    seed: int = 0
 
 
 def _require(cond: bool, message: str):
@@ -312,14 +315,14 @@ def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) 
 
     Sizes are drawn uniformly inside conservative sub-ranges of the
     documented limits, then center offsets inside whatever spin-safe budget
-    remains, so every draw validates.
+    remains, so every draw validates.  The spec depends on ``rng`` alone:
+    ``seed`` is ignored, and kept only so that callers that pass it still
+    bind.
     """
     kind = str(rng.choice(np.asarray(kinds, dtype=object)))
     if kind == "composite":
-        children = tuple(
-            sample_spec(rng, PRIMITIVE_KINDS, seed=seed) for _ in range(2)
-        )
-        return ShapeSpec("composite", {}, children=children, seed=seed)
+        return ShapeSpec("composite", {},
+                         children=tuple(sample_spec(rng, PRIMITIVE_KINDS) for _ in range(2)))
 
     def center(budget_xy: float, ext_z: float):
         ang = rng.uniform(0.0, 2.0 * np.pi)
@@ -348,7 +351,7 @@ def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) 
         params = {"cx": cx, "cy": cy, "cz": cz, "major": major, "minor": minor}
     else:
         raise InvalidSpecError(f"unknown shape kind {kind!r}")
-    return ShapeSpec(kind, params, seed=seed)
+    return ShapeSpec(kind, params)
 
 
 def vectorize_shape(shape) -> np.ndarray:

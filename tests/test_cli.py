@@ -413,6 +413,68 @@ class TestPretrainFitEval:
         assert len(err.splitlines()) == 1
         assert "144" in err and "256" in err
 
+    def test_stale_map_exit_1_names_it(self, workspace, tmp_path, capsys):
+        # The map was fitted to k_2d = 6 codes; the models were then refitted at 4.
+        root, cfg = workspace
+        art = tmp_path / "art"
+        args = ["--data", str(root / "data"), "--out", str(art)]
+        assert main(["pretrain", "--config", str(cfg)] + args) == 0
+        assert main(["fit", "--config", str(cfg), "--method", "mlp"] + args) == 0
+        small_k = tmp_path / "small_k.cfg"
+        small_k.write_text(SMALL_CFG.replace("k_2d = 6", "k_2d = 4"))
+        assert main(["pretrain", "--config", str(small_k)] + args) == 0
+        before = tree_digest(art)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(small_k), "--method", "mlp"] + args) == 1
+        assert capsys.readouterr().err == (
+            f"error: {art / 'mapping_mlp.map'}: input and output sizes (6, 8), but the "
+            "models' k are (4, 8); rerun `shapelift fit --method mlp`\n")
+        assert tree_digest(art) == before
+
+    @pytest.mark.parametrize("method", ["lowdim", "mlp"])
+    @pytest.mark.parametrize("line, other, model, sizes", [
+        ("image_size = 16", "image_size = 12", "image_model.ssm", "dim 144, but the "
+         "paired_train images have 256"),
+        ("resolution = 10", "resolution = 9", "shape_model.ssm", "dim 729, but the "
+         "paired_train shapes have 1000"),
+    ], ids=["image", "shape"])
+    def test_stale_model_exit_1_names_it(self, workspace, tmp_path, capsys, method,
+                                         line, other, model, sizes):
+        # The models were pretrained on a dataset of another size.
+        root, cfg = workspace
+        other_cfg = tmp_path / "other.cfg"
+        other_cfg.write_text(SMALL_CFG.replace(line, other))
+        art = tmp_path / "art"
+        assert main(["gen", "--config", str(other_cfg), "--out", str(tmp_path / "other")]) == 0
+        assert main(["pretrain", "--config", str(other_cfg), "--data", str(tmp_path / "other"),
+                     "--out", str(art)]) == 0
+        before = tree_digest(art)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(art), "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {art / model}: {sizes}; rerun `shapelift pretrain`\n")
+        assert tree_digest(art) == before
+
+    def test_direct_map_of_other_image_size_exit_1_names_it(self, workspace, staged,
+                                                            tmp_path, capsys):
+        root, cfg = workspace
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        narrow_cfg = tmp_path / "narrow.cfg"
+        narrow_cfg.write_text(SMALL_CFG.replace("image_size = 16", "image_size = 12"))
+        narrow = tmp_path / "narrow"
+        assert main(["gen", "--config", str(narrow_cfg), "--out", str(narrow)]) == 0
+        before = tree_digest(art)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--data", str(narrow), "--out", str(art),
+                     "--method", "direct"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {art / 'mapping_direct.map'}: input and output sizes (256, 1000), but "
+            "the paired_test images and shapes have (144, 1000); "
+            "rerun `shapelift fit --method direct`\n")
+        assert tree_digest(art) == before
+
     def test_bad_header_types_exit_1(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         art = tmp_path / "art"

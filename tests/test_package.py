@@ -58,3 +58,19 @@ def test_one_write_rule():
     for module in sorted(Path(shapelift.__file__).parent.glob("*.py")):
         found |= {(module.stem, function, call) for function, call in _file_writes(module)}
     assert found == allowed
+
+
+def test_one_clock_rule():
+    # Library results are values; only the CLI's text summaries read a clock.
+    found = set()
+    for module in sorted(Path(shapelift.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(), str(module))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found |= {(module.stem, name.partition(".")[0]) for name in names
+                      if name.partition(".")[0] in ("time", "datetime")}
+    assert {module for module, _ in found} <= {"cli"}, sorted(found)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -202,6 +203,17 @@ class TestSampleSpec:
         a = shapes.sample_spec(np.random.default_rng(42), shapes.ALL_KINDS)
         b = shapes.sample_spec(np.random.default_rng(42), shapes.ALL_KINDS)
         assert a == b
+
+    def test_seed_keyword_is_ignored(self):
+        # The spec follows from the generator alone and records no seed.
+        kinds = set()
+        for state in range(22):  # enough states to draw every kind
+            a = shapes.sample_spec(np.random.default_rng(state), shapes.ALL_KINDS, seed=1)
+            b = shapes.sample_spec(np.random.default_rng(state), shapes.ALL_KINDS, seed=2)
+            assert a == b
+            kinds.add(a.kind)
+        assert kinds == set(shapes.ALL_KINDS)
+        assert "seed" not in {f.name for f in dataclasses.fields(ShapeSpec)}
 
 
 class TestVectorize:
