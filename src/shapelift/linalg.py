@@ -52,8 +52,12 @@ class SvdResult:
         return len(self.sigma)
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
+def _as_matrix(a, name: str = "matrix", keep_bool: bool = False) -> np.ndarray:
+    """``a`` as a nonempty, finite 2-D float64 array, uncopied if it is one;
+    with ``keep_bool`` a bool array passes as it is."""
+    m = np.asarray(a)
+    if not (keep_bool and m.dtype == np.bool_):
+        m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise InvalidInputError(
             f"{name} must be a nonempty 2-D array, got shape {m.shape}"

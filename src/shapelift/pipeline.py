@@ -89,14 +89,13 @@ class ComparisonResult:
 _FILL_BLOCK = 64
 
 
-def _column_matrix(read, items, dtype=None) -> np.ndarray:
+def _column_matrix(read, items) -> np.ndarray:
     """``read(item)`` of each item as the columns of one row-major matrix.
 
-    The matrix has ``dtype``, by default that of the columns.  Up to
-    ``_FILL_BLOCK`` columns at a time are read into the rows of one buffer
-    of the columns' dtype, reused for every block, which is then written
-    transposed (and cast, with the same values) into the matrix: a strided
-    write per block instead of per column, and the same bytes.  An empty
+    The matrix has the columns' dtype.  Up to ``_FILL_BLOCK`` columns at a
+    time are read into the rows of one buffer, reused for every block,
+    which is then written transposed into the matrix: a strided write per
+    block instead of per column, and the same bytes.  An empty
     split or a column of another length is an ``InvalidInputError``; a
     missing file is ``read``'s own ``OSError``.
     """
@@ -104,8 +103,7 @@ def _column_matrix(read, items, dtype=None) -> np.ndarray:
     if not items:
         raise InvalidInputError("cannot load an empty split")
     first = read(items[0])
-    matrix = np.empty((len(first), len(items)),
-                      first.dtype if dtype is None else dtype)
+    matrix = np.empty((len(first), len(items)), first.dtype)
     block = np.empty((min(_FILL_BLOCK, len(items)), len(first)), first.dtype)
     for start in range(0, len(items), _FILL_BLOCK):
         rows = block[:len(items) - start]  # the last block may be short
@@ -237,13 +235,11 @@ def load_unlabeled_images(data_dir, manifest: DatasetManifest):
 
 
 def load_unlabeled_shapes(data_dir, manifest: DatasetManifest):
-    """Shape pool as a (shape_dim, n) float64 column matrix, by sample id.
-
-    float64 even for voxels, whose columns are bool: ``pretrain`` centers
-    the pool in place, which a bool matrix cannot hold."""
+    """Shape pool as a (shape_dim, n) column matrix, by sample id, of the
+    shape vectors' dtype: bool occupancy for voxels, float64 for clouds."""
     pool_dir = Path(data_dir) / SPLIT_UNLABELED_3D
     return _column_matrix(lambda sample_id: _shape_vector(manifest, pool_dir, sample_id),
-                          _id_blocks(manifest)[SPLIT_UNLABELED_3D], np.float64)
+                          _id_blocks(manifest)[SPLIT_UNLABELED_3D])
 
 
 def pretrain(data_dir, k_2d: int, k_3d: int):
@@ -251,15 +247,15 @@ def pretrain(data_dir, k_2d: int, k_3d: int):
 
     Reads only the two unlabeled splits, whose files the manifest names; the
     paired splits are never opened, so their presence or absence cannot
-    change the result.  Each pool is loaded, centered in place and fitted
-    by ``fit_subspace``, which shrinks a k past the pool's size or rank with
-    one warning, and dropped before the next.
+    change the result.  Each pool is loaded, fitted by ``fit_subspace`` on
+    its rows that do not center to zero, and dropped before the next;
+    ``fit_subspace`` shrinks a k past the pool's size or rank with one
+    warning.  The voxel shape pool stays bool: only its fitted rows are
+    ever float64.
     """
     manifest = read_dataset_manifest(data_dir)
-    return (subspace.fit_subspace(load_unlabeled_images(data_dir, manifest), k_2d,
-                                  _overwrite=True),
-            subspace.fit_subspace(load_unlabeled_shapes(data_dir, manifest), k_3d,
-                                  _overwrite=True))
+    return (subspace.fit_subspace(load_unlabeled_images(data_dir, manifest), k_2d),
+            subspace.fit_subspace(load_unlabeled_shapes(data_dir, manifest), k_3d))
 
 
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):

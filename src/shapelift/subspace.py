@@ -3,6 +3,9 @@
 A fitted model holds the sample mean and the leading left singular vectors
 of the centered data, found by `linalg.leading_svd` from the Gram matrix on
 the pool's small side: encode projects onto the basis, decode maps back.
+Only the rows that do not center to zero are fitted; the basis is exactly
+zero on the others (for voxels, the cells that every pool shape fills or
+leaves empty).
 ``train_linear_autoencoder`` learns the same subspace by full-batch
 gradient descent: it runs ``mapping.mlp_train``'s loop on a ``(dim, k, dim)``
 linear ``MlpMap``, and the decoder-times-encoder product
@@ -85,8 +88,9 @@ class SubspaceModel:
 
 def _pool(samples, k: int, strict: bool) -> np.ndarray:
     """``samples`` as a finite (dim, n) matrix with n >= 2, for a k >= 1;
-    ``strict`` also requires k <= min(dim, n)."""
-    x = _as_matrix(samples, "samples")
+    ``strict`` also requires k <= min(dim, n).  bool occupancy passes
+    uncopied unless ``strict``; any other dtype is float64."""
+    x = _as_matrix(samples, "samples", keep_bool=not strict)
     dim, n = x.shape
     if n < 2:
         raise InvalidInputError(f"need at least 2 samples, got {n}")
@@ -95,32 +99,42 @@ def _pool(samples, k: int, strict: bool) -> np.ndarray:
     return x
 
 
-def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
+def fit_subspace(samples, k: int) -> SubspaceModel:
     """Fit mean and the first k left singular vectors of the centered data.
 
-    The vectors and singular values come from `linalg.leading_svd`, so the
-    singular values are Ritz values, equal to the SVD's to about
-    eps * sigma_1.  The basis keeps min(k, dim, n) columns, cut further at
-    the centered matrix's effective rank r; when that is fewer than k, one
-    warning names k, the kept k, the pool's size and r, and the model is
-    flagged shrunk.  Requires n >= 2 samples and k >= 1; ``samples`` is
-    not changed unless ``_overwrite``, which centers it in place.
+    Only the r rows that do not center to zero, those whose samples are not
+    all equal to the row's mean, are fitted: one centered float64 copy of
+    them goes to `linalg.leading_svd`, and the basis is zero on the other
+    rows.  All-zero rows add only zero terms to the SVD's sums, so dropping
+    them skips that work and changes the result only by the order of those
+    sums (last bits).  The singular values are Ritz values, equal to the
+    SVD's to about eps * sigma_1.  The basis keeps min(k, r, n) columns, cut
+    further at the centered matrix's effective rank; when that is fewer
+    than k, one warning names k, the kept k, the pool's size and the rank,
+    and the model is flagged shrunk.  Requires n >= 2 samples
+    and k >= 1.  ``samples`` is only read: bool (voxel occupancy) or
+    float64 columns are not copied, and a bool pool gives the model of its
+    float64 copy, bit for bit.
     """
     x = _pool(samples, k, strict=False)
     dim, n = x.shape
     mean = x.mean(axis=1)
-    res = linalg.leading_svd(np.subtract(x, mean[:, None], out=x if _overwrite else None),
-                             min(k, dim, n))
-    if res.rank < k:
+    kept = ~(x == mean[:, None]).all(axis=1)
+    r = int(np.count_nonzero(kept))
+    u, sigma = np.empty((0, 0)), np.empty(0)
+    if r:
+        rows = x[kept].astype(np.float64, copy=False)  # a copy, centered in place
+        rows -= mean[kept, None]
+        res = linalg.leading_svd(rows, min(k, r, n))
+        del rows  # before the full-size basis is allocated
+        u, sigma = res.u, res.sigma
+    if len(sigma) < k:
         logger.warning("shrinking requested k=%d to k=%d: the pool is %d x %d "
                        "(dim x samples) and its effective rank is %d",
-                       k, res.rank, dim, n, res.rank)
-    return SubspaceModel(
-        mean=mean,
-        basis=np.asfortranarray(res.u),
-        singular_values=res.sigma,
-        k_requested=k,
-    )
+                       k, len(sigma), dim, n, len(sigma))
+    basis = np.zeros((dim, len(sigma)), order="F")
+    basis[kept] = u
+    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma, k_requested=k)
 
 
 def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,25 @@ class Unwritable:
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# Fits a reference shape pool in a child process under one BLAS thread, the
+# benchmark's setting (the Gram product and eigh of these pools change bits
+# with the thread count), and prints the model's sizes, digest and warnings.
+_ONE_THREAD_FIT = """
+import json, logging, sys
+from shapelift import subspace
+from test_subspace import model_digest, reference_pool
+
+messages = []
+handler = logging.Handler()
+handler.emit = lambda record: messages.append(record.getMessage())
+logging.getLogger("shapelift").addHandler(handler)
+pool = reference_pool(sys.argv[1])
+model = subspace.fit_subspace(pool, int(sys.argv[2]))
+print(json.dumps({"sizes": [model.k, model.k_requested, model.shrunk],
+                  "digest": model_digest(model), "shape": pool.shape,
+                  "messages": messages}))
+"""
 
 
 def random_data(seed, dim, n):
@@ -127,26 +150,25 @@ class TestFitSubspace:
 
     @pytest.mark.parametrize("cfg, k, kept, digest", [
         ("reference.cfg", 400, 299,
-         "d6c3be326f1b3d7a251b76381d0712999a7704bca700faf19b7c13468f36a3ae"),
+         "c7e5829343f306da40c0c36df0dfea4330d08df33e343b4f82c984d6dafd4865"),
         ("reference_cloud.cfg", 98, 13,
-         "d266b855469b654e9d6f39edb3d2b39183906c217298acef3921f443691aa34b"),
+         "0eb87a7ad0a3f6f60f0527b021cbbe895a00e6414b4403f36df9575af7be0d2a"),
     ], ids=["voxel", "cloud"])
-    def test_reference_shape_pool_records_the_requested_k(self, caplog, cfg, k, kept,
-                                                          digest):
-        # The digests are those of the shape models the reference pretrain
-        # wrote when it capped the voxel k at the pool's 300 shapes first,
-        # recorded at OpenBLAS's default thread count on a 2-vCPU machine: the
-        # Gram product and eigh of these pools change bits with that count.
-        pool = reference_pool(cfg)
-        with caplog.at_level("WARNING", logger="shapelift"):
-            model = subspace.fit_subspace(pool, k)
-        assert (model.k, model.k_requested, model.shrunk) == (kept, k, True)
-        assert model_digest(model) == digest
-        [record] = caplog.records
-        dim, n = pool.shape
-        assert record.getMessage() == (
+    def test_reference_shape_pool_records_the_requested_k(self, cfg, k, kept, digest):
+        # The digests are those of the reference pretrain's shape models under
+        # one BLAS thread, whatever the thread count of this process.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(Path(subspace.__file__).parents[1]),
+                                               str(Path(__file__).parent)]))
+        out = subprocess.run([sys.executable, "-c", _ONE_THREAD_FIT, cfg, str(k)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        got = json.loads(out)
+        assert got["sizes"] == [kept, k, True]
+        assert got["digest"] == digest
+        dim, n = got["shape"]
+        assert got["messages"] == [
             f"shrinking requested k={k} to k={kept}: the pool is {dim} x {n} "
-            f"(dim x samples) and its effective rank is {kept}")
+            f"(dim x samples) and its effective rank is {kept}"]
 
     def test_reference_sized_pool_skips_full_svd(self, monkeypatch):
         # A well-conditioned pool must take the Gram route; the full SVD is
@@ -167,14 +189,40 @@ class TestFitSubspace:
         assert np.array_equal(data, before)
         assert model.basis.flags.f_contiguous
 
-    def test_overwrite_centers_in_place_with_the_same_model(self):
-        data = random_data(25, 300, 40)
-        want = subspace.fit_subspace(data, 20)
-        got = subspace.fit_subspace(data, 20, _overwrite=True)
-        assert np.array_equal(data, random_data(25, 300, 40) - want.mean[:, None])
+    @pytest.mark.parametrize("dim, n", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_rows_that_center_to_zero_get_a_zero_basis(self, dim, n):
+        data = random_data(26, dim, n)
+        flat = [0, 3, 4, 7]
+        data[flat] = np.array([0.0, 1.0, 0.5, 1.0])[:, None]
+        model = subspace.fit_subspace(data, 6)
+        assert model.k == 6 and model.basis.flags.f_contiguous
+        assert np.all(model.basis[flat] == 0.0)
+        assert np.array_equal(model.mean[flat], [0.0, 1.0, 0.5, 1.0])
+        oracle = linalg.svd(data - data.mean(axis=1)[:, None])
+        np.testing.assert_allclose(model.basis, oracle.u[:, :6], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(model.singular_values, oracle.sigma[:6],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("dim, n", [(60, 25), (25, 60)], ids=["tall", "wide"])
+    def test_bool_pool_gives_the_model_of_its_float64_copy(self, dim, n):
+        pool = np.random.default_rng(27).random((dim, n)) < 0.4
+        pool[:dim // 3] = True  # cells that every sample fills ...
+        pool[-dim // 3:] = False  # ... or leaves empty
+        got, want = subspace.fit_subspace(pool, 8), subspace.fit_subspace(pool * 1.0, 8)
+        assert got.k == 8
         for a, b in ((got.mean, want.mean), (got.basis, want.basis),
                      (got.singular_values, want.singular_values)):
-            assert np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+
+    def test_bool_pool_is_never_float64_whole(self, traced_peak):
+        # Only the rows that do not center to zero are promoted to float64.
+        dim, n = 40000, 60
+        pool = np.zeros((dim, n), bool)
+        pool[:dim // 4] = np.random.default_rng(28).random((dim // 4, n)) < 0.5
+        pool[dim // 2:] = True
+        model, peak = traced_peak(lambda: subspace.fit_subspace(pool, 10))
+        assert model.k == 10
+        assert peak < 8 * dim * n
 
     def test_nested_subspaces_share_prefix(self):
         data = random_data(21, 12, 9)
