@@ -106,15 +106,16 @@ def read_header(fh, path, what: str) -> dict:
     return header
 
 
-def check_container(fh, path, what: str, version: int, fields: dict, shapes):
+def check_container(fh, path, what: str, formats: dict):
     """Check a ``write_container`` file's header and size; returns (converted
     fields, array shapes), with ``fh`` left at the start of the arrays.
 
-    ``format_version`` is checked first, as an integer: any other version
-    is "unsupported format version", whatever its other fields hold.
-    ``fields`` maps each header key to its converter, which raises
-    ``ValueError`` or ``TypeError`` on a wrong-typed value; that, or a
-    missing field, is "bad <what> header".  ``shapes(converted)`` returns
+    ``formats`` maps each readable ``format_version`` to its (fields,
+    shapes).  ``format_version`` is checked first, as an integer: a version
+    not in ``formats`` is "unsupported format version", whatever its other
+    fields hold.  ``fields`` maps each header key to its converter, which
+    raises ``ValueError`` or ``TypeError`` on a wrong-typed value; that, or
+    a missing field, is "bad <what> header".  ``shapes(converted)`` returns
     the declared array shapes, raising ``InvalidInputError`` on sizes the
     format does not allow.  The bytes left in the file must be exactly what
     the shapes need: a shorter file raises "unexpected end of file" and a
@@ -127,8 +128,9 @@ def check_container(fh, path, what: str, version: int, fields: dict, shapes):
         found = header_int(header["format_version"])
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"{path}: bad {what} header") from exc
-    if found != version:
+    if found not in formats:
         raise FileFormatError(f"{path}: unsupported format version {found}")
+    fields, shapes = formats[found]
     try:
         converted = {key: conv(header[key]) for key, conv in fields.items()}
     except (ValueError, KeyError, TypeError) as exc:
@@ -142,26 +144,28 @@ def check_container(fh, path, what: str, version: int, fields: dict, shapes):
     return converted, sizes
 
 
-def read_container(path, what: str, version: int, fields: dict, shapes,
-                   order: str = "C"):
+def read_array(fh, path, shape, order: str = "C") -> np.ndarray:
+    """The next float64 array of ``shape`` in ``fh``, allocated in ``order``
+    and filled by ``readinto`` with no intermediate ``bytes`` copy; native,
+    writable and owning its memory.  A short read is "unexpected end of
+    file", a NaN or infinity "non-finite value"."""
+    arr = np.empty(shape, dtype="<f8", order=order)
+    if fh.readinto(arr.ravel(order)) != arr.nbytes:
+        raise FileFormatError(f"{path}: unexpected end of file")
+    if not _finite(arr.ravel(order)):
+        raise FileFormatError(f"{path}: non-finite value")
+    return arr.astype(np.float64, copy=False)
+
+
+def read_container(path, what: str, formats: dict, order: str = "C"):
     """Read a ``write_container`` file; returns (converted fields, arrays).
 
     The file passes ``check_container`` first, so loading a file and only
     checking it reject the same files with the same messages.  Each array
-    is then allocated in ``order`` ("C" row-major, "F" column-major) and
-    filled by ``readinto`` in that order, with no intermediate ``bytes``
-    copy.  The arrays come back native float64, writable and owning their
-    memory.  A NaN or infinity is "non-finite value".
+    is then read by ``read_array`` in ``order`` ("C" row-major, "F"
+    column-major).
     """
     # Path.open, so that atomic_open is this module's one caller of ``open``.
     with Path(path).open("rb") as fh:
-        converted, sizes = check_container(fh, path, what, version, fields, shapes)
-        arrays = []
-        for shape in sizes:
-            arr = np.empty(shape, dtype="<f8", order=order)
-            if fh.readinto(arr.ravel(order)) != arr.nbytes:
-                raise FileFormatError(f"{path}: unexpected end of file")
-            if not _finite(arr.ravel(order)):
-                raise FileFormatError(f"{path}: non-finite value")
-            arrays.append(arr.astype(np.float64, copy=False))
-        return converted, arrays
+        converted, sizes = check_container(fh, path, what, formats)
+        return converted, [read_array(fh, path, shape, order) for shape in sizes]

@@ -298,15 +298,16 @@ def _cmd_inspect(args) -> int:
             header = read_header(fh, path, "JSON")
         if "dim" in header:
             model = subspace.load_ssm(path)
-            print(f"{path}: subspace model (format v{subspace.SSM_FORMAT_VERSION})")
+            print(f"{path}: subspace model (format v{header['format_version']})")
             print(f"dim: {model.dim}, k: {model.k}")
+            print(f"fitted rows: {model.basis.shape[0]} of {model.dim}")
             lead = ", ".join(f"{s:.6g}" for s in model.singular_values[:5])
             print(f"leading singular values: {lead}")
             print(f"mean: {_stats(model.mean)}")
             return 0
         if "layer_sizes" in header:
             m = mp.load_map(path)
-            print(f"{path}: mapping network (format v{mp.MAP_FORMAT_VERSION})")
+            print(f"{path}: mapping network (format v{header['format_version']})")
             print(f"layers: {'-'.join(str(s) for s in m.layer_sizes)}")
             print(f"activation: {m.activation}")
             flat = np.concatenate([w.ravel() for w in m.weights])

@@ -317,9 +317,8 @@ def load_map(path) -> MlpMap:
     """Read a ``.map`` file straight into C-contiguous float64 arrays; a bad
     header, a short file or trailing bytes raise ``FileFormatError``."""
     header, arrays = read_container(
-        path, "mapping", MAP_FORMAT_VERSION,
-        {"layer_sizes": lambda v: tuple(header_int(s) for s in v),
-         "activation": header_str},
-        _map_shapes)
+        path, "mapping",
+        {MAP_FORMAT_VERSION: ({"layer_sizes": lambda v: tuple(header_int(s) for s in v),
+                               "activation": header_str}, _map_shapes)})
     return MlpMap(header["layer_sizes"], arrays[0::2], arrays[1::2],
                   activation=header["activation"])

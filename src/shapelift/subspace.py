@@ -3,9 +3,10 @@
 A fitted model holds the sample mean and the leading left singular vectors
 of the centered data, found by `linalg.leading_svd` from the Gram matrix on
 the pool's small side: encode projects onto the basis, decode maps back.
-Only the rows that do not center to zero are fitted; the basis is exactly
-zero on the others (for voxels, the cells that every pool shape fills or
-leaves empty).
+Only the rows that do not center to zero are fitted, and the model holds
+its basis on those rows alone (for voxels, the cells that every pool shape
+fills or leaves empty are dropped): encode reads and decode writes only
+them, and decode gives the mean on the others.
 ``train_linear_autoencoder`` learns the same subspace by full-batch
 gradient descent: it runs ``mapping.mlp_train``'s loop on a ``(dim, k, dim)``
 linear ``MlpMap``, and the decoder-times-encoder product
@@ -15,26 +16,30 @@ PCA.
 
 ``save_ssm``/``load_ssm`` store a model, whose basis is column-major both as
 fitted and as loaded, in the ``.ssm`` file: the shared ``_fileio`` container
-with header {dim, format_version, k} and the mean, basis and sigma as payload.
-``_check_ssm`` makes the same checks on a file without reading its payload.
+with header {dim, format_version, k, rows} and the mean, the kept row
+indices, the (rows, k) basis and sigma as payload.  A version 1 file, header
+{dim, format_version, k} and a (dim, k) basis, loads with every row kept.
+``_check_ssm`` makes the same checks on a file reading only its header and
+row indices.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import linalg
-from ._fileio import check_container, header_int, read_container, write_container
-from .errors import InvalidInputError
+from ._fileio import check_container, header_int, read_array, read_container, write_container
+from .errors import FileFormatError, InvalidInputError
 from .linalg import _as_matrix, _columns
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
 logger = logging.getLogger(__name__)
 
-SSM_FORMAT_VERSION = 1
+SSM_FORMAT_VERSION = 2
 
 # Schedule under which the trained autoencoder's projector agrees with the
 # PCA projector to ~1e-3 Frobenius on small dense problems.
@@ -43,18 +48,29 @@ PCA_EQUIVALENCE_SCHEDULE = TrainSchedule(((0.05, 20000),), batch_size=1, seed=11
 
 @dataclass(frozen=True)
 class SubspaceModel:
-    """mean + column-major orthonormal basis (dim x k) + descending singular values (k,).
+    """mean (dim,) + column-major orthonormal basis (r x k) on the kept rows
+    + descending singular values (k,).
 
-    ``k_requested`` is the k the caller asked of ``fit_subspace``; when the
-    pool's size or its effective rank fell short of it, ``k < k_requested``
-    and ``shrunk`` is True.  A loaded model has ``k_requested == k``: the
-    ``.ssm`` format does not store the request.
+    ``rows`` holds the r kept row indices, strictly increasing; the basis is
+    zero on every other row, so encode reads only the kept rows and decode
+    gives the mean on the others.  None, the default, keeps every row, and
+    the basis is (dim x k).  ``k_requested`` is the k the caller asked of
+    ``fit_subspace``; when the pool's size or its effective rank fell short
+    of it, ``k < k_requested`` and ``shrunk`` is True.  A loaded model has
+    ``k_requested == k``: the ``.ssm`` format does not store the request.
     """
 
     mean: np.ndarray
     basis: np.ndarray
     singular_values: np.ndarray
     k_requested: int
+    rows: np.ndarray | None = None
+
+    def __post_init__(self):
+        kept = self.dim if self.rows is None else len(self.rows)
+        if np.ndim(self.basis) != 2 or len(self.basis) != kept:
+            raise InvalidInputError(f"basis must have {kept} rows, one per kept row, "
+                                    f"got shape {np.shape(self.basis)}")
 
     @property
     def dim(self) -> int:
@@ -69,20 +85,35 @@ class SubspaceModel:
         return self.k < self.k_requested
 
     def encode(self, x) -> np.ndarray:
-        """Project onto the basis: basis.T @ (x - mean); a vector or (dim, n)
-        columns, a vector giving the bits of its single column.  The centered
-        columns are one float64 temporary, into which a bool ``x`` (voxel
-        occupancy) is promoted with the bits of its float64 copy."""
+        """Project onto the basis: basis.T @ (x[rows] - mean[rows]); a vector
+        or (dim, n) columns, a vector giving the bits of its single column.
+        The centered kept rows are one float64 temporary, into which a bool
+        ``x`` (voxel occupancy) is promoted with the bits of its float64 copy."""
         arr, vector = _columns(x, self.dim, "input")
-        codes = self.basis.T @ np.subtract(arr, self.mean[:, None])
+        if self.rows is None:
+            centered = np.subtract(arr, self.mean[:, None])
+        else:
+            centered = arr[self.rows].astype(np.float64, copy=False)
+            centered -= self.mean[self.rows, None]
+        codes = self.basis.T @ centered
         return codes[:, 0] if vector else codes
 
     def decode(self, code) -> np.ndarray:
-        """Map codes back: mean + basis @ code, the mean added in place to the
-        product (one output array, same bits); vector or columns as ``encode``."""
+        """Map codes back: mean + basis @ code on the kept rows, the mean on
+        the others; vector or columns as ``encode``.  The mean is added in
+        place to the product, which with every row kept is the one output
+        array; otherwise the kept rows are assigned into an output filled
+        with the mean, so the product is the one other temporary."""
         arr, vector = _columns(code, self.k, "code")
-        out = self.basis @ arr
-        out += self.mean[:, None]
+        product = self.basis @ arr
+        if self.rows is None:
+            product += self.mean[:, None]
+            out = product
+        else:
+            product += self.mean[self.rows, None]
+            out = np.empty((self.dim, arr.shape[1]))
+            out[...] = self.mean[:, None]
+            out[self.rows] = product  # not ``out[rows] +=``: that gathers a temporary
         return out[:, 0] if vector else out
 
 
@@ -104,37 +135,36 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
 
     Only the r rows that do not center to zero, those whose samples are not
     all equal to the row's mean, are fitted: one centered float64 copy of
-    them goes to `linalg.leading_svd`, and the basis is zero on the other
-    rows.  All-zero rows add only zero terms to the SVD's sums, so dropping
-    them skips that work and changes the result only by the order of those
-    sums (last bits).  The singular values are Ritz values, equal to the
-    SVD's to about eps * sigma_1.  The basis keeps min(k, r, n) columns, cut
-    further at the centered matrix's effective rank; when that is fewer
-    than k, one warning names k, the kept k, the pool's size and the rank,
-    and the model is flagged shrunk.  Requires n >= 2 samples
-    and k >= 1.  ``samples`` is only read: bool (voxel occupancy) or
+    them goes to `linalg.leading_svd`, whose (r, k) left factor is the
+    model's basis as it is, and the model's ``rows`` are their indices
+    (None when r = dim).  All-zero rows add only zero terms to the SVD's
+    sums, so dropping them skips that work and changes the result only by
+    the order of those sums (last bits).  The singular values are Ritz
+    values, equal to the SVD's to about eps * sigma_1.  The basis keeps
+    min(k, r, n) columns, cut further at the centered matrix's effective
+    rank; when that is fewer than k, one warning names k, the kept k, the
+    pool's size and the rank, and the model is flagged shrunk.  Requires
+    n >= 2 samples and k >= 1.  ``samples`` is only read: bool (voxel occupancy) or
     float64 columns are not copied, and a bool pool gives the model of its
     float64 copy, bit for bit.
     """
     x = _pool(samples, k, strict=False)
     dim, n = x.shape
     mean = x.mean(axis=1)
-    kept = ~(x == mean[:, None]).all(axis=1)
-    r = int(np.count_nonzero(kept))
-    u, sigma = np.empty((0, 0)), np.empty(0)
+    rows = np.flatnonzero(~(x == mean[:, None]).all(axis=1))
+    r = len(rows)
+    u, sigma = np.empty((r, 0)), np.empty(0)
     if r:
-        rows = x[kept].astype(np.float64, copy=False)  # a copy, centered in place
-        rows -= mean[kept, None]
-        res = linalg.leading_svd(rows, min(k, r, n))
-        del rows  # before the full-size basis is allocated
+        centered = x[rows].astype(np.float64, copy=False)  # a copy, centered in place
+        centered -= mean[rows, None]
+        res = linalg.leading_svd(centered, min(k, r, n))
         u, sigma = res.u, res.sigma
     if len(sigma) < k:
         logger.warning("shrinking requested k=%d to k=%d: the pool is %d x %d "
                        "(dim x samples) and its effective rank is %d",
                        k, len(sigma), dim, n, len(sigma))
-    basis = np.zeros((dim, len(sigma)), order="F")
-    basis[kept] = u
-    return SubspaceModel(mean=mean, basis=basis, singular_values=sigma, k_requested=k)
+    return SubspaceModel(mean=mean, basis=np.asfortranarray(u), singular_values=sigma,
+                         k_requested=k, rows=None if r == dim else rows)
 
 
 def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
@@ -166,38 +196,65 @@ def train_linear_autoencoder(samples, k: int, schedule: TrainSchedule,
 
 
 def save_ssm(model: SubspaceModel, path):
-    """Write ``model`` as a ``.ssm`` file.  A column-major basis, as
-    ``fit_subspace`` and ``load_ssm`` return it, is written without a copy;
-    a row-major one goes through one transposing copy."""
-    header = {"dim": model.dim, "k": model.k, "format_version": SSM_FORMAT_VERSION}
-    write_container(path, header, [model.mean, model.basis, model.singular_values],
+    """Write ``model`` as a version 2 ``.ssm`` file, its row indices as
+    float64 integers (every index when it keeps every row).  A column-major
+    basis, as ``fit_subspace`` and ``load_ssm`` return it, is written
+    without a copy; a row-major one goes through one transposing copy."""
+    rows = np.arange(model.dim) if model.rows is None else model.rows
+    header = {"dim": model.dim, "format_version": SSM_FORMAT_VERSION, "k": model.k,
+              "rows": len(rows)}
+    write_container(path, header, [model.mean, rows, model.basis, model.singular_values],
                     order="F")
 
 
 def _ssm_shapes(header: dict) -> list:
+    """The payload of a version 1 (no ``rows``) or version 2 header."""
     dim, k = header["dim"], header["k"]
     if dim < 1 or k < 0:
         raise InvalidInputError(f"need dim >= 1 and k >= 0, got dim={dim}, k={k}")
-    return [(dim,), (dim, k), (k,)]
+    if "rows" not in header:
+        return [(dim,), (dim, k), (k,)]
+    r = header["rows"]
+    if not k <= r <= dim:
+        raise InvalidInputError(f"need k <= rows <= dim, got k={k}, rows={r}, dim={dim}")
+    return [(dim,), (r,), (r, k), (k,)]
 
 
-# What, version, header fields and array shapes, as the container reads them.
-_SSM_FORMAT = ("subspace-model", SSM_FORMAT_VERSION, {"dim": header_int, "k": header_int},
-               _ssm_shapes)
+def _kept_rows(path, stored: np.ndarray, dim: int):
+    """A version 2 file's row indices as ``SubspaceModel.rows``: None when
+    every row is kept.  Anything but strictly increasing integers in
+    [0, dim) is a ``FileFormatError``."""
+    if not (np.all(stored >= 0) and np.all(stored < dim)
+            and np.all(stored == np.floor(stored)) and np.all(stored[1:] > stored[:-1])):
+        raise FileFormatError(
+            f"{path}: row indices must be strictly increasing integers in [0, {dim})")
+    return None if len(stored) == dim else stored.astype(np.intp)
+
+
+# What, and each readable version's header fields and array shapes.
+_SSM_FIELDS = {"dim": header_int, "k": header_int}
+_SSM_FORMAT = ("subspace-model", {1: (_SSM_FIELDS, _ssm_shapes),
+                                  2: ({**_SSM_FIELDS, "rows": header_int}, _ssm_shapes)})
 
 
 def _check_ssm(path) -> dict:
-    """Return a ``.ssm`` file's {dim, k} after the checks ``load_ssm`` makes,
-    reading only its header: a bad header, a short file or trailing bytes
-    raise the same ``FileFormatError``."""
+    """Return a ``.ssm`` file's header fields ({dim, k}, and ``rows`` from
+    version 2) after the checks ``load_ssm`` makes on its header, size and
+    row indices, reading only those: a bad header, a short file, trailing
+    bytes or bad row indices raise the same ``FileFormatError``."""
     with open(path, "rb") as fh:
-        return check_container(fh, path, *_SSM_FORMAT)[0]
+        header, _ = check_container(fh, path, *_SSM_FORMAT)
+        if "rows" in header:
+            fh.seek(8 * header["dim"], os.SEEK_CUR)
+            _kept_rows(path, read_array(fh, path, (header["rows"],)), header["dim"])
+    return header
 
 
 def load_ssm(path) -> SubspaceModel:
     """Read a ``.ssm`` file straight into float64 arrays, the basis
-    column-major as stored; a bad header, a short file or trailing bytes
-    raise ``FileFormatError``."""
-    header, (mean, basis, sigma) = read_container(path, *_SSM_FORMAT, order="F")
+    column-major as stored; a version 1 file keeps every row.  A bad header,
+    a short file, trailing bytes or bad row indices raise ``FileFormatError``."""
+    header, (mean, *stored, basis, sigma) = read_container(path, *_SSM_FORMAT, order="F")
+    rows = _kept_rows(path, stored[0], header["dim"]) if stored else None
     return SubspaceModel(mean=mean, basis=basis, singular_values=sigma,
-                         k_requested=header["k"])
+                         k_requested=header["k"], rows=rows)

@@ -1,6 +1,7 @@
 import builtins
 import errno
 import hashlib
+import json
 import os
 import re
 import shutil
@@ -14,6 +15,7 @@ import pytest
 import shapelift
 from shapelift import _fileio, pipeline, render, shapes, subspace
 from shapelift.cli import main
+from test_subspace import BAD_ROWS, write_v1_ssm
 
 SMALL_CFG = """[dataset]
 kinds = box ellipsoid cylinder
@@ -109,6 +111,22 @@ HUGE_SIZE_FILES = {
         b'{"activation": "linear", "format_version": 1, "layer_sizes": [1000000, 1000000]}\n'
         + bytes(64),
 }
+
+
+def damage_rows(path, damage: str):
+    """Rewrite a version 2 ``.ssm`` file with one fault in its kept rows:
+    ``out_of_range`` stores dim as the first row index, ``rows_below_k``
+    declares fewer rows than k in the header."""
+    data = path.read_bytes()
+    end = data.index(b"\n") + 1
+    header = json.loads(data[:end])
+    if damage == "out_of_range":
+        at = end + 8 * header["dim"]
+        data = data[:at] + np.array([header["dim"]], "<f8").tobytes() + data[at + 8:]
+    else:
+        header["rows"] = header["k"] - 1
+        data = (json.dumps(header, sort_keys=True) + "\n").encode() + data[end:]
+    path.write_bytes(data)
 
 
 def tree_digest(root) -> str:
@@ -352,6 +370,24 @@ class TestPretrainFitEval:
                             for a in (m.mean, m.basis, m.singular_values))
                         + x.nbytes + z.nbytes + centered + slack)
 
+    def test_fit_and_eval_accept_version_1_models(self, workspace, staged, tmp_path):
+        # Version 1 models keep every row; the RMSE moves by rounding alone.
+        root, cfg = workspace
+        args = ["--data", str(root / "data"), "--config", str(cfg), "--method", "lowdim"]
+        rmses = []
+        for version in (2, 1):
+            art = tmp_path / f"v{version}"
+            shutil.copytree(staged, art)
+            if version == 1:
+                for name in ("image_model.ssm", "shape_model.ssm"):
+                    write_v1_ssm(subspace.load_ssm(art / name), art / name)
+                    assert subspace.load_ssm(art / name).rows is None
+            for stage in ("fit", "eval"):
+                assert main([stage, "--out", str(art)] + args) == 0
+            rmses.append(float((art / "eval_lowdim.csv").read_text()
+                               .splitlines()[-1].split(",")[1]))
+        assert rmses[1] == pytest.approx(rmses[0], rel=1e-9)
+
     @pytest.mark.parametrize("line, bad", [("rates = 0.01:40 0.001:20", "rates = nan:10"),
                                            ("rates = 0.01:40 0.001:20", "rates = inf:10"),
                                            ("seed = 4", "seed = -1")],
@@ -573,7 +609,8 @@ def _direct_stage(workspace, art, stage: str) -> int:
 
 
 class TestDirectStages:
-    """fit/eval --method direct check both models but read neither payload."""
+    """fit/eval --method direct check both models but read neither one's
+    mean, basis or singular values."""
 
     def test_read_no_model_payload(self, workspace, staged, tmp_path, monkeypatch):
         art = tmp_path / "art"
@@ -598,6 +635,8 @@ class TestDirectStages:
         ("null_dim", "bad subspace-model header"),
         ("truncated", "unexpected end of file"),
         ("trailing", "trailing data"),
+        ("out_of_range", "row indices must be strictly increasing integers in [0, "),
+        ("rows_below_k", "need k <= rows <= dim"),
     ])
     @pytest.mark.parametrize("stage", ["fit", "eval"])
     def test_same_rejections(self, workspace, staged, tmp_path, capsys, stage, damage,
@@ -612,8 +651,13 @@ class TestDirectStages:
             path.write_bytes(BAD_TYPE_HEADERS["null_dim.ssm"])
         elif damage == "truncated":
             path.write_bytes(good[:-8])
-        else:
+        elif damage == "trailing":
             path.write_bytes(good + bytes(8))
+        else:
+            damage_rows(path, damage)
+        if damage in ("out_of_range", "rows_below_k"):  # as load_ssm says it
+            with pytest.raises(shapelift.FileFormatError, match=re.escape(message)):
+                subspace.load_ssm(path)
         before = tree_digest(art)
         capsys.readouterr()
         assert _direct_stage(workspace, art, stage) == 1
@@ -916,6 +960,24 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "dim: 256, k: 6" in out
         assert "singular values" in out
+        model = subspace.load_ssm(art / "image_model.ssm")
+        assert "subspace model (format v2)" in out
+        assert f"fitted rows: {len(model.rows)} of 256" in out and len(model.rows) < 256
+        # A version 1 file names its own version and keeps every row.
+        write_v1_ssm(model, tmp_path / "v1.ssm")
+        assert main(["inspect", str(tmp_path / "v1.ssm")]) == 0
+        out = capsys.readouterr().out
+        assert "subspace model (format v1)" in out
+        assert "fitted rows: 256 of 256" in out
+
+    @pytest.mark.parametrize("name", sorted(BAD_ROWS))
+    def test_bad_rows_exit_1(self, tmp_path, capsys, name):
+        path = tmp_path / f"{name}.ssm"
+        path.write_bytes(BAD_ROWS[name])
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1 and str(path) in captured.err
+        assert "rows" in captured.err and captured.out == ""
 
     def test_voxr_summary(self, workspace, capsys):
         root, _ = workspace

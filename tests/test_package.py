@@ -1,7 +1,11 @@
 import ast
+import re
 from pathlib import Path
 
 import shapelift
+from shapelift import mapping, subspace
+
+README = Path(shapelift.__file__).resolve().parents[2] / "README.md"
 
 
 def test_all_is_sorted_and_unique():
@@ -74,3 +78,19 @@ def test_one_clock_rule():
             found |= {(module.stem, name.partition(".")[0]) for name in names
                       if name.partition(".")[0] in ("time", "datetime")}
     assert {module for module, _ in found} <= {"cli"}, sorted(found)
+
+
+def test_readme_states_the_format_versions():
+    # The version each format entry names is the one its writer writes, and
+    # the container paragraph lists the versions each reader takes.
+    text = README.read_text(encoding="utf-8")
+    for ext, version in ((".ssm", subspace.SSM_FORMAT_VERSION),
+                         (".map", mapping.MAP_FORMAT_VERSION)):
+        stated = re.findall(rf"\*\*\{ext}\*\* — [^,]+, format version (\d+)", text)
+        assert stated == [str(version)], (ext, stated)
+    readers = re.search(r"a `\.ssm`\s+reader takes versions?\s+(.+?),\s+a `\.map`\s+"
+                        r"reader (?:takes )?versions?\s+(.+?),\s+and any other", text, re.S)
+    assert readers, "the container paragraph lists no readable versions"
+    ssm, map_ = ([int(v) for v in re.findall(r"\d+", group)] for group in readers.groups())
+    assert ssm == sorted(subspace._SSM_FORMAT[1]) and max(ssm) == subspace.SSM_FORMAT_VERSION
+    assert map_ == [mapping.MAP_FORMAT_VERSION]

@@ -392,34 +392,40 @@ class TestGoldenArtifacts:
     # Every voxel file but the direct ones was pinned again when the pool
     # fits began to skip the rows that center to zero: the Gram sums lose
     # only exact-zero terms, but in another order (lowdim test RMSE
-    # ...866014 -> ...866012).
+    # ...866014 -> ...866012).  Every .ssm was pinned again for format
+    # version 2, which stores the kept rows and the basis on them alone, and
+    # every report and map that encodes through a model with dropped rows
+    # (both image models, the voxel shape model) for its sum over the kept
+    # rows alone (voxel lowdim test RMSE ...866012 -> ...866014, cloud lowdim
+    # train RMSE ...53308 -> ...53309); the voxel maps and every direct file
+    # kept their bits.
     @pytest.mark.parametrize("manifest, digests", [
         (SMALL, {
-            "compare.csv": "8ff79c67a4f1b28f94a7a892d03ba9e929eeabf472f1e9b509425088e38acf16",
+            "compare.csv": "a570a2823674e2aa731dc117ba42c6a5ff168aba4c6d4837a58ae3d5ca919dca",
             "eval_direct.csv": "0209efaeb68e16e3e2c4a4b28d053ffcc1043c166c542ea9b2b58b4af5ce8272",
-            "eval_lowdim.csv": "eaf53a0409360262dbb90c6d548b6b27da48c841d00a9503464ff7fa58171c6e",
-            "eval_mlp.csv": "f837974049be58ab13ed6c1d5ceaea7341840c1b0bdad3f7a830d785cd4ac4f0",
-            "image_model.ssm": "baf12600b8883c69fd1adef1382ff3645cb4c32d9ed46f88e98b435435ae8cc1",
+            "eval_lowdim.csv": "37258db4248545b57627d2295ffd53f788fc0452007d81199288966e2cff6985",
+            "eval_mlp.csv": "cf7482c3206c4d3012d44819ac03e4f0a20bb820a5430ce01b4867f4c6fd5a27",
+            "image_model.ssm": "5bd60436f28cf3aab992f8e09f8eb616c1e92da19c48e094e30171e933146e7d",
             "mapping_direct.map":
                 "4ee598714d8e2eb75ca948b49aa2152b33f36b4969061366791fb408e68c26f1",
             "mapping_lowdim.map":
                 "ed49f0156a22765fab0243700015d548127fff3f6383721c935db4b0abf63d7c",
             "mapping_mlp.map": "0a37e9ca50935d7e05622902b1b8c30a283f24c3478cf77f46f3ecaca5eba40c",
-            "shape_model.ssm": "cbd7cddecc7c1d6117f1205793ed259fa2bbf8a230c30f70147a7a4ff059714f",
+            "shape_model.ssm": "708702f3cb72aba1c9aa9b863151a2ba1eefad8787bd5c50f818367bef0ebf20",
         }),
         (dataclasses.replace(SMALL, representation="cloud", point_count=60,
                              poses=(-45.0, 0.0, 45.0), view_count=3), {
-            "compare.csv": "3807cc237d00e11714d4f5b3b7edadfd6c740ee57730d4023026082ebfedf416",
+            "compare.csv": "d8bcf6b9825255f5d7a07923602c3231adb884799c6a09e47dded064474f25bc",
             "eval_direct.csv": "73b00c90da9f988e62bcd46cb2a13f7b9ae37c6b542deb6abe62e7b9d9b7680b",
-            "eval_lowdim.csv": "c3d09ed98770890edfea3151f2f24e588549bd5a79db9ddb4dca8f252af86d55",
-            "eval_mlp.csv": "2b209003d8635474ae73e7596070294d0c1c7b223dac0e4171420f1ef60a2d15",
-            "image_model.ssm": "51d3c8654757edda752fabc92fa24b5055bb7e09ae25fafe9dbee62b54cd9c05",
+            "eval_lowdim.csv": "6d4deab7eb4df0cc6feda264a1e6200e29462adc31fd0e09622970a1e1e25b42",
+            "eval_mlp.csv": "36cc1c28a4fab78d898e325b52e3ae822d1519d0618cf1be2ff61980c760857c",
+            "image_model.ssm": "76aea0c7746910ac703cf713b658f6f3f33bd43265eb3f35b8a0359480de774a",
             "mapping_direct.map":
                 "d6eaebf2dfd04b1a614bd28a81491583202f44f150a71c613bfea876a21b9ffa",
             "mapping_lowdim.map":
-                "9ee3b69a7536204d11ed975257e33bc94b10410a5737eb1d17b805030476188b",
-            "mapping_mlp.map": "997f44164e38cffaa47874b0c196a75ce7fe510103ffd124c3cd1143e72b0535",
-            "shape_model.ssm": "2b4e708e39cef0600859f063f6796648534f43ddda2fe6bf85b4c615d86eab64",
+                "7360ba635eb2d09ca0b7a9da9730e8421291d9300e035d18824e32b2343ced54",
+            "mapping_mlp.map": "b6b2394baa210d75d5ccc28b0eb9ae0c850816a1b27d731d6702efe705f0f326",
+            "shape_model.ssm": "1a4840084040adf85bf8f7f20b17bc98b22020fb0ac8783346a0aabbc75df527",
         }),
     ], ids=["voxel", "cloud"])
     def test_artifact_digests(self, tmp_path, manifest, digests):

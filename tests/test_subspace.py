@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shapelift import config, linalg, mapping, pipeline, shapes, subspace
+from shapelift import _fileio, config, linalg, mapping, pipeline, shapes, subspace
 from shapelift.errors import (
     FileFormatError,
     InvalidInputError,
@@ -62,12 +62,37 @@ def reference_pool(cfg: str) -> np.ndarray:
                             for i in ids])
 
 
+def full_basis(model) -> np.ndarray:
+    """A model's basis on every row, (dim, k) column-major: zero on the rows
+    it does not keep."""
+    if model.rows is None:
+        return np.asfortranarray(model.basis)
+    basis = np.zeros((model.dim, model.k), order="F")
+    basis[model.rows] = model.basis
+    return basis
+
+
 def model_digest(model) -> str:
-    """sha256 of a model's mean, column-major basis and singular values."""
+    """sha256 of a model's mean, column-major (dim, k) basis and singular values."""
     h = hashlib.sha256()
-    for arr in (model.mean, model.basis.T, model.singular_values):
+    for arr in (model.mean, full_basis(model).T, model.singular_values):
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
+
+
+def write_v1_ssm(model, path):
+    """Write ``model`` as a version 1 ``.ssm`` file: header {dim,
+    format_version, k}, then the mean, the (dim, k) basis and sigma."""
+    _fileio.write_container(path, {"dim": model.dim, "format_version": 1, "k": model.k},
+                            [model.mean, full_basis(model), model.singular_values],
+                            order="F")
+
+
+def flat_rows_data(seed, dim, n):
+    """Random (dim, n) data whose rows 0, 3, 4 and 7 are constant."""
+    data = random_data(seed, dim, n)
+    data[[0, 3, 4, 7]] = np.array([0.0, 1.0, 0.5, 1.0])[:, None]
+    return data
 
 
 def large_model(seed):
@@ -79,6 +104,27 @@ def large_model(seed):
         singular_values=np.sort(rng.random(250))[::-1].copy(),
         k_requested=250,
     )
+
+
+def v2_bytes(k: int, rows: int, indices) -> bytes:
+    """A version 2 ``.ssm`` file of dim 3: zero mean, basis and sigma, and
+    the row indices given (``rows`` of them declared)."""
+    header = f'{{"dim": 3, "format_version": 2, "k": {k}, "rows": {rows}}}\n'
+    return (header.encode() + bytes(8 * 3) + np.asarray(indices, "<f8").tobytes()
+            + bytes(8 * (rows * k + k)))
+
+
+# Version 2 files whose kept rows are malformed: a count outside [k, dim],
+# or indices that are not strictly increasing integers in [0, dim).
+BAD_ROWS = {
+    "count_below_k": v2_bytes(2, 1, [0]),
+    "count_above_dim": v2_bytes(1, 4, [0, 1, 2, 3]),
+    "rows_unsorted": v2_bytes(1, 2, [2, 0]),
+    "rows_repeated": v2_bytes(1, 2, [1, 1]),
+    "rows_negative": v2_bytes(1, 2, [-1, 0]),
+    "rows_out_of_range": v2_bytes(1, 2, [0, 3]),
+    "rows_fractional": v2_bytes(1, 2, [0, 1.5]),
+}
 
 
 class TestFitSubspace:
@@ -191,15 +237,15 @@ class TestFitSubspace:
 
     @pytest.mark.parametrize("dim, n", [(40, 12), (12, 40)], ids=["tall", "wide"])
     def test_rows_that_center_to_zero_get_a_zero_basis(self, dim, n):
-        data = random_data(26, dim, n)
+        data = flat_rows_data(26, dim, n)
         flat = [0, 3, 4, 7]
-        data[flat] = np.array([0.0, 1.0, 0.5, 1.0])[:, None]
         model = subspace.fit_subspace(data, 6)
         assert model.k == 6 and model.basis.flags.f_contiguous
-        assert np.all(model.basis[flat] == 0.0)
+        assert np.array_equal(model.rows, np.setdiff1d(np.arange(dim), flat))
+        assert model.basis.shape == (dim - len(flat), 6)
         assert np.array_equal(model.mean[flat], [0.0, 1.0, 0.5, 1.0])
         oracle = linalg.svd(data - data.mean(axis=1)[:, None])
-        np.testing.assert_allclose(model.basis, oracle.u[:, :6], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(full_basis(model), oracle.u[:, :6], rtol=0, atol=1e-10)
         np.testing.assert_allclose(model.singular_values, oracle.sigma[:6],
                                    rtol=1e-12, atol=0)
 
@@ -210,7 +256,7 @@ class TestFitSubspace:
         pool[-dim // 3:] = False  # ... or leaves empty
         got, want = subspace.fit_subspace(pool, 8), subspace.fit_subspace(pool * 1.0, 8)
         assert got.k == 8
-        for a, b in ((got.mean, want.mean), (got.basis, want.basis),
+        for a, b in ((got.mean, want.mean), (got.rows, want.rows), (got.basis, want.basis),
                      (got.singular_values, want.singular_values)):
             assert a.tobytes() == b.tobytes()
 
@@ -336,6 +382,30 @@ class TestEncodeDecode:
         vector = model.mean[:, None] + model.basis @ codes[:, :1]
         assert model.decode(codes[:, 0]).tobytes() == vector[:, 0].tobytes()
 
+    @pytest.mark.parametrize("dim, n", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_kept_rows_match_the_full_basis(self, dim, n):
+        # Only the kept rows are read and written: decode gives the full
+        # basis's bits, the mean on the other rows; encode sums over the
+        # kept rows alone, so its codes may move in the last bits.
+        model = subspace.fit_subspace(flat_rows_data(29, dim, n), 6)
+        full = dataclasses.replace(model, basis=full_basis(model), rows=None)
+        rng = np.random.default_rng(29)
+        xs, codes = rng.standard_normal((dim, 5)), rng.standard_normal((6, 5))
+        for x, code in ((xs, codes), (xs[:, 0], codes[:, 0])):
+            np.testing.assert_allclose(model.encode(x), full.encode(x), rtol=0, atol=1e-12)
+            assert model.decode(code).tobytes() == full.decode(code).tobytes()
+        occupancy = rng.random((dim, 5)) < 0.5
+        assert (model.encode(occupancy).tobytes()
+                == model.encode(occupancy.astype(np.float64)).tobytes())
+
+    @pytest.mark.parametrize("rows, shape", [(None, (4, 1)), ([0, 2], (3, 1)), ([0, 2], (2,))])
+    def test_basis_must_cover_the_kept_rows(self, rows, shape):
+        # Otherwise save_ssm would write a file that load_ssm rejects.
+        with pytest.raises(InvalidInputError, match="basis must have"):
+            subspace.SubspaceModel(mean=np.zeros(5), basis=np.ones(shape),
+                                   singular_values=np.ones(1), k_requested=1,
+                                   rows=None if rows is None else np.array(rows))
+
     def test_decode_holds_one_output(self, traced_peak):
         model = large_model(12)
         codes = np.random.default_rng(13).standard_normal((model.k, 300))
@@ -448,6 +518,47 @@ class TestSsmFormat:
         assert np.array_equal(back.basis, model.basis)
         assert np.array_equal(back.singular_values, model.singular_values)
 
+    def test_round_trip_keeps_the_rows(self, tmp_path):
+        model = subspace.fit_subspace(flat_rows_data(33, 12, 9), 5)
+        path = tmp_path / "model.ssm"
+        subspace.save_ssm(model, path)
+        assert path.read_bytes().startswith(
+            b'{"dim": 12, "format_version": 2, "k": 5, "rows": 8}\n')
+        back = subspace.load_ssm(path)
+        assert back.rows.dtype == np.intp
+        for a, b in ((back.mean, model.mean), (back.rows, model.rows),
+                     (back.basis, model.basis), (back.singular_values, model.singular_values)):
+            assert np.array_equal(a, b)
+        assert back.basis.flags.f_contiguous
+
+    def test_version_1_file_loads_with_every_row_kept(self, tmp_path):
+        model = subspace.fit_subspace(flat_rows_data(39, 12, 9), 5)
+        full = dataclasses.replace(model, basis=full_basis(model), rows=None)
+        path = tmp_path / "model.ssm"
+        write_v1_ssm(model, path)
+        assert path.read_bytes().startswith(b'{"dim": 12, "format_version": 1, "k": 5}\n')
+        back = subspace.load_ssm(path)
+        assert back.rows is None and back.basis.flags.f_contiguous
+        for a, b in ((back.mean, full.mean), (back.basis, full.basis),
+                     (back.singular_values, full.singular_values)):
+            assert np.array_equal(a, b)
+        rng = np.random.default_rng(39)
+        xs, codes = rng.standard_normal((12, 4)), rng.standard_normal((5, 4))
+        assert back.encode(xs).tobytes() == full.encode(xs).tobytes()
+        assert back.decode(codes).tobytes() == full.decode(codes).tobytes()
+        # Saved again, it is a version 2 file that keeps every row.
+        subspace.save_ssm(back, path)
+        assert subspace._check_ssm(path) == {"dim": 12, "k": 5, "rows": 12}
+
+    @pytest.mark.parametrize("name", sorted(BAD_ROWS))
+    def test_rejects_bad_rows(self, tmp_path, name):
+        path = tmp_path / "model.ssm"
+        path.write_bytes(BAD_ROWS[name])
+        message = ("need k <= rows <= dim" if name.startswith("count")
+                   else r"row indices must be strictly increasing integers in \[0, 3\)")
+        with pytest.raises(FileFormatError, match=message):
+            subspace.load_ssm(path)
+
     def test_interrupted_save_keeps_old_file(self, tmp_path):
         path = tmp_path / "model.ssm"
         model = subspace.fit_subspace(random_data(32, 8, 6), 3)
@@ -474,7 +585,9 @@ class TestSsmFormat:
         assert sorted(tmp_path.iterdir()) == [path]
         # The same NaN written in place of the field's last stored value.
         header = good.index(b"\n") + 1
-        end = header + 8 * {"mean": 8, "basis": 8 + 8 * 3, "singular_values": 8 + 8 * 3 + 3}[field]
+        # The payload is the mean (8), the row indices (8), the basis (8 x 3), sigma (3).
+        end = header + 8 * {"mean": 8, "basis": 16 + 8 * 3,
+                            "singular_values": 16 + 8 * 3 + 3}[field]
         path.write_bytes(good[:end - 8] + np.array([np.nan], "<f8").tobytes() + good[end:])
         with pytest.raises(FileFormatError, match="model.ssm: non-finite value"):
             subspace.load_ssm(path)
@@ -529,15 +642,15 @@ class TestSsmFormat:
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "model.ssm"
-        path.write_bytes(b'{"dim": 1, "format_version": 2, "k": 0}\n' + bytes(8))
-        with pytest.raises(FileFormatError, match="unsupported format version 2"):
+        path.write_bytes(b'{"dim": 1, "format_version": 3, "k": 0, "rows": 0}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 3"):
             subspace.load_ssm(path)
 
     def test_version_is_checked_before_other_fields(self, tmp_path):
         # A newer file may name its fields differently; say so, not "bad header".
         path = tmp_path / "model.ssm"
-        path.write_bytes(b'{"format_version": 2, "n_dim": 3}\n' + bytes(8))
-        with pytest.raises(FileFormatError, match="unsupported format version 2"):
+        path.write_bytes(b'{"format_version": 3, "n_dim": 3}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 3"):
             subspace.load_ssm(path)
 
     def test_huge_header_fails_before_allocating(self, tmp_path):
@@ -553,8 +666,9 @@ class TestSsmFormat:
         path = tmp_path / "big.ssm"
         _, peak = traced_peak(lambda: subspace.save_ssm(model, path))
         assert peak <= 1.1 * model.basis.nbytes
-        header = '{"dim": 8000, "format_version": 1, "k": 250}\n'
+        header = '{"dim": 8000, "format_version": 2, "k": 250, "rows": 8000}\n'
         expected = (header.encode("ascii") + model.mean.tobytes()
+                    + np.arange(8000.0).tobytes()
                     + model.basis.tobytes(order="F") + model.singular_values.tobytes())
         assert path.read_bytes() == expected
 
@@ -567,21 +681,23 @@ class TestSsmFormat:
             model.basis.tobytes(order="F")
 
     def test_check_reads_only_the_header(self, tmp_path, traced_peak):
+        # ... and the row indices, 8 bytes a row, to check them.
         model = large_model(37)
         path = tmp_path / "big.ssm"
         subspace.save_ssm(model, path)
         header, peak = traced_peak(lambda: subspace._check_ssm(path))
-        assert header == {"dim": model.dim, "k": model.k}
-        assert peak < 64 * 1024
+        assert header == {"dim": model.dim, "k": model.k, "rows": model.dim}
+        assert peak < 64 * 1024 + 3 * 8 * model.dim
 
     @pytest.mark.parametrize("payload", [
         b'{"dim": 2, "format_version": 1, "k": 1}\n' + bytes(8 * 5 - 8),
         b'{"dim": 2, "format_version": 1, "k": 1}\n' + bytes(8 * 5 + 1),
         b'{"dim": null, "format_version": 1, "k": 1}\n' + bytes(8 * 5),
-        b'{"dim": 2, "format_version": 2, "k": 1}\n' + bytes(8 * 5),
+        b'{"dim": 2, "format_version": 3, "k": 1}\n' + bytes(8 * 5),
         b'{"dim": 0, "format_version": 1, "k": 0}\n',
         b"[1]\n",
-    ], ids=["truncated", "trailing", "null_dim", "version", "zero_dim", "list"])
+        *BAD_ROWS.values(),
+    ], ids=["truncated", "trailing", "null_dim", "version", "zero_dim", "list", *BAD_ROWS])
     def test_check_rejects_what_load_rejects(self, tmp_path, payload):
         path = tmp_path / "model.ssm"
         path.write_bytes(payload)
