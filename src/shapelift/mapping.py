@@ -52,13 +52,14 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        phases = tuple((float(r), int(e)) for r, e in self.learning_rate_phases)
-        object.__setattr__(self, "learning_rate_phases", phases)
+        phases = tuple((float(r), float(e)) for r, e in self.learning_rate_phases)
         for rate, epochs in phases:
             if not (np.isfinite(rate) and rate > 0.0):  # NaN fails every comparison
                 raise InvalidInputError(f"learning rate {rate} must be finite and positive")
-            if epochs < 0:
-                raise InvalidInputError(f"epoch count {epochs} must be >= 0")
+            if not (epochs.is_integer() and epochs >= 0):
+                raise InvalidInputError(f"epoch count {epochs:g} must be an integer >= 0")
+        object.__setattr__(self, "learning_rate_phases",
+                           tuple((r, int(e)) for r, e in phases))
         if self.batch_size < 1:
             raise InvalidInputError(f"batch_size {self.batch_size} must be >= 1")
         if self.seed < 0:

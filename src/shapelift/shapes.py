@@ -1,9 +1,12 @@
 """Procedural 3D solids, their flat vector form, and the PLY and VOXR formats.
 
-All shapes live in the unit cube.  Parameter validation keeps every solid at
-least ``UNIT_MARGIN`` away from the cube faces and inside the vertical
-cylinder of radius ``SPIN_RADIUS`` around the cube's z axis, so a yaw by any
-angle never carries content outside the cube.
+All shapes live in the unit cube.  One table, ``_LIMITS``, describes each
+primitive kind: the range of each size parameter, which size is the
+vertical half-extent, and how far the solid reaches from the cube's z axis.
+``validate_spec`` reads it to keep every solid at least ``UNIT_MARGIN`` away
+from the cube faces and inside the vertical cylinder of radius
+``SPIN_RADIUS`` around the cube's z axis, so a yaw by any angle never
+carries content outside the cube.
 
 Point-cloud sampling uses fixed parametric lattices: point ``i`` of any
 cloud of a given (kind, point_count) family sits at the same surface
@@ -39,13 +42,23 @@ _R2Y = 0.5698402909980532
 PRIMITIVE_KINDS = ("box", "ellipsoid", "cylinder", "torus")
 ALL_KINDS = PRIMITIVE_KINDS + ("composite",)
 
-# Parameter names per primitive kind, in canonical order.
-_PARAM_NAMES = {
-    "box": ("cx", "cy", "cz", "hx", "hy", "hz"),
-    "ellipsoid": ("cx", "cy", "cz", "rx", "ry", "rz"),
-    "cylinder": ("cx", "cy", "cz", "radius", "half_height"),
-    "torus": ("cx", "cy", "cz", "major", "minor"),
+# Per primitive kind: (the closed range of each size parameter, in canonical
+# order; the size that is the solid's vertical half-extent; its reach from the
+# cube's z axis given the center's offset (dx, dy) from that axis).
+_SIZE = (0.02, 0.45)
+_LIMITS = {
+    "box": ({"hx": _SIZE, "hy": _SIZE, "hz": _SIZE}, "hz",
+            lambda dx, dy, p: math.hypot(abs(dx) + p["hx"], abs(dy) + p["hy"])),
+    "ellipsoid": ({"rx": _SIZE, "ry": _SIZE, "rz": _SIZE}, "rz",
+                  lambda dx, dy, p: math.hypot(dx, dy) + max(p["rx"], p["ry"])),
+    "cylinder": ({"radius": _SIZE, "half_height": _SIZE}, "half_height",
+                 lambda dx, dy, p: math.hypot(dx, dy) + p["radius"]),
+    "torus": ({"major": (0.04, 0.44), "minor": (0.01, 0.44)}, "minor",
+              lambda dx, dy, p: math.hypot(dx, dy) + p["major"] + p["minor"]),
 }
+
+# Parameter names per primitive kind, in canonical order.
+_PARAM_NAMES = {kind: ("cx", "cy", "cz", *sizes) for kind, (sizes, _, _) in _LIMITS.items()}
 
 
 @dataclass(frozen=True)
@@ -100,18 +113,20 @@ class ShapeSpec:
     composite, its children.  It holds no seed: a dataset sample's spec is
     drawn by ``sample_spec`` from the generator of ``(base_seed, sample_id)``.
 
-    Valid parameter ranges (all lengths in unit-cube units):
+    Valid parameter ranges (all lengths in unit-cube units), as the table
+    ``_LIMITS`` holds them:
 
     * box: half-extents hx, hy, hz in [0.02, 0.45]
     * ellipsoid: radii rx, ry, rz in [0.02, 0.45]
     * cylinder (axis z): radius, half_height in [0.02, 0.45]
-    * torus (axis z): major in [0.04, 0.44], minor in [0.01, major)
+    * torus (axis z): major in [0.04, 0.44], minor in [0.01, 0.44] and below major
     * composite: union of exactly two primitive children, params empty
 
     plus, for every kind: the solid must clear the cube faces by
     ``UNIT_MARGIN`` in z and fit inside the vertical cylinder of radius
     ``SPIN_RADIUS`` about the cube center, which keeps any yaw of the solid
-    inside the margins.
+    inside the margins.  The table names each kind's vertical half-extent
+    and its reach from that cylinder's axis.
     """
 
     kind: str
@@ -125,7 +140,7 @@ def _require(cond: bool, message: str):
 
 
 def validate_spec(spec: ShapeSpec):
-    """Check a ShapeSpec against the documented parameter ranges."""
+    """Check a ShapeSpec against the limits the table ``_LIMITS`` gives."""
     if spec.kind == "composite":
         _require(len(spec.children) == 2, "composite requires exactly two children")
         _require(not spec.params, "composite carries no parameters of its own")
@@ -134,7 +149,7 @@ def validate_spec(spec: ShapeSpec):
                      f"composite children must be primitive, got {child.kind!r}")
             validate_spec(child)
         return
-    if spec.kind not in PRIMITIVE_KINDS:
+    if spec.kind not in _LIMITS:
         raise InvalidSpecError(f"unknown shape kind {spec.kind!r}")
     _require(not spec.children, f"{spec.kind} takes no children")
     names = _PARAM_NAMES[spec.kind]
@@ -143,40 +158,18 @@ def validate_spec(spec: ShapeSpec):
     _require(not missing, f"{spec.kind} is missing parameters {missing}")
     _require(not extra, f"{spec.kind} got unknown parameters {extra}")
     p = {n: float(spec.params[n]) for n in names}
-    cx, cy, cz = p["cx"], p["cy"], p["cz"]
-    off = math.hypot(cx - 0.5, cy - 0.5)
-    lo, hi = UNIT_MARGIN, 1.0 - UNIT_MARGIN
-
-    if spec.kind == "box":
-        for n in ("hx", "hy", "hz"):
-            _require(0.02 <= p[n] <= 0.45, f"box {n}={p[n]} outside [0.02, 0.45]")
-        corner = math.hypot(abs(cx - 0.5) + p["hx"], abs(cy - 0.5) + p["hy"])
-        _require(corner <= SPIN_RADIUS,
-                 f"box corner radius {corner:.4f} exceeds {SPIN_RADIUS}")
-        _require(lo <= cz - p["hz"] and cz + p["hz"] <= hi,
-                 "box leaves the vertical margin")
-    elif spec.kind == "ellipsoid":
-        for n in ("rx", "ry", "rz"):
-            _require(0.02 <= p[n] <= 0.45, f"ellipsoid {n}={p[n]} outside [0.02, 0.45]")
-        _require(off + max(p["rx"], p["ry"]) <= SPIN_RADIUS,
-                 "ellipsoid leaves the spin-safe cylinder")
-        _require(lo <= cz - p["rz"] and cz + p["rz"] <= hi,
-                 "ellipsoid leaves the vertical margin")
-    elif spec.kind == "cylinder":
-        for n in ("radius", "half_height"):
-            _require(0.02 <= p[n] <= 0.45, f"cylinder {n}={p[n]} outside [0.02, 0.45]")
-        _require(off + p["radius"] <= SPIN_RADIUS,
-                 "cylinder leaves the spin-safe cylinder")
-        _require(lo <= cz - p["half_height"] and cz + p["half_height"] <= hi,
-                 "cylinder leaves the vertical margin")
-    elif spec.kind == "torus":
-        _require(0.04 <= p["major"] <= 0.44, f"torus major={p['major']} outside [0.04, 0.44]")
-        _require(0.01 <= p["minor"] < p["major"],
-                 f"torus minor={p['minor']} must be in [0.01, major)")
-        _require(off + p["major"] + p["minor"] <= SPIN_RADIUS,
-                 "torus leaves the spin-safe cylinder")
-        _require(lo <= cz - p["minor"] and cz + p["minor"] <= hi,
-                 "torus leaves the vertical margin")
+    sizes, vertical, reach = _LIMITS[spec.kind]
+    for n, (lo, hi) in sizes.items():
+        _require(lo <= p[n] <= hi, f"{spec.kind} {n}={p[n]} outside [{lo}, {hi}]")
+    if spec.kind == "torus":
+        _require(p["minor"] < p["major"],
+                 f"torus minor={p['minor']} must be below major={p['major']}")
+    r = reach(p["cx"] - 0.5, p["cy"] - 0.5, p)
+    _require(r <= SPIN_RADIUS, f"{spec.kind} reaches {r:.4f} from the vertical axis, "
+                               f"beyond the spin-safe radius {SPIN_RADIUS}")
+    h = p[vertical]
+    _require(UNIT_MARGIN <= p["cz"] - h and p["cz"] + h <= 1.0 - UNIT_MARGIN,
+             f"{spec.kind} leaves the vertical margin")
 
 
 def _inside(spec: ShapeSpec, x, y, z):
@@ -192,10 +185,8 @@ def _inside(spec: ShapeSpec, x, y, z):
         return ((dx / p["rx"]) ** 2 + (dy / p["ry"]) ** 2 + (dz / p["rz"]) ** 2) <= 1.0
     if spec.kind == "cylinder":
         return (dx * dx + dy * dy <= p["radius"] ** 2) & (np.abs(dz) <= p["half_height"])
-    if spec.kind == "torus":
-        ring = np.sqrt(dx * dx + dy * dy) - p["major"]
-        return ring * ring + dz * dz <= p["minor"] ** 2
-    raise InvalidSpecError(f"unknown shape kind {spec.kind!r}")
+    ring = np.sqrt(dx * dx + dy * dy) - p["major"]  # torus
+    return ring * ring + dz * dz <= p["minor"] ** 2
 
 
 def generate_voxel_shape(spec: ShapeSpec, resolution: int) -> VoxelGrid:
@@ -221,32 +212,24 @@ def surface_lattice(kind: str, point_count: int) -> np.ndarray:
     and torus use a single chart; box uses charts 0-5 (+x, -x, +y, -y, +z,
     -z faces); cylinder uses 0 (side), 1 (top cap), 2 (bottom cap).
     """
-    if kind not in ("box", "ellipsoid", "cylinder", "torus"):
+    if kind not in PRIMITIVE_KINDS:
         raise InvalidSpecError(f"kind {kind!r} does not support parametric sampling")
     if point_count < 4:
         raise InvalidInputError(f"point_count must be >= 4, got {point_count}")
     i = np.arange(point_count)
     if kind == "ellipsoid":
-        chart = np.zeros(point_count)
-        u = (i + 0.5) / point_count
-        v = np.mod((i + 1) * _GOLDEN, 1.0)
-    elif kind == "torus":
-        chart = np.zeros(point_count)
-        u = np.mod((i + 1) * _R2X, 1.0)
-        v = np.mod((i + 1) * _R2Y, 1.0)
+        return np.column_stack([np.zeros(point_count), (i + 0.5) / point_count,
+                                np.mod((i + 1) * _GOLDEN, 1.0)])
+    # The other kinds place slot j of a chart at the R2 sequence's point j + 1.
+    if kind == "torus":
+        chart, j = np.zeros(point_count), i
     elif kind == "box":
-        chart = (i % 6).astype(np.float64)
-        j = i // 6
-        u = np.mod((j + 1) * _R2X, 1.0)
-        v = np.mod((j + 1) * _R2Y, 1.0)
+        chart, j = (i % 6).astype(np.float64), i // 6
     else:  # cylinder: even slots to the side, odd slots alternate caps
-        m = i % 4
-        q = i // 4
+        m, q = i % 4, i // 4
         chart = np.where(m < 2, 0, m - 1).astype(np.float64)
         j = np.where(m < 2, 2 * q + m, q)
-        u = np.mod((j + 1) * _R2X, 1.0)
-        v = np.mod((j + 1) * _R2Y, 1.0)
-    return np.column_stack([chart, u, v])
+    return np.column_stack([chart, np.mod((j + 1) * _R2X, 1.0), np.mod((j + 1) * _R2Y, 1.0)])
 
 
 def generate_point_shape(spec: ShapeSpec, point_count: int) -> PointCloud:
@@ -259,55 +242,34 @@ def generate_point_shape(spec: ShapeSpec, point_count: int) -> PointCloud:
     lat = surface_lattice(spec.kind, point_count)  # raises for composite
     chart, u, v = lat[:, 0], lat[:, 1], lat[:, 2]
     p = spec.params
-    c = np.array([p["cx"], p["cy"], p["cz"]])
-
+    # Each kind gives the points' offsets from the center, axis by axis.
     if spec.kind == "ellipsoid":
         zu = 1.0 - 2.0 * u
         rxy = np.sqrt(np.maximum(0.0, 1.0 - zu * zu))
         phi = 2.0 * np.pi * v
-        pts = np.column_stack([
-            c[0] + p["rx"] * rxy * np.cos(phi),
-            c[1] + p["ry"] * rxy * np.sin(phi),
-            c[2] + p["rz"] * zu,
-        ])
+        d = [p["rx"] * rxy * np.cos(phi), p["ry"] * rxy * np.sin(phi), p["rz"] * zu]
     elif spec.kind == "torus":
-        tu = 2.0 * np.pi * u
-        tv = 2.0 * np.pi * v
+        tu, tv = 2.0 * np.pi * u, 2.0 * np.pi * v
         ring = p["major"] + p["minor"] * np.cos(tv)
-        pts = np.column_stack([
-            c[0] + ring * np.cos(tu),
-            c[1] + ring * np.sin(tu),
-            c[2] + p["minor"] * np.sin(tv),
-        ])
+        d = [ring * np.cos(tu), ring * np.sin(tu), p["minor"] * np.sin(tv)]
     elif spec.kind == "box":
+        # Chart 2a + s is the face normal to axis a on side 1 - 2s; on it the
+        # first other axis takes su and the second sv, times its half-extent.
+        # Axis a is the second when it lies above the third axis, 3 - a - face.
+        face, s = np.divmod(chart.astype(int), 2)
         su, sv = 2.0 * u - 1.0, 2.0 * v - 1.0
-        hx, hy, hz = p["hx"], p["hy"], p["hz"]
-        x = np.choose(chart.astype(int), [
-            c[0] + hx, c[0] - hx, c[0] + su * hx, c[0] + su * hx,
-            c[0] + su * hx, c[0] + su * hx,
-        ])
-        y = np.choose(chart.astype(int), [
-            c[1] + su * hy, c[1] + su * hy, c[1] + hy, c[1] - hy,
-            c[1] + sv * hy, c[1] + sv * hy,
-        ])
-        z = np.choose(chart.astype(int), [
-            c[2] + sv * hz, c[2] + sv * hz, c[2] + sv * hz, c[2] + sv * hz,
-            c[2] + hz, c[2] - hz,
-        ])
-        pts = np.column_stack([x, y, z])
+        h = (p["hx"], p["hy"], p["hz"])
+        d = [np.where(face == a, 1.0 - 2.0 * s, np.where(a > 3 - a - face, sv, su)) * h[a]
+             for a in range(3)]
     else:  # cylinder
         r, hh = p["radius"], p["half_height"]
         side = chart == 0
         theta = np.where(side, 2.0 * np.pi * u, 2.0 * np.pi * v)
         rho = np.where(side, r, r * np.sqrt(u))
-        zpos = np.where(side, c[2] + (2.0 * v - 1.0) * hh,
-                        np.where(chart == 1, c[2] + hh, c[2] - hh))
-        pts = np.column_stack([
-            c[0] + rho * np.cos(theta),
-            c[1] + rho * np.sin(theta),
-            zpos,
-        ])
-    return PointCloud(pts, correspondence_id=f"{spec.kind}:{point_count}")
+        d = [rho * np.cos(theta), rho * np.sin(theta),
+             np.where(side, (2.0 * v - 1.0) * hh, np.where(chart == 1, hh, -hh))]
+    c = np.array([p["cx"], p["cy"], p["cz"]])
+    return PointCloud(c + np.column_stack(d), correspondence_id=f"{spec.kind}:{point_count}")
 
 
 def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) -> ShapeSpec:
@@ -324,34 +286,26 @@ def sample_spec(rng: np.random.Generator, kinds=PRIMITIVE_KINDS, seed: int = 0) 
         return ShapeSpec("composite", {},
                          children=tuple(sample_spec(rng, PRIMITIVE_KINDS) for _ in range(2)))
 
-    def center(budget_xy: float, ext_z: float):
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        off = rng.uniform(0.0, budget_xy)
-        cz = rng.uniform(UNIT_MARGIN + ext_z, 1.0 - UNIT_MARGIN - ext_z)
-        return 0.5 + off * np.cos(ang), 0.5 + off * np.sin(ang), cz
-
     if kind == "box":
-        hx, hy, hz = rng.uniform(0.05, 0.20, size=3)
-        budget = SPIN_RADIUS - math.hypot(hx, hy)
-        cx, cy, cz = center(budget, hz)
-        params = {"cx": cx, "cy": cy, "cz": cz, "hx": hx, "hy": hy, "hz": hz}
+        sizes = rng.uniform(0.05, 0.20, size=3)
+        budget, ext_z = SPIN_RADIUS - math.hypot(sizes[0], sizes[1]), sizes[2]
     elif kind == "ellipsoid":
-        rx, ry, rz = rng.uniform(0.06, 0.25, size=3)
-        cx, cy, cz = center(SPIN_RADIUS - max(rx, ry), rz)
-        params = {"cx": cx, "cy": cy, "cz": cz, "rx": rx, "ry": ry, "rz": rz}
+        sizes = rng.uniform(0.06, 0.25, size=3)
+        budget, ext_z = SPIN_RADIUS - max(sizes[0], sizes[1]), sizes[2]
     elif kind == "cylinder":
-        radius = rng.uniform(0.06, 0.20)
-        hh = rng.uniform(0.06, 0.25)
-        cx, cy, cz = center(SPIN_RADIUS - radius, hh)
-        params = {"cx": cx, "cy": cy, "cz": cz, "radius": radius, "half_height": hh}
+        radius, hh = rng.uniform(0.06, 0.20), rng.uniform(0.06, 0.25)
+        sizes, budget, ext_z = (radius, hh), SPIN_RADIUS - radius, hh
     elif kind == "torus":
         major = rng.uniform(0.12, 0.30)
         minor = rng.uniform(0.03, min(0.10, major - 0.02))
-        cx, cy, cz = center(SPIN_RADIUS - major - minor, minor)
-        params = {"cx": cx, "cy": cy, "cz": cz, "major": major, "minor": minor}
+        sizes, budget, ext_z = (major, minor), SPIN_RADIUS - major - minor, minor
     else:
         raise InvalidSpecError(f"unknown shape kind {kind!r}")
-    return ShapeSpec(kind, params)
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    off = rng.uniform(0.0, budget)
+    cz = rng.uniform(UNIT_MARGIN + ext_z, 1.0 - UNIT_MARGIN - ext_z)
+    center = (0.5 + off * np.cos(ang), 0.5 + off * np.sin(ang), cz)
+    return ShapeSpec(kind, dict(zip(_PARAM_NAMES[kind], (*center, *sizes))))
 
 
 def vectorize_shape(shape) -> np.ndarray:

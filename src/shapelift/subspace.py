@@ -58,6 +58,9 @@ class SubspaceModel:
     ``fit_subspace``; when the pool's size or its effective rank fell short
     of it, ``k < k_requested`` and ``shrunk`` is True.  A loaded model has
     ``k_requested == k``: the ``.ssm`` format does not store the request.
+    The constructor takes only what a ``.ssm`` file can hold, by the rules
+    ``load_ssm`` applies: integer ``rows`` as above, an (r x k) basis with
+    k <= r, and k singular values; anything else is ``InvalidInputError``.
     """
 
     mean: np.ndarray
@@ -67,10 +70,19 @@ class SubspaceModel:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.rows is not None and not (np.issubdtype(np.asarray(self.rows).dtype, np.integer)
+                                          and _increasing_indices(self.rows, self.dim)):
+            raise InvalidInputError(
+                f"rows must be strictly increasing integers in [0, {self.dim})")
         kept = self.dim if self.rows is None else len(self.rows)
         if np.ndim(self.basis) != 2 or len(self.basis) != kept:
             raise InvalidInputError(f"basis must have {kept} rows, one per kept row, "
                                     f"got shape {np.shape(self.basis)}")
+        if self.k > kept:
+            raise InvalidInputError(f"k={self.k} basis columns exceed the {kept} kept rows")
+        if np.shape(self.singular_values) != (self.k,):
+            raise InvalidInputError(f"singular_values must have shape ({self.k},), "
+                                    f"got {np.shape(self.singular_values)}")
 
     @property
     def dim(self) -> int:
@@ -208,24 +220,28 @@ def save_ssm(model: SubspaceModel, path):
 
 
 def _ssm_shapes(header: dict) -> list:
-    """The payload of a version 1 (no ``rows``) or version 2 header."""
+    """The payload of a version 1 (no ``rows``: every row kept) or version 2 header."""
     dim, k = header["dim"], header["k"]
     if dim < 1 or k < 0:
         raise InvalidInputError(f"need dim >= 1 and k >= 0, got dim={dim}, k={k}")
-    if "rows" not in header:
-        return [(dim,), (dim, k), (k,)]
-    r = header["rows"]
+    r = header.get("rows", dim)
     if not k <= r <= dim:
         raise InvalidInputError(f"need k <= rows <= dim, got k={k}, rows={r}, dim={dim}")
-    return [(dim,), (r,), (r, k), (k,)]
+    return [(dim,), (dim, k), (k,)] if "rows" not in header else [(dim,), (r,), (r, k), (k,)]
+
+
+def _increasing_indices(values, dim: int) -> bool:
+    """Whether ``values`` are strictly increasing integral values in [0, dim)."""
+    v = np.asarray(values)
+    return bool(v.ndim == 1 and np.all(v >= 0) and np.all(v < dim)
+                and np.all(v == np.floor(v)) and np.all(v[1:] > v[:-1]))
 
 
 def _kept_rows(path, stored: np.ndarray, dim: int):
     """A version 2 file's row indices as ``SubspaceModel.rows``: None when
     every row is kept.  Anything but strictly increasing integers in
     [0, dim) is a ``FileFormatError``."""
-    if not (np.all(stored >= 0) and np.all(stored < dim)
-            and np.all(stored == np.floor(stored)) and np.all(stored[1:] > stored[:-1])):
+    if not _increasing_indices(stored, dim):
         raise FileFormatError(
             f"{path}: row indices must be strictly increasing integers in [0, {dim})")
     return None if len(stored) == dim else stored.astype(np.intp)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import shapelift
-from shapelift import _fileio, pipeline, render, shapes, subspace
+from shapelift import _fileio, mapping, pipeline, render, shapes, subspace
 from shapelift.cli import main
 from test_subspace import BAD_ROWS, write_v1_ssm
 
@@ -569,6 +569,16 @@ class TestPretrainFitEval:
         assert main(["fit", "--config", str(cfg), "--data", str(root / "data"),
                      "--out", str(tmp_path / "nothing")]) == 1
 
+    def test_eval_without_a_map_exit_1(self, workspace, staged, capsys):
+        # staged holds both models and the direct map only.
+        root, cfg = workspace
+        assert main(["eval", "--config", str(cfg), "--data", str(root / "data"),
+                     "--out", str(staged), "--method", "lowdim"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: no mapping file {staged / 'mapping_lowdim.map'}; "
+                                "run fit first\n")
+        assert not (staged / "eval_lowdim.csv").exists()
+
     def test_failed_fit_leaves_no_directory(self, workspace, tmp_path, capsys):
         root, cfg = workspace
         out = tmp_path / "new_dir"
@@ -753,6 +763,14 @@ class TestRenderCommand:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == ["error: image size 0x32 must be positive"]
         assert not out.exists()
+
+    def test_shape_of_no_known_format_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "shape.pgm"
+        render.save_pgm(np.zeros((2, 2), np.uint8), path)
+        assert main(["render", str(path), "--out", str(tmp_path / "views")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: not a VOXR or PLY shape file\n"
+        assert not (tmp_path / "views").exists()
 
     @pytest.mark.parametrize("views", ["0", "-3"])
     def test_view_count_below_one_exit_1(self, workspace, tmp_path, views):
@@ -1093,6 +1111,56 @@ class TestInspect:
         err = capsys.readouterr().err
         assert err.count("error:") == 1
         assert "trailing" in err
+
+    def test_empty_file_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.ssm"
+        path.write_bytes(b"")
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: unexpected end of file\n"
+        assert captured.out == ""
+
+    def test_ply_extra_property_summary(self, tmp_path, capsys):
+        path = tmp_path / "heat.ply"
+        shapes.write_ply(path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]],
+                         extra={"error": [0.5, 1.5]}, correspondence_id="box:2")
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: PLY point cloud", "vertices: 2", "correspondence: box:2",
+            "x: min 0, max 1, mean 0.5", "y: min 0, max 2, mean 1",
+            "z: min 0, max 3, mean 1.5", "property error: min 0.5, max 1.5, mean 1"]
+
+    def test_pgm_summary(self, tmp_path, capsys):
+        path = tmp_path / "view.pgm"
+        render.save_pgm(np.array([[0, 255, 51]], np.uint8), path)
+        assert main(["inspect", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: PGM image", "size: 3x1", "pixels: min 0, max 1, mean 0.4"]
+
+    # (in, out, pairs): 8 pairs of 4 -> 3 codes fit one dense layer; 2 pairs
+    # of 6 -> 5 values store fewer numbers factored through rank 2.
+    @pytest.mark.parametrize("sizes, layers", [((4, 3, 8), "4-3"), ((6, 5, 2), "6-2-5")],
+                             ids=["dense", "factored"])
+    def test_map_summary(self, tmp_path, capsys, sizes, layers):
+        in_d, out_d, n = sizes
+        rng = np.random.default_rng(31)
+        m = mapping.fit_direct_map(rng.standard_normal((in_d, n)), rng.standard_normal((out_d, n)))
+        path = tmp_path / "mapping.map"
+        mapping.save_map(m, path)
+        assert main(["inspect", str(path)]) == 0
+        flat = np.concatenate([w.ravel() for w in m.weights])
+        assert capsys.readouterr().out.splitlines() == [
+            f"{path}: mapping network (format v{mapping.MAP_FORMAT_VERSION})",
+            f"layers: {layers}", "activation: linear",
+            f"weights: min {flat.min():.6g}, max {flat.max():.6g}, mean {flat.mean():.6g}"]
+
+    def test_unrecognized_json_header_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        path.write_bytes(b'{"format_version": 1, "size": 3}\n')
+        assert main(["inspect", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: unrecognized JSON header\n"
+        assert captured.out == ""
 
 
 class TestConfigText:

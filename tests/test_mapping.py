@@ -59,6 +59,17 @@ class TestSchedule:
         with pytest.raises(InvalidInputError):
             TrainSchedule(batch_size=0)
 
+    @pytest.mark.parametrize("epochs", [2.5, 0.5, float("nan"), float("inf")])
+    def test_epoch_count_must_be_an_integer(self, epochs):
+        # int() would have trained 2.5 as 2 epochs without a word.
+        with pytest.raises(InvalidInputError, match="must be an integer"):
+            TrainSchedule(((1e-3, epochs),))
+
+    def test_integral_epoch_counts_become_ints(self):
+        schedule = TrainSchedule(((1e-3, 2.0), (1e-4, np.int64(3))))
+        assert schedule.learning_rate_phases == ((1e-3, 2), (1e-4, 3))
+        assert all(type(e) is int for _, e in schedule.learning_rate_phases)
+
 
 class TestLinearMap:
     def test_identity_on_full_rank(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -214,6 +216,94 @@ class TestSampleSpec:
             kinds.add(a.kind)
         assert kinds == set(shapes.ALL_KINDS)
         assert "seed" not in {f.name for f in dataclasses.fields(ShapeSpec)}
+
+
+# Each primitive kind's size parameters, the vertical half-extent last.
+SIZE_NAMES = {"box": ("hx", "hy", "hz"), "ellipsoid": ("rx", "ry", "rz"),
+              "cylinder": ("radius", "half_height"), "torus": ("major", "minor")}
+
+
+def near_limit_specs(seed: int, count: int):
+    """``count`` fixed-seed primitive specs whose sizes, vertical extent and
+    reach from the cube's z axis sit on, just inside or just outside the
+    documented limits, or anywhere in a wider box; a few are not finite."""
+    rng = np.random.default_rng(seed)
+    edges = [0.01, 0.02, 0.04, 0.44, 0.45]
+    nudges = [0.0, 0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-4, -1e-4,
+              5e-4, -5e-4, 1e-3, -1e-3]
+
+    def near(x):
+        return x + nudges[rng.integers(len(nudges))]
+
+    for i in range(count):
+        kind = shapes.PRIMITIVE_KINDS[i % 4]
+        names = SIZE_NAMES[kind]
+        upper = rng.random() < 0.25
+        if upper:  # one size at or below an upper edge, the rest at a lower one, on the z axis
+            sizes = [near(edges[rng.integers(2)]) for _ in names]
+            sizes[rng.integers(len(names))] = edges[rng.integers(3, 5)] - rng.choice(
+                [0.0, 1e-12, rng.uniform(0.0, 2e-3)])
+        else:
+            sizes = [near(edges[rng.integers(5)]) if rng.random() < 0.5
+                     else rng.uniform(0.0, 0.3) for _ in names]
+        if kind == "torus" and rng.random() < 0.3:
+            sizes[1] = near(sizes[0])
+        ext_z = sizes[-1]
+        cz = rng.choice([near(0.05 + ext_z), near(0.95 - ext_z), 0.5, rng.uniform(0.0, 1.0)])
+        pick = 3 if upper else rng.integers(4)
+        if pick == 3:  # on the cube's z axis
+            dx = dy = 0.0
+        elif pick == 2:  # a box corner on the spin-safe cylinder
+            ang = 0.5 * np.pi * rng.random()
+            dx = near(0.45 * np.cos(ang)) - sizes[0]
+            dy = near(0.45 * np.sin(ang)) - sizes[1]
+        else:  # anywhere, or a round solid's rim on that cylinder
+            rim = sizes[0] + sizes[1] if kind == "torus" else max(sizes[:2])
+            offset = rng.uniform(0.0, 0.45) if pick == 0 else near(0.45 - rim)
+            ang = rng.choice([0.0, 0.25 * np.pi, 0.5 * np.pi, rng.uniform(0.0, 2.0 * np.pi)])
+            dx, dy = offset * np.cos(ang), offset * np.sin(ang)
+        center = [0.5 + dx, 0.5 + dy, cz]
+        values = center + sizes
+        if rng.random() < 0.005:
+            values[rng.integers(len(values))] = rng.choice([np.nan, np.inf, -np.inf])
+        yield ShapeSpec(kind, dict(zip(("cx", "cy", "cz", *names), values)))
+
+
+# validate_spec's verdicts on near_limit_specs(30, 4000), recorded from the
+# per-kind checks that preceded the limits table.
+ACCEPTED = 547
+VERDICTS_SHA256 = "c140684c26687c526894fe5a32abb82db7cc05f762e0a7f0af4f94f05c59e8c9"
+
+
+def verdict(spec) -> bool:
+    try:
+        shapes.validate_spec(spec)
+    except InvalidSpecError:
+        return False
+    return True
+
+
+class TestLimitsTable:
+    def test_docstring_states_the_table(self):
+        # Each primitive's line in the ShapeSpec docstring names the table's
+        # sizes, in order, with their closed ranges.
+        stated = {}
+        for kind, text in re.findall(r"^\s*\* (\w+)[^:]*: (.*)$", ShapeSpec.__doc__, re.M):
+            for names, lo, hi in re.findall(r"((?:\w+, )*\w+) in \[([\d.]+), ([\d.]+)\]", text):
+                for name in names.split(", "):
+                    stated.setdefault(kind, {})[name] = (float(lo), float(hi))
+        table = {kind: sizes for kind, (sizes, _, _) in shapes._LIMITS.items()}
+        assert stated == table
+        assert [list(v) for v in stated.values()] == [list(v) for v in table.values()]
+        assert tuple(shapes._LIMITS) == shapes.PRIMITIVE_KINDS
+        assert {k: v[3:] for k, v in shapes._PARAM_NAMES.items()} == SIZE_NAMES
+        for kind, (sizes, vertical, _) in shapes._LIMITS.items():
+            assert vertical in sizes, kind
+
+    def test_verdicts_near_the_limits_are_pinned(self):
+        verdicts = bytes(verdict(spec) for spec in near_limit_specs(30, 4000))
+        assert sum(verdicts) == ACCEPTED
+        assert hashlib.sha256(verdicts).hexdigest() == VERDICTS_SHA256
 
 
 class TestVectorize:

@@ -406,6 +406,56 @@ class TestEncodeDecode:
                                    singular_values=np.ones(1), k_requested=1,
                                    rows=None if rows is None else np.array(rows))
 
+    @pytest.mark.parametrize("dim, rows, k, sigma_len", [
+        (5, [3, 1], 1, 1), (5, [1, 1], 1, 1), (5, [1, 7], 1, 1), (5, [1.0, 3.0], 1, 1),
+        (5, [1, 3], 1, 2), (5, [1, 3], 2, 1), (5, [1], 2, 2), (2, None, 3, 3),
+    ], ids=["unsorted", "repeated", "out_of_range", "float", "sigma_long", "sigma_short",
+            "k_above_rows", "k_above_dim"])
+    def test_constructor_rejects_what_load_rejects(self, dim, rows, k, sigma_len):
+        # Each of these used to save a file that load_ssm then rejected.
+        with pytest.raises(InvalidInputError):
+            subspace.SubspaceModel(
+                mean=np.zeros(dim), basis=np.ones((dim if rows is None else len(rows), k)),
+                singular_values=np.ones(sigma_len), k_requested=k,
+                rows=None if rows is None else np.array(rows))
+
+    def test_every_model_the_constructor_takes_loads_back_equal(self, tmp_path):
+        rng = np.random.default_rng(30)
+        taken = rejected = 0
+        for _ in range(400):
+            dim, rows = int(rng.integers(1, 6)), None
+            if rng.random() < 0.7:
+                rows = rng.integers(-1, dim + 2, size=int(rng.integers(0, dim + 2)))
+                rows = np.unique(rows) if rng.random() < 0.6 else rows
+                rows = rows.astype(np.float64) if rng.random() < 0.2 else rows
+            kept = dim if rows is None else len(rows)
+            k = int(rng.integers(0, kept + 2))
+            sigma = rng.random(max(0, k + int(rng.choice([0, 0, 0, -1, 1]))))
+            try:
+                model = subspace.SubspaceModel(
+                    mean=rng.standard_normal(dim), basis=rng.standard_normal((kept, k)),
+                    singular_values=sigma, k_requested=k, rows=rows)
+            except InvalidInputError:
+                rejected += 1
+                continue
+            taken += 1
+            path = tmp_path / "model.ssm"
+            subspace.save_ssm(model, path)
+            back = subspace.load_ssm(path)
+            for field in ("mean", "basis", "singular_values"):
+                assert np.array_equal(getattr(back, field), getattr(model, field)), field
+            every = np.arange(dim)
+            assert np.array_equal(every if back.rows is None else back.rows,
+                                  every if rows is None else rows)
+        assert taken >= 100 and rejected >= 100, (taken, rejected)
+
+    def test_version_1_k_above_dim_is_rejected(self, tmp_path):
+        path = tmp_path / "model.ssm"
+        path.write_bytes(b'{"dim": 2, "format_version": 1, "k": 3}\n' + bytes(8 * (2 + 6 + 3)))
+        for read in (subspace.load_ssm, subspace._check_ssm):
+            with pytest.raises(FileFormatError, match="need k <= rows <= dim"):
+                read(path)
+
     def test_decode_holds_one_output(self, traced_peak):
         model = large_model(12)
         codes = np.random.default_rng(13).standard_normal((model.k, 300))
@@ -564,8 +614,11 @@ class TestSsmFormat:
         model = subspace.fit_subspace(random_data(32, 8, 6), 3)
         subspace.save_ssm(model, path)
         before = path.read_bytes()
-        # The header, mean and basis are written before the raise.
-        broken = dataclasses.replace(model, singular_values=Unwritable())
+        # The header, mean and basis are written before the raise.  The
+        # stand-in goes in past the constructor, whose shape check would
+        # already fail on it.
+        broken = dataclasses.replace(model)
+        object.__setattr__(broken, "singular_values", Unwritable())
         with pytest.raises(RuntimeError, match="write failed"):
             subspace.save_ssm(broken, path)
         assert path.read_bytes() == before
