@@ -10,6 +10,8 @@ of the wrong size.
 ``read_container``: a JSON object with sorted keys and a ``format_version``
 on the first line, then finite little-endian float64 arrays with nothing
 after them, moved between memory and the file with no ``bytes`` copy.
+Both formats store the rows they keep as float64 indices, checked by
+``kept_rows`` in a file and by ``row_indices`` in memory.
 """
 
 from __future__ import annotations
@@ -155,6 +157,32 @@ def read_array(fh, path, shape, order: str = "C") -> np.ndarray:
     if not _finite(arr.ravel(order)):
         raise FileFormatError(f"{path}: non-finite value")
     return arr.astype(np.float64, copy=False)
+
+
+def _increasing_indices(values, dim: int) -> bool:
+    """Whether ``values`` are strictly increasing integral values in [0, dim)."""
+    v = np.asarray(values)
+    return bool(v.ndim == 1 and np.all(v >= 0) and np.all(v < dim)
+                and np.all(v == np.floor(v)) and np.all(v[1:] > v[:-1]))
+
+
+def row_indices(rows, dim: int) -> np.ndarray:
+    """``rows`` as an integer array, if they are strictly increasing integers
+    in [0, dim) as ``kept_rows`` reads them; else ``InvalidInputError``."""
+    rows = np.asarray(rows)
+    if not (np.issubdtype(rows.dtype, np.integer) and _increasing_indices(rows, dim)):
+        raise InvalidInputError(f"rows must be strictly increasing integers in [0, {dim})")
+    return rows
+
+
+def kept_rows(path, stored: np.ndarray, dim: int):
+    """Stored row indices as a model's ``rows``: None when every one of the
+    ``dim`` rows is kept.  Anything but strictly increasing integers in
+    [0, dim) is a ``FileFormatError``."""
+    if not _increasing_indices(stored, dim):
+        raise FileFormatError(
+            f"{path}: row indices must be strictly increasing integers in [0, {dim})")
+    return None if len(stored) == dim else stored.astype(np.intp)
 
 
 def read_container(path, what: str, formats: dict, order: str = "C"):

@@ -310,6 +310,8 @@ def _cmd_inspect(args) -> int:
             print(f"{path}: mapping network (format v{header['format_version']})")
             print(f"layers: {'-'.join(str(s) for s in m.layer_sizes)}")
             print(f"activation: {m.activation}")
+            out = m.layer_sizes[-1]
+            print(f"output rows: {out if m.rows is None else len(m.rows)} of {out}")
             flat = np.concatenate([w.ravel() for w in m.weights])
             print(f"weights: {_stats(flat)}")
             return 0

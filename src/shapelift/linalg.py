@@ -206,10 +206,11 @@ def _pseudo_inverse(m) -> np.ndarray:
     return res.v @ (res.u / res.sigma).T
 
 
-def _sample_pair(a, b) -> tuple:
-    """``a`` and ``b`` as finite nonempty matrices with one sample count."""
+def _sample_pair(a, b, keep_bool: bool = False) -> tuple:
+    """``a`` and ``b`` as finite nonempty matrices with one sample count;
+    with ``keep_bool`` a bool ``b`` passes as it is."""
     a2 = _as_matrix(a, "a")
-    b2 = _as_matrix(b, "b")
+    b2 = _as_matrix(b, "b", keep_bool)
     if a2.shape[1] != b2.shape[1]:
         raise InvalidInputError(
             f"sample counts differ: a has {a2.shape[1]} columns, b has {b2.shape[1]}"

@@ -134,9 +134,11 @@ class ShapeSpec:
     children: tuple = ()
 
 
-def _require(cond: bool, message: str):
+def _require(cond: bool, message: str, *args):
+    """Raise ``InvalidSpecError(message.format(*args))`` unless ``cond``: the
+    message is built only for a check that fails."""
     if not cond:
-        raise InvalidSpecError(message)
+        raise InvalidSpecError(message.format(*args))
 
 
 def validate_spec(spec: ShapeSpec):
@@ -146,30 +148,30 @@ def validate_spec(spec: ShapeSpec):
         _require(not spec.params, "composite carries no parameters of its own")
         for child in spec.children:
             _require(child.kind in PRIMITIVE_KINDS,
-                     f"composite children must be primitive, got {child.kind!r}")
+                     "composite children must be primitive, got {!r}", child.kind)
             validate_spec(child)
         return
     if spec.kind not in _LIMITS:
         raise InvalidSpecError(f"unknown shape kind {spec.kind!r}")
-    _require(not spec.children, f"{spec.kind} takes no children")
+    _require(not spec.children, "{} takes no children", spec.kind)
     names = _PARAM_NAMES[spec.kind]
     missing = [n for n in names if n not in spec.params]
     extra = [n for n in spec.params if n not in names]
-    _require(not missing, f"{spec.kind} is missing parameters {missing}")
-    _require(not extra, f"{spec.kind} got unknown parameters {extra}")
+    _require(not missing, "{} is missing parameters {}", spec.kind, missing)
+    _require(not extra, "{} got unknown parameters {}", spec.kind, extra)
     p = {n: float(spec.params[n]) for n in names}
     sizes, vertical, reach = _LIMITS[spec.kind]
     for n, (lo, hi) in sizes.items():
-        _require(lo <= p[n] <= hi, f"{spec.kind} {n}={p[n]} outside [{lo}, {hi}]")
+        _require(lo <= p[n] <= hi, "{} {}={} outside [{}, {}]", spec.kind, n, p[n], lo, hi)
     if spec.kind == "torus":
-        _require(p["minor"] < p["major"],
-                 f"torus minor={p['minor']} must be below major={p['major']}")
+        _require(p["minor"] < p["major"], "torus minor={} must be below major={}",
+                 p["minor"], p["major"])
     r = reach(p["cx"] - 0.5, p["cy"] - 0.5, p)
-    _require(r <= SPIN_RADIUS, f"{spec.kind} reaches {r:.4f} from the vertical axis, "
-                               f"beyond the spin-safe radius {SPIN_RADIUS}")
+    _require(r <= SPIN_RADIUS, "{} reaches {:.4f} from the vertical axis, "
+                               "beyond the spin-safe radius {}", spec.kind, r, SPIN_RADIUS)
     h = p[vertical]
     _require(UNIT_MARGIN <= p["cz"] - h and p["cz"] + h <= 1.0 - UNIT_MARGIN,
-             f"{spec.kind} leaves the vertical margin")
+             "{} leaves the vertical margin", spec.kind)
 
 
 def _inside(spec: ShapeSpec, x, y, z):

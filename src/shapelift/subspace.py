@@ -32,8 +32,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from ._fileio import check_container, header_int, read_array, read_container, write_container
-from .errors import FileFormatError, InvalidInputError
+from ._fileio import (check_container, header_int, kept_rows, read_array, read_container,
+                      row_indices, write_container)
+from .errors import InvalidInputError
 from .linalg import _as_matrix, _columns
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
@@ -70,10 +71,8 @@ class SubspaceModel:
     rows: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.rows is not None and not (np.issubdtype(np.asarray(self.rows).dtype, np.integer)
-                                          and _increasing_indices(self.rows, self.dim)):
-            raise InvalidInputError(
-                f"rows must be strictly increasing integers in [0, {self.dim})")
+        if self.rows is not None:
+            row_indices(self.rows, self.dim)
         kept = self.dim if self.rows is None else len(self.rows)
         if np.ndim(self.basis) != 2 or len(self.basis) != kept:
             raise InvalidInputError(f"basis must have {kept} rows, one per kept row, "
@@ -230,23 +229,6 @@ def _ssm_shapes(header: dict) -> list:
     return [(dim,), (dim, k), (k,)] if "rows" not in header else [(dim,), (r,), (r, k), (k,)]
 
 
-def _increasing_indices(values, dim: int) -> bool:
-    """Whether ``values`` are strictly increasing integral values in [0, dim)."""
-    v = np.asarray(values)
-    return bool(v.ndim == 1 and np.all(v >= 0) and np.all(v < dim)
-                and np.all(v == np.floor(v)) and np.all(v[1:] > v[:-1]))
-
-
-def _kept_rows(path, stored: np.ndarray, dim: int):
-    """A version 2 file's row indices as ``SubspaceModel.rows``: None when
-    every row is kept.  Anything but strictly increasing integers in
-    [0, dim) is a ``FileFormatError``."""
-    if not _increasing_indices(stored, dim):
-        raise FileFormatError(
-            f"{path}: row indices must be strictly increasing integers in [0, {dim})")
-    return None if len(stored) == dim else stored.astype(np.intp)
-
-
 # What, and each readable version's header fields and array shapes.
 _SSM_FIELDS = {"dim": header_int, "k": header_int}
 _SSM_FORMAT = ("subspace-model", {1: (_SSM_FIELDS, _ssm_shapes),
@@ -262,7 +244,7 @@ def _check_ssm(path) -> dict:
         header, _ = check_container(fh, path, *_SSM_FORMAT)
         if "rows" in header:
             fh.seek(8 * header["dim"], os.SEEK_CUR)
-            _kept_rows(path, read_array(fh, path, (header["rows"],)), header["dim"])
+            kept_rows(path, read_array(fh, path, (header["rows"],)), header["dim"])
     return header
 
 
@@ -271,6 +253,6 @@ def load_ssm(path) -> SubspaceModel:
     column-major as stored; a version 1 file keeps every row.  A bad header,
     a short file, trailing bytes or bad row indices raise ``FileFormatError``."""
     header, (mean, *stored, basis, sigma) = read_container(path, *_SSM_FORMAT, order="F")
-    rows = _kept_rows(path, stored[0], header["dim"]) if stored else None
+    rows = kept_rows(path, stored[0], header["dim"]) if stored else None
     return SubspaceModel(mean=mean, basis=basis, singular_values=sigma,
                          k_requested=header["k"], rows=rows)

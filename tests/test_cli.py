@@ -677,6 +677,25 @@ class TestDirectStages:
             assert model in err
         assert tree_digest(art) == before
 
+    @pytest.mark.parametrize("out", [1004, 996], ids=["past_the_shapes", "short_of_them"])
+    def test_map_rows_that_do_not_fit_the_shapes_exit_1(self, workspace, staged, tmp_path,
+                                                        capsys, out):
+        # The staged direct map keeps only the cells some training shape fills.
+        assert mapping.load_map(staged / "mapping_direct.map").rows is not None
+        art = tmp_path / "art"
+        shutil.copytree(staged, art)
+        path = art / "mapping_direct.map"
+        mapping.save_map(mapping.MlpMap((256, 2, out), [np.zeros((2, 256)), np.ones((2, 2))],
+                                        [np.zeros(2), np.zeros(2)], activation="linear",
+                                        rows=np.array([0, out - 1])), path)
+        before = tree_digest(art)
+        capsys.readouterr()
+        assert _direct_stage(workspace, art, "eval") == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: input and output sizes (256, {out}), but the paired_test "
+            "images and shapes have (256, 1000); rerun `shapelift fit --method direct`\n")
+        assert tree_digest(art) == before
+
     def test_eval_echoes_the_models_k(self, workspace, staged, tmp_path):
         art = tmp_path / "art"
         shutil.copytree(staged, art)
@@ -1138,20 +1157,25 @@ class TestInspect:
             f"{path}: PGM image", "size: 3x1", "pixels: min 0, max 1, mean 0.4"]
 
     # (in, out, pairs): 8 pairs of 4 -> 3 codes fit one dense layer; 2 pairs
-    # of 6 -> 5 values store fewer numbers factored through rank 2.
-    @pytest.mark.parametrize("sizes, layers", [((4, 3, 8), "4-3"), ((6, 5, 2), "6-2-5")],
-                             ids=["dense", "factored"])
-    def test_map_summary(self, tmp_path, capsys, sizes, layers):
+    # of 6 -> 5 values store fewer numbers factored through rank 2, and with
+    # two target rows zero in both pairs it computes the other three, which
+    # only version 2 stores.
+    @pytest.mark.parametrize("sizes, zero_rows, layers, version, kept", [
+        ((4, 3, 8), [], "4-3", 1, 3), ((6, 5, 2), [], "6-2-5", 1, 5),
+        ((6, 5, 2), [1, 3], "6-2-5", 2, 3)], ids=["dense", "factored", "kept_rows"])
+    def test_map_summary(self, tmp_path, capsys, sizes, zero_rows, layers, version, kept):
         in_d, out_d, n = sizes
         rng = np.random.default_rng(31)
-        m = mapping.fit_direct_map(rng.standard_normal((in_d, n)), rng.standard_normal((out_d, n)))
+        z = rng.standard_normal((out_d, n))
+        z[zero_rows] = 0.0
+        m = mapping.fit_direct_map(rng.standard_normal((in_d, n)), z)
         path = tmp_path / "mapping.map"
         mapping.save_map(m, path)
         assert main(["inspect", str(path)]) == 0
         flat = np.concatenate([w.ravel() for w in m.weights])
         assert capsys.readouterr().out.splitlines() == [
-            f"{path}: mapping network (format v{mapping.MAP_FORMAT_VERSION})",
-            f"layers: {layers}", "activation: linear",
+            f"{path}: mapping network (format v{version})",
+            f"layers: {layers}", "activation: linear", f"output rows: {kept} of {out_d}",
             f"weights: min {flat.min():.6g}, max {flat.max():.6g}, mean {flat.mean():.6g}"]
 
     def test_unrecognized_json_header_exit_1(self, tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from shapelift import mapping as mp
 from shapelift import linalg, pipeline, subspace
-from shapelift.config import ExperimentConfig
+from shapelift.config import DatasetManifest, ExperimentConfig
 from shapelift.errors import (
     FileFormatError,
     InvalidInputError,
@@ -288,6 +288,163 @@ class TestFactoredMap:
         assert np.array_equal(got, linalg.least_squares(x, z) @ probe)
         new = pipeline.predict(cfg, None, mp.fit_direct_map(x, z), probe)
         assert np.linalg.norm(got - new) <= 1e-12 * np.linalg.norm(got)
+
+
+# Small datasets of each family: a voxel split leaves many cells empty in
+# every shape, a cloud split has no coordinate that is zero in every shape.
+KEPT_ROWS_DATASETS = {
+    "voxel": DatasetManifest(kinds=("box", "ellipsoid", "cylinder", "torus"), resolution=12,
+                             unlabeled_2d=2, unlabeled_3d=2, paired_train=12, paired_test=4,
+                             view_count=2, image_size=16, base_seed=9),
+    "cloud": DatasetManifest(kinds=("box", "ellipsoid"), representation="cloud",
+                             point_count=40, unlabeled_2d=2, unlabeled_3d=2, paired_train=12,
+                             paired_test=4, view_count=2, image_size=16, base_seed=9),
+}
+
+
+@pytest.fixture(scope="module")
+def paired_splits(tmp_path_factory):
+    """{family: ((x_train, z_train), (x_test, z_test))} of KEPT_ROWS_DATASETS."""
+    splits = {}
+    for family, manifest in KEPT_ROWS_DATASETS.items():
+        data = tmp_path_factory.mktemp(family)
+        pipeline.generate_dataset(manifest, data)
+        splits[family] = tuple(pipeline.load_paired(data, manifest, split, "cycle")[:2]
+                               for split in (pipeline.SPLIT_PAIRED_TRAIN,
+                                             pipeline.SPLIT_PAIRED_TEST))
+    return splits
+
+
+def write_v2_map(path, sizes, rows, weights, count=None):
+    """A version 2 ``.map`` file written by hand: ``count`` (default
+    len(rows)) in the header, then ``rows`` and each weight with a zero bias."""
+    header = {"activation": "linear", "format_version": 2, "layer_sizes": list(sizes),
+              "rows": len(rows) if count is None else count}
+    payload = np.asarray(rows, "<f8").tobytes()
+    for w in weights:
+        payload += np.asarray(w, "<f8").tobytes() + bytes(8 * len(w))
+    path.write_bytes((json.dumps(header, sort_keys=True) + "\n").encode() + payload)
+
+
+class TestKeptRows:
+    """The factored fit computes only the target rows that are not zero in
+    every sample; the others predict +0.0."""
+
+    def test_predictions_keep_the_bits_of_the_full_product(self, paired_splits):
+        (x, z), (x_test, _) = paired_splits["voxel"]
+        assert z.dtype == np.bool_
+        dm = mp.fit_direct_map(x, z)
+        empty = ~z.any(axis=1)
+        assert 0 < empty.sum() < len(z)
+        assert dm.layer_sizes == (x.shape[0], x.shape[1], len(z))
+        assert np.array_equal(dm.rows, np.flatnonzero(~empty))
+        # The map on every row: the full product, each layer plus its zero bias.
+        f = linalg.svd(x)
+        w1 = np.ascontiguousarray((f.u / f.sigma).T)
+        w2 = z.astype(np.float64) @ f.v
+        assert dm.weights[0].tobytes() == w1.tobytes()
+        assert dm.weights[1].tobytes() == w2[dm.rows].tobytes()
+        for probe in (x, x_test):
+            want = w2 @ (w1 @ probe + 0.0) + 0.0
+            got = mp.mlp_forward(dm, probe)
+            assert got.tobytes() == want.tobytes()
+            assert not got[empty].any() and not np.signbit(got[empty]).any()
+
+    def test_float_targets_with_no_zero_row_keep_every_row(self, paired_splits, tmp_path):
+        (x, z), _ = paired_splits["cloud"]
+        assert z.dtype == np.float64 and (z != 0).any(axis=1).all()
+        dm = mp.fit_direct_map(x, z)
+        assert dm.layer_sizes == (x.shape[0], x.shape[1], len(z)) and dm.rows is None
+        assert dm.weights[1].tobytes() == (z @ linalg.svd(x).v).tobytes()
+        mp.save_map(dm, tmp_path / "cloud.map")
+        header = json.loads((tmp_path / "cloud.map").read_bytes().split(b"\n")[0])
+        assert header["format_version"] == 1 and "rows" not in header
+
+    def test_float_rows_of_signed_zeros_are_dropped(self):
+        rng = np.random.default_rng(48)
+        z = rng.standard_normal((40, 6))
+        z[3], z[7] = 0.0, -0.0
+        dm = mp.fit_direct_map(rng.standard_normal((20, 6)), z)
+        assert dm.rows.tolist() == [r for r in range(40) if r not in (3, 7)]
+
+    def test_version_1_file_loads_and_predicts_the_same_bits(self, tmp_path):
+        rng = np.random.default_rng(49)
+        w1, w2 = rng.standard_normal((3, 5)), rng.standard_normal((7, 3))
+        path = tmp_path / "v1.map"
+        header = b'{"activation": "linear", "format_version": 1, "layer_sizes": [5, 3, 7]}\n'
+        path.write_bytes(header + w1.tobytes() + bytes(8 * 3) + w2.tobytes() + bytes(8 * 7))
+        m = mp.load_map(path)
+        assert m.layer_sizes == (5, 3, 7) and m.rows is None
+        probe = rng.standard_normal((5, 4))
+        assert mp.mlp_forward(m, probe).tobytes() == (w2 @ (w1 @ probe + 0.0) + 0.0).tobytes()
+
+    def test_version_2_round_trip(self, tmp_path):
+        rng = np.random.default_rng(50)
+        m = MlpMap((5, 3, 9), [rng.standard_normal((3, 5)), rng.standard_normal((4, 3))],
+                   [np.zeros(3), rng.standard_normal(4)], activation="linear",
+                   rows=np.array([0, 2, 5, 8]))
+        path = tmp_path / "v2.map"
+        mp.save_map(m, path)
+        data = path.read_bytes()
+        head, _, payload = data.partition(b"\n")
+        assert json.loads(head) == {"activation": "linear", "format_version": 2,
+                                    "layer_sizes": [5, 3, 9], "rows": 4}
+        assert payload[:32] == np.array([0.0, 2.0, 5.0, 8.0], "<f8").tobytes()
+        back = mp.load_map(path)
+        assert back.rows.tolist() == [0, 2, 5, 8]
+        probe = rng.standard_normal((5, 3))
+        out = mp.mlp_forward(back, probe)
+        assert out.tobytes() == mp.mlp_forward(m, probe).tobytes()
+        assert np.array_equal(out[[0, 2, 5, 8]], m.weights[1] @ (m.weights[0] @ probe)
+                              + m.biases[1][:, None])
+        assert not out[[1, 3, 4, 6, 7]].any()
+
+    @pytest.mark.parametrize("rows, count, message", [
+        ([0, 2, 2], None, "row indices must be strictly increasing integers in [0, 6)"),
+        ([3, 1, 4], None, "row indices must be strictly increasing integers in [0, 6)"),
+        ([0, 6, 1], None, "row indices must be strictly increasing integers in [0, 6)"),
+        ([-1, 0, 1], None, "row indices must be strictly increasing integers in [0, 6)"),
+        ([0, 1.5, 2], None, "row indices must be strictly increasing integers in [0, 6)"),
+        ([0, 1, 2], 7, "need 0 <= rows <= 6 outputs, got rows=7"),
+        ([0, 1, 2], 4, "unexpected end of file"),
+        ([0, 1, 2], 2, "trailing data"),
+    ], ids=["repeated", "unsorted", "too_large", "negative", "fractional", "count_above_out",
+            "truncated", "trailing"])
+    def test_strict_reader(self, tmp_path, rows, count, message):
+        path = tmp_path / "bad.map"
+        kept = len(rows) if count is None else count
+        write_v2_map(path, (4, 2, 6), rows, [np.ones((2, 4)), np.ones((kept, 2))], count)
+        with pytest.raises(FileFormatError) as err:
+            mp.load_map(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("rows, shape", [
+        ([0.0, 2.0], (2, 3)), ([2, 0], (2, 3)), ([0, 5], (2, 3)), ([0, 1], (3, 3))],
+        ids=["float", "unsorted", "out_of_range", "wrong_last_layer"])
+    def test_constructor_takes_only_what_a_file_can_hold(self, rows, shape):
+        with pytest.raises(InvalidInputError):
+            MlpMap((4, 3, 5), [np.zeros((3, 4)), np.zeros(shape)],
+                   [np.zeros(3), np.zeros(shape[0])], rows=np.array(rows))
+
+    def test_gradients_need_every_output_row(self):
+        m = MlpMap((4, 3, 5), [np.ones((3, 4)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)],
+                   rows=np.array([1, 3]))
+        x, t = np.ones((4, 6)), np.ones((5, 6))
+        message = "gradients need every output row, but the map computes 2 of 5"
+        with pytest.raises(InvalidInputError, match=message):
+            mp.mlp_gradients(m, x, t)
+        with pytest.raises(InvalidInputError, match=message):
+            mp._sgd(m, x, t, TrainSchedule(((0.1, 1),)), np.random.default_rng(0))
+
+    def test_fit_promotes_only_the_kept_rows_of_a_bool_split(self, traced_peak):
+        # 20 000 cells, of which only the first 4 000 are ever filled.
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((50, 20))
+        z = np.zeros((20000, 20), dtype=bool)
+        z[:4000] = rng.random((4000, 20)) < 0.5
+        dm, peak = traced_peak(lambda: mp.fit_direct_map(x, z))
+        assert peak < z.size * 8  # below the split's float64 copy
+        assert dm.layer_sizes == (50, 20, 20000) and len(dm.rows) == 4000
 
 
 def reference_gradients(m, x, t):
@@ -675,8 +832,8 @@ class TestMapFormat:
     def test_version_is_checked_before_other_fields(self, tmp_path):
         # A newer file may name its fields differently; say so, not "bad header".
         path = tmp_path / "net.map"
-        path.write_bytes(b'{"format_version": 2, "n_dim": 3}\n' + bytes(8))
-        with pytest.raises(FileFormatError, match="unsupported format version 2"):
+        path.write_bytes(b'{"format_version": 3, "n_dim": 3}\n' + bytes(8))
+        with pytest.raises(FileFormatError, match="unsupported format version 3"):
             mp.load_map(path)
 
     def test_interrupted_save_keeps_old_file(self, tmp_path):

@@ -93,4 +93,4 @@ def test_readme_states_the_format_versions():
     assert readers, "the container paragraph lists no readable versions"
     ssm, map_ = ([int(v) for v in re.findall(r"\d+", group)] for group in readers.groups())
     assert ssm == sorted(subspace._SSM_FORMAT[1]) and max(ssm) == subspace.SSM_FORMAT_VERSION
-    assert map_ == [mapping.MAP_FORMAT_VERSION]
+    assert map_ == sorted(mapping._MAP_FORMAT[1]) and max(map_) == mapping.MAP_FORMAT_VERSION
