@@ -173,7 +173,7 @@ def _cmd_eval(args) -> int:
                                           pipeline.SPLIT_PAIRED_TEST,
                                           config.pair_policy)
     _check_sizes(out_dir, pipeline.SPLIT_PAIRED_TEST, models, x, z, config.mapping, map_obj)
-    predictions = pipeline.predict(config, models, map_obj, x)
+    predictions = pipeline.predict(config, models, map_obj, x, _rows=True)
     report = pipeline.evaluate_rmse(predictions, z, sample_ids=pair_ids)
     pipeline.write_evaluation_csv(report, out_dir / f"eval_{config.mapping}.csv")
     _write_evaluation_summary(

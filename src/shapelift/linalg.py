@@ -7,7 +7,9 @@ bit-identical.  ``svd`` is the full thin SVD; ``leading_svd`` finds only the
 leading k triplets from the Gram matrix on the matrix's small side and
 falls back to ``svd`` when that would lose accuracy.  All functions are
 pure and safe to call concurrently.  ``_columns`` holds the package's one
-rule for an input that is a vector or a matrix of columns.
+rule for an input that is a vector or a matrix of columns, and
+``_KeptRows`` the one compact form of a column matrix whose rows outside a
+kept set are fixed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import _finite
+from ._fileio import _finite, row_indices
 from .errors import InvalidInputError, NumericalFailureError
 
 # Relative cutoff below which a singular value is treated as exactly zero.
@@ -85,6 +87,47 @@ def _columns(x, rows, name: str) -> tuple:
             f"matrix, got shape {arr.shape}"
         )
     return m, arr.ndim == 1
+
+
+@dataclass(frozen=True)
+class _KeptRows:
+    """A (dim, n) float64 column matrix held as its kept rows: ``values`` (r, n)
+    on the strictly increasing ``rows``, and ``fill[i]`` in every column of
+    each other row i; ``rows`` None keeps every row, and ``values`` is then
+    the matrix.  Parts that do not fit together are ``InvalidInputError``."""
+
+    values: np.ndarray
+    rows: np.ndarray | None
+    fill: np.ndarray
+
+    def __post_init__(self):
+        if np.ndim(self.fill) != 1 or np.ndim(self.values) != 2:
+            raise InvalidInputError(
+                f"kept rows need a fill vector and a matrix of values, got shapes "
+                f"{np.shape(self.fill)} and {np.shape(self.values)}")
+        dim = len(self.fill)
+        if self.rows is not None:
+            object.__setattr__(self, "rows", row_indices(self.rows, dim))
+        kept = dim if self.rows is None else len(self.rows)
+        if len(self.values) != kept:
+            raise InvalidInputError(f"{len(self.values)} rows of values for {kept} kept rows")
+
+    @property
+    def shape(self) -> tuple:
+        return len(self.fill), self.values.shape[1]
+
+    def dense(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows [start, stop) of the matrix, value for value: a view of
+        ``values`` when every row is kept, else a new row-major array
+        filled, then given the kept rows that fall in the range."""
+        if self.rows is None:
+            return self.values[start:stop]
+        stop = len(self.fill) if stop is None else min(stop, len(self.fill))
+        out = np.empty((stop - start, self.values.shape[1]))
+        out[...] = self.fill[start:stop, None]
+        lo, hi = np.searchsorted(self.rows, (start, stop))
+        out[self.rows[lo:hi] - start] = self.values[lo:hi]
+        return out
 
 
 def svd(m) -> SvdResult:

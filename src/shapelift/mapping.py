@@ -46,7 +46,7 @@ import numpy as np
 from ._fileio import (header_int, header_str, kept_rows, read_container, row_indices,
                       write_container)
 from .errors import InvalidInputError, NumericalFailureError
-from .linalg import _as_matrix, _columns, _sample_pair, least_squares, svd
+from .linalg import _as_matrix, _columns, _KeptRows, _sample_pair, least_squares, svd
 
 MAP_FORMAT_VERSION = 2
 
@@ -203,15 +203,16 @@ def _layers(m: MlpMap, x: np.ndarray) -> list:
     return acts
 
 
-def mlp_forward(m: MlpMap, code) -> np.ndarray:
+def mlp_forward(m: MlpMap, code, *, _rows: bool = False) -> np.ndarray:
     """Forward pass of a vector or (dim, batch) columns; a vector gives the
     bits of its single column.  A map with ``rows`` writes its last layer
-    into those rows of a zero result."""
+    into those rows of a zero result.  With ``_rows`` the result is the last
+    layer alone, as the columns of a ``linalg._KeptRows`` filled with zero."""
     x, vector = _columns(code, m.layer_sizes[0], "input")
-    out = _layers(m, x)[-1]
-    if m.rows is not None:
-        kept, out = out, np.zeros((m.layer_sizes[-1], x.shape[1]))
-        out[m.rows] = kept
+    kept = _KeptRows(_layers(m, x)[-1], m.rows, np.zeros(m.layer_sizes[-1]))
+    if _rows:
+        return kept
+    out = kept.dense()
     return out[:, 0] if vector else out
 
 

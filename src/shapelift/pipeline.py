@@ -42,7 +42,7 @@ from .config import (
     write_manifest,
 )
 from .errors import InvalidInputError
-from .linalg import _columns
+from .linalg import _columns, _KeptRows
 
 SPLIT_PAIRED_TRAIN = "paired_train"
 SPLIT_PAIRED_TEST = "paired_test"
@@ -250,12 +250,15 @@ def pretrain(data_dir, k_2d: int, k_3d: int):
     change the result.  Each pool is loaded, fitted by ``fit_subspace`` on
     its rows that do not center to zero, and dropped before the next;
     ``fit_subspace`` shrinks a k past the pool's size or rank with one
-    warning.  The voxel shape pool stays bool: only its fitted rows are
+    warning.  A float64 pool is centered in its own leading rows, with no
+    copy; the voxel shape pool stays bool, and only its fitted rows are
     ever float64.
     """
     manifest = read_dataset_manifest(data_dir)
-    return (subspace.fit_subspace(load_unlabeled_images(data_dir, manifest), k_2d),
-            subspace.fit_subspace(load_unlabeled_shapes(data_dir, manifest), k_3d))
+    return (subspace.fit_subspace(load_unlabeled_images(data_dir, manifest), k_2d,
+                                  _overwrite=True),
+            subspace.fit_subspace(load_unlabeled_shapes(data_dir, manifest), k_3d,
+                                  _overwrite=True))
 
 
 def load_paired(data_dir, manifest: DatasetManifest, split: str, policy: str = "cycle"):
@@ -307,19 +310,21 @@ def fit_mapping(config: ExperimentConfig, models, x: np.ndarray, z: np.ndarray):
 
 
 def predict(config: ExperimentConfig, models, map_obj: mp.MlpMap,
-            x: np.ndarray) -> np.ndarray:
+            x: np.ndarray, *, _rows: bool = False) -> np.ndarray:
     """Shape-vector predictions for image columns (or one flat image).
 
     lowdim and mlp maps run between the code spaces of the pretrained
     models: encode, network, decode.  A direct map takes pixels to shape
     coordinates itself, so for it ``models`` may be None.  The method
     cannot be read off the map, because a code-space map at full k can have
-    the same layer sizes as a direct map.
+    the same layer sizes as a direct map.  With ``_rows`` the predictions
+    are the ``linalg._KeptRows`` that the decode or the direct map computes,
+    which ``evaluate_rmse`` scores without the dense matrix.
     """
     if config.mapping == "direct":
-        return mp.mlp_forward(map_obj, x)
+        return mp.mlp_forward(map_obj, x, _rows=_rows)
     img_model, shape_model = models
-    return shape_model.decode(mp.mlp_forward(map_obj, img_model.encode(x)))
+    return shape_model.decode(mp.mlp_forward(map_obj, img_model.encode(x)), _rows=_rows)
 
 
 def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
@@ -332,23 +337,31 @@ def evaluate_rmse(predictions: np.ndarray, ground_truths: np.ndarray,
     of rows with no prediction-sized temporary, to the bits of the whole
     ``sqrt(np.square(pred - truth).sum(axis=0) / dim)`` on row-major float64
     copies; bool columns (voxel occupancy) are promoted one block at a time.
+    ``predictions`` may also be a ``linalg._KeptRows``, as ``predict`` gives
+    it with ``_rows``: each block is then built from the kept rows and the
+    fill, equal value for value to that block of the dense matrix, so the
+    report keeps its bits and the dense matrix is never held.
     """
-    pred, _ = _columns(predictions, None, "predictions")
+    if isinstance(predictions, _KeptRows):
+        shape, block = predictions.shape, predictions.dense
+    else:
+        pred, _ = _columns(predictions, None, "predictions")
+        shape, block = pred.shape, lambda start, stop: pred[start:stop]
     truth, _ = _columns(ground_truths, None, "ground truths")
-    if pred.shape != truth.shape:
+    if shape != truth.shape:
         raise InvalidInputError(
-            f"prediction shape {pred.shape} does not match ground truth {truth.shape}"
+            f"prediction shape {shape} does not match ground truth {truth.shape}"
         )
-    if pred.size == 0:
+    dim, n = shape
+    if dim * n == 0:
         raise InvalidInputError("cannot evaluate an empty prediction set")
-    dim, n = pred.shape
     # A row-major (dim, n >= 2) block sums over its rows in order, so blocks
     # whose first row carries the sums so far keep the whole sum's bits; one
     # column alone sums pairwise, so it goes whole.
     step = dim if n == 1 else _FILL_BLOCK
     sums = None
     for start in range(0, dim, step):
-        diff = np.subtract(pred[start:start + step], truth[start:start + step],
+        diff = np.subtract(block(start, start + step), truth[start:start + step],
                            dtype=np.float64, order="C")
         np.square(diff, out=diff)
         if sums is not None:
@@ -407,13 +420,14 @@ def heatmap(prediction: shapes.PointCloud, truth: shapes.PointCloud,
 
 
 def _score(config: ExperimentConfig, models, x_train, z_train, x_test, z_test):
-    # The map and each prediction are freed when this returns.
+    # Each prediction is held as its kept rows only; the map and the
+    # predictions are freed when this returns.
     map_obj = fit_mapping(config, models, x_train, z_train)
-    return MethodResult(
-        config.mapping,
-        evaluate_rmse(predict(config, models, map_obj, x_train), z_train).average_rmse,
-        evaluate_rmse(predict(config, models, map_obj, x_test), z_test).average_rmse,
-    )
+
+    def rmse(x, z):
+        return evaluate_rmse(predict(config, models, map_obj, x, _rows=True), z).average_rmse
+
+    return MethodResult(config.mapping, rmse(x_train, z_train), rmse(x_test, z_test))
 
 
 def compare_methods(config: ExperimentConfig, data_dir, threads: int = 1) -> ComparisonResult:

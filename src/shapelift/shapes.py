@@ -126,7 +126,12 @@ class ShapeSpec:
     ``UNIT_MARGIN`` in z and fit inside the vertical cylinder of radius
     ``SPIN_RADIUS`` about the cube center, which keeps any yaw of the solid
     inside the margins.  The table names each kind's vertical half-extent
-    and its reach from that cylinder's axis.
+    and its reach from that cylinder's axis.  Only the lower bounds are
+    limits of their own: the upper bounds are implied by these two checks
+    and ``minor < major``, and decide no verdict.  The spin-safe radius
+    caps each horizontal size, and the torus's major + minor, at 0.45; the
+    vertical margin caps each vertical half-extent at 0.45; and the torus
+    minor stays below its major.
     """
 
     kind: str

@@ -35,7 +35,7 @@ from . import linalg
 from ._fileio import (check_container, header_int, kept_rows, read_array, read_container,
                       row_indices, write_container)
 from .errors import InvalidInputError
-from .linalg import _as_matrix, _columns
+from .linalg import _as_matrix, _columns, _KeptRows
 from .mapping import MlpMap, MlpTrainResult, TrainSchedule, _sgd, glorot_uniform
 
 logger = logging.getLogger(__name__)
@@ -109,22 +109,21 @@ class SubspaceModel:
         codes = self.basis.T @ centered
         return codes[:, 0] if vector else codes
 
-    def decode(self, code) -> np.ndarray:
+    def decode(self, code, *, _rows: bool = False) -> np.ndarray:
         """Map codes back: mean + basis @ code on the kept rows, the mean on
         the others; vector or columns as ``encode``.  The mean is added in
         place to the product, which with every row kept is the one output
         array; otherwise the kept rows are assigned into an output filled
-        with the mean, so the product is the one other temporary."""
+        with the mean, so the product is the one other temporary.  With
+        ``_rows`` the result is the product alone, as the columns of a
+        ``linalg._KeptRows`` filled with the mean."""
         arr, vector = _columns(code, self.k, "code")
         product = self.basis @ arr
-        if self.rows is None:
-            product += self.mean[:, None]
-            out = product
-        else:
-            product += self.mean[self.rows, None]
-            out = np.empty((self.dim, arr.shape[1]))
-            out[...] = self.mean[:, None]
-            out[self.rows] = product  # not ``out[rows] +=``: that gathers a temporary
+        product += (self.mean if self.rows is None else self.mean[self.rows])[:, None]
+        kept = _KeptRows(product, self.rows, self.mean)
+        if _rows:
+            return kept
+        out = kept.dense()
         return out[:, 0] if vector else out
 
 
@@ -141,7 +140,7 @@ def _pool(samples, k: int, strict: bool) -> np.ndarray:
     return x
 
 
-def fit_subspace(samples, k: int) -> SubspaceModel:
+def fit_subspace(samples, k: int, *, _overwrite: bool = False) -> SubspaceModel:
     """Fit mean and the first k left singular vectors of the centered data.
 
     Only the r rows that do not center to zero, those whose samples are not
@@ -157,7 +156,9 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
     pool's size and the rank, and the model is flagged shrunk.  Requires
     n >= 2 samples and k >= 1.  ``samples`` is only read: bool (voxel occupancy) or
     float64 columns are not copied, and a bool pool gives the model of its
-    float64 copy, bit for bit.
+    float64 copy, bit for bit.  With ``_overwrite``, a row-major float64
+    pool is its own copy instead: the kept rows are moved up into its
+    leading rows and centered there, which gives the same model.
     """
     x = _pool(samples, k, strict=False)
     dim, n = x.shape
@@ -166,7 +167,12 @@ def fit_subspace(samples, k: int) -> SubspaceModel:
     r = len(rows)
     u, sigma = np.empty((r, 0)), np.empty(0)
     if r:
-        centered = x[rows].astype(np.float64, copy=False)  # a copy, centered in place
+        if _overwrite and x.dtype == np.float64 and x.flags.c_contiguous:
+            for i, row in enumerate(rows):  # row >= i, so no write reaches it first
+                x[i] = x[row]
+            centered = x[:r]
+        else:
+            centered = x[rows].astype(np.float64, copy=False)  # a copy
         centered -= mean[rows, None]
         res = linalg.leading_svd(centered, min(k, r, n))
         u, sigma = res.u, res.sigma

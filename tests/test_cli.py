@@ -15,6 +15,7 @@ import pytest
 import shapelift
 from shapelift import _fileio, mapping, pipeline, render, shapes, subspace
 from shapelift.cli import main
+from shapelift.config import load_experiment, with_mapping
 from test_subspace import BAD_ROWS, write_v1_ssm
 
 SMALL_CFG = """[dataset]
@@ -319,6 +320,32 @@ class TestReportOutputs:
 
 
 class TestPretrainFitEval:
+    def test_reference_reports_keep_the_bits_of_the_dense_prediction(self, tmp_path):
+        # eval scores the kept rows of each prediction; on the voxel
+        # reference its reports equal, byte for byte, those of scoring the
+        # dense prediction that ``predict`` returns.
+        cfg = str(Path(__file__).resolve().parents[1] / "configs" / "reference.cfg")
+        data, art = tmp_path / "data", tmp_path / "art"
+        assert main(["gen", "--config", cfg, "--out", str(data)]) == 0
+        args = ["--config", cfg, "--data", str(data), "--out", str(art)]
+        assert main(["pretrain"] + args) == 0
+        manifest = pipeline.read_dataset_manifest(data)
+        models = (subspace.load_ssm(art / "image_model.ssm"),
+                  subspace.load_ssm(art / "shape_model.ssm"))
+        x, z, ids = pipeline.load_paired(data, manifest, pipeline.SPLIT_PAIRED_TEST)
+        for method in ("lowdim", "direct"):
+            assert main(["fit"] + args + ["--method", method]) == 0
+            assert main(["eval"] + args + ["--method", method]) == 0
+            config = with_mapping(load_experiment(cfg), method)
+            map_obj = mapping.load_map(art / f"mapping_{method}.map")
+            assert map_obj.rows is not None or method == "lowdim"
+            dense = pipeline.predict(config, models, map_obj, x)
+            pipeline.write_evaluation_csv(pipeline.evaluate_rmse(dense, z, ids),
+                                          tmp_path / "dense.csv")
+            assert ((art / f"eval_{method}.csv").read_bytes()
+                    == (tmp_path / "dense.csv").read_bytes())
+        assert models[1].rows is not None
+
     def test_full_chain(self, workspace, tmp_path):
         root, cfg = workspace
         art = tmp_path / "art"

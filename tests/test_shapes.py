@@ -299,6 +299,17 @@ class TestLimitsTable:
         assert {k: v[3:] for k, v in shapes._PARAM_NAMES.items()} == SIZE_NAMES
         for kind, (sizes, vertical, _) in shapes._LIMITS.items():
             assert vertical in sizes, kind
+        # ... and says that the upper bounds are implied by the other checks.
+        assert "the upper bounds are implied" in " ".join(ShapeSpec.__doc__.split())
+
+    def test_upper_bounds_decide_no_verdict(self, monkeypatch):
+        # With no upper bound in the table, the spin, margin and torus checks
+        # alone give every verdict near the limits that the table gives.
+        for kind, (sizes, vertical, reach) in list(shapes._LIMITS.items()):
+            unbounded = {name: (lo, math.inf) for name, (lo, _) in sizes.items()}
+            monkeypatch.setitem(shapes._LIMITS, kind, (unbounded, vertical, reach))
+        verdicts = bytes(verdict(spec) for spec in near_limit_specs(30, 4000))
+        assert hashlib.sha256(verdicts).hexdigest() == VERDICTS_SHA256
 
     def test_verdicts_near_the_limits_are_pinned(self):
         verdicts = bytes(verdict(spec) for spec in near_limit_specs(30, 4000))

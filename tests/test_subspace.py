@@ -260,6 +260,36 @@ class TestFitSubspace:
                      (got.singular_values, want.singular_values)):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dim, n", [(40, 12), (12, 40)], ids=["tall", "wide"])
+    def test_overwrite_gives_the_model_of_the_copy(self, dim, n):
+        # The kept rows move up into the pool's own leading rows (row 0 is
+        # flat, so every kept row moves) and are centered there.
+        data = flat_rows_data(29, dim, n)
+        want = subspace.fit_subspace(data, 6)
+        got = subspace.fit_subspace(data.copy(), 6, _overwrite=True)
+        for a, b in ((got.mean, want.mean), (got.rows, want.rows), (got.basis, want.basis),
+                     (got.singular_values, want.singular_values)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda a: a > 0.0],
+                             ids=["column-major", "bool"])
+    def test_overwrite_leaves_any_other_pool_unchanged(self, layout):
+        data = layout(flat_rows_data(30, 40, 12))
+        before = data.copy()
+        got = subspace.fit_subspace(data, 6, _overwrite=True)
+        assert np.array_equal(data, before)
+        assert got.basis.tobytes() == subspace.fit_subspace(data, 6).basis.tobytes()
+
+    def test_overwrite_holds_no_copy_of_the_pool(self, traced_peak):
+        # A wide pool, as the image pools are: the Gram matrix and its
+        # eigenvectors are the largest temporaries, not a copy of the rows.
+        dim, n = 800, 2000
+        pool = random_data(31, dim, n)
+        pool[::4] = 0.5  # a quarter of the rows center to zero
+        model, peak = traced_peak(lambda: subspace.fit_subspace(pool, 10, _overwrite=True))
+        assert model.k == 10 and len(model.rows) == dim - dim // 4
+        assert peak < 0.6 * pool.nbytes
+
     def test_bool_pool_is_never_float64_whole(self, traced_peak):
         # Only the rows that do not center to zero are promoted to float64.
         dim, n = 40000, 60
